@@ -97,15 +97,24 @@ def _emit(args, subcommand: str, inputs: list[str], result, t0: float) -> None:
             fh.write("\n")
 
 
+def _decode(path: str, what: str, decode):
+    """decode(JSON of path); a file of the wrong shape (a list where an
+    object belongs, a missing key, a value of the wrong type) is a data
+    error, never a crash or a verdict."""
+    data = _load(path)
+    try:
+        return decode(data)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise _DataError(f"malformed {what} in {path}: {exc}") from exc
+
+
 def _ring_arg(path: str) -> _rings.Ring:
-    return _rings.construct_ring(_rings.descriptor_from_json(_load(path)))
+    return _decode(path, "ring", lambda data: _rings.construct_ring(
+        _rings.descriptor_from_json(data)))
 
 
 def _net_arg(path: str) -> _networks.Network:
-    try:
-        return _networks.network_from_json(_load(path))
-    except ValueError as exc:
-        raise _DataError(str(exc)) from exc
+    return _decode(path, "network", _networks.network_from_json)
 
 
 def _field_arg(spec: str) -> _rings.Ring:
@@ -173,7 +182,7 @@ def _cmd_ring(args) -> int:
 
 def _cmd_module(args) -> int:
     t0 = time.perf_counter()
-    mod = _modules.module_from_json(_load(args.module))
+    mod = _decode(args.module, "module", _modules.module_from_json)
     result = {"label": mod.label, "ring_size": mod.ring.size,
               "group_size": mod.group.size}
     ok = True
@@ -247,13 +256,16 @@ def _edge_lookup(net: _networks.Network, token: str):
 def _code_arg(path: str) -> _codes.LinearCode:
     """Load a code file, unwrapping `solve` output so a saved search result
     can feed `code verify`/`transform` directly."""
-    data = _load(path)
-    if isinstance(data, dict) and "edge_coeffs" not in data and "code" in data:
-        if data["code"] is None:
-            raise _DataError(f"{path} is an unsolved search result, "
-                             "there is no code to load")
-        data = data["code"]
-    return _codes.code_from_json(data)
+    def decode(data):
+        if isinstance(data, dict) and "edge_coeffs" not in data \
+                and "code" in data:
+            if data["code"] is None:
+                raise _DataError(f"{path} is an unsolved search result, "
+                                 "there is no code to load")
+            data = data["code"]
+        return _codes.code_from_json(data)
+
+    return _decode(path, "code", decode)
 
 
 def _cmd_code(args) -> int:
@@ -386,8 +398,8 @@ def _cmd_solve(args) -> int:
     if args.mode == "smallest":
         catalog = None
         if args.catalog:
-            catalog = [_rings.descriptor_from_json(d)
-                       for d in _load(args.catalog)]
+            catalog = _decode(args.catalog, "ring catalogue", lambda data: [
+                _rings.descriptor_from_json(d) for d in data])
         report = _solver.smallest_ring_search(net, args.max_size, catalog,
                                               opts)
         result = {
@@ -662,7 +674,7 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=int,
                        help="search-node budget (default NETRING_BUDGET)")
         p.add_argument("--time-budget", type=float)
-        p.add_argument("--strategy", choices=("auto", "rank", "exhaustive"),
+        p.add_argument("--strategy", choices=_solver.STRATEGIES,
                        default="auto")
         p.add_argument("--no-normalize", action="store_true",
                        help="search single-input forwarders too")

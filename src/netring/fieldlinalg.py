@@ -5,9 +5,16 @@ is represented by its reduced-echelon basis, stored as a tuple of rows sorted
 by pivot column, which makes equal subspaces compare and hash equal.  A packed
 fast path for the two-element field keeps rows as plain ints (one bit per
 column) because the search loops in solver.py live on these operations.
+
+Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
+first operand's basis, which is already reduced, and eliminate only the
+second operand's rows against it; ``canon_space``/``rref2`` are the same
+routine started from the zero space.  ``rref`` also tracks the combination of
+input rows behind each basis row; only ``solve_row`` and ``rank`` pay for it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, product
 
 
@@ -115,17 +122,34 @@ def rank(ops: FieldOps, rows) -> int:
 
 def canon_space(ops: FieldOps, rows):
     """Canonical (hashable) form of the span of the given rows."""
-    basis, _, _ = rref(ops, rows)
-    return tuple(basis)
+    return space_sum(ops, (), rows)
 
 
 def space_sum(ops: FieldOps, a, b):
-    return canon_space(ops, list(a) + list(b))
+    """Canonical form of span(a) + span(b), where a is already canonical.
 
-
-def space_contains(ops: FieldOps, space, row) -> bool:
-    pivots = [_leading(b) for b in space]
-    return not any(reduce_row(ops, space, pivots, row))
+    a is not reduced again: each row of b is reduced against the growing
+    basis and, when something is left, normalized, cleared from the basis
+    rows and inserted at its pivot.  The result is the unique
+    reduced echelon basis, so it equals canon_space(a + b)."""
+    basis = list(a)
+    pivots = [_leading(row) for row in basis]
+    for row in b:
+        row = reduce_row(ops, basis, pivots, row)
+        piv = _leading(row)
+        if piv is None:
+            continue
+        c = row[piv]
+        if c != 1:
+            row = row_scale(ops, row, ops.inv[c])
+        for t, other in enumerate(basis):
+            coef = other[piv]
+            if coef:
+                basis[t] = row_sub_scaled(ops, other, row, coef)
+        at = bisect_left(pivots, piv)
+        pivots.insert(at, piv)
+        basis.insert(at, row)
+    return tuple(basis)
 
 
 def solve_row(ops: FieldOps, rows, target):
@@ -159,17 +183,7 @@ def unpack2(packed: int, width: int):
 
 def rref2(rows):
     """Echelon basis of packed rows, sorted by pivot (low bit first)."""
-    basis = []  # kept sorted by pivot position ascending
-    for row in rows:
-        row = reduce2(basis, row)
-        if row:
-            piv = row & -row
-            for i, b in enumerate(basis):
-                if b & piv:
-                    basis[i] = b ^ row
-            basis.append(row)
-    basis.sort(key=lambda r: r & -r)
-    return tuple(basis)
+    return space_sum2((), rows)
 
 
 def reduce2(basis, row: int) -> int:
@@ -180,11 +194,19 @@ def reduce2(basis, row: int) -> int:
 
 
 def space_sum2(a, b):
-    return rref2(list(a) + list(b))
-
-
-def space_contains2(space, row: int) -> bool:
-    return reduce2(space, row) == 0
+    """Packed span(a) + span(b), a already a reduced echelon basis: b's
+    rows are inserted into a's basis, which is not reduced again."""
+    basis = list(a)
+    for row in b:
+        row = reduce2(basis, row)
+        if row:
+            piv = row & -row
+            for i, other in enumerate(basis):
+                if other & piv:
+                    basis[i] = other ^ row
+            basis.append(row)
+    basis.sort(key=lambda r: r & -r)
+    return tuple(basis)
 
 
 # ---- enumeration of echelon forms ----

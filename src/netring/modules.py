@@ -461,6 +461,9 @@ def module_to_json(mod: Module):
 
 
 def module_from_json(data) -> Module:
+    if not isinstance(data, dict):
+        raise TypeError(f"a module is a JSON object, "
+                        f"not {type(data).__name__}")
     kind = data.get("kind")
     if kind == "scalar":
         return scalar_module(_rings.construct_ring(

@@ -1468,6 +1468,9 @@ def descriptor_to_json(desc: RingDescriptor):
 
 
 def descriptor_from_json(data) -> RingDescriptor:
+    if not isinstance(data, dict):
+        raise TypeError(f"a ring descriptor is a JSON object, "
+                        f"not {type(data).__name__}")
     kind = data.get("kind")
     if kind == "prime-field":
         return PrimeField(int(data["p"]))

@@ -7,7 +7,13 @@ Two complete strategies share one front end:
   inputs, so the search walks assignments of at-most-k-dimensional
   subspaces in topological order, pruning each receiver as soon as its
   inputs are settled.  Equality of spans is decided on reduced echelon
-  bases, with a packed fast path over the two-element field.
+  bases, with a packed fast path over the two-element field.  Before the
+  search, every input is resolved once through its forwarding chain to a
+  message span or a searched-edge position, and each distinct subspace is
+  interned as an int id, so the search state, span sums, candidate lists
+  and the receiver memo are all keyed on small ints; a span sum that is
+  not cached yet inserts one operand's rows into the other's reduced
+  basis (fieldlinalg.space_sum), with no reducing transform.
 * the exhaustive strategy covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -48,16 +54,40 @@ def _env_budget() -> int:
     return DEFAULT_NODE_BUDGET
 
 
+STRATEGIES = ("auto", "rank", "exhaustive")
+
+
 @dataclass
 class SearchOptions:
     normalize_forwarding: bool = True
-    strategy: str = "auto"              # "auto" | "rank" | "exhaustive"
+    strategy: str = "auto"              # one of STRATEGIES
     node_budget: int = _field(default_factory=_env_budget)
     time_budget: Optional[float] = None  # seconds, None = unlimited
     local_budget: int = 1 << 12         # joint coefficient space of one receiver's free edges
     decode_budget: int = 1 << 15        # decode tuples per demand
     shards: int = 1
     shard_index: int = 0
+
+
+def _check_options(opts: SearchOptions) -> None:
+    """Raise ValueError on options no search can honour.
+
+    Checked when a search starts, not on construction, because the CLI
+    sets fields one by one.  An out-of-range shard would search nothing
+    and read as "exhausted-unsolvable", so it must never get that far."""
+    if opts.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {opts.strategy!r}")
+    if opts.shards < 1:
+        raise ValueError(f"shards must be at least 1, got {opts.shards}")
+    if not 0 <= opts.shard_index < opts.shards:
+        raise ValueError(f"shard index {opts.shard_index} is outside "
+                         f"0..{opts.shards - 1}")
+    if opts.node_budget < 1:
+        raise ValueError(f"node budget must be at least 1, "
+                         f"got {opts.node_budget}")
+    if opts.time_budget is not None and not opts.time_budget > 0:
+        raise ValueError(f"time budget must be positive, "
+                         f"got {opts.time_budget}")
 
 
 @dataclass
@@ -134,9 +164,6 @@ class _Gf2Alg:
     def add_spaces(self, a, b):
         return fl.space_sum2(a, b)
 
-    def contains_all(self, space, rows) -> bool:
-        return all(fl.reduce2(space, r) == 0 for r in rows)
-
     def mix(self, basis, coord):
         acc = 0
         for c, b in zip(coord, basis):
@@ -159,13 +186,10 @@ class _GenAlg:
         return tuple(1 if i == j else 0 for i in range(self.width))
 
     def canon(self, rows):
-        return fl.canon_space(self.ops, list(rows))
+        return fl.canon_space(self.ops, rows)
 
     def add_spaces(self, a, b):
         return fl.space_sum(self.ops, a, b)
-
-    def contains_all(self, space, rows) -> bool:
-        return all(fl.space_contains(self.ops, space, r) for r in rows)
 
     def mix(self, basis, coord):
         ops = self.ops
@@ -199,11 +223,39 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     alg = _Gf2Alg(width) if q == 2 else _GenAlg(ops, width)
     mpos = {m: i for i, m in enumerate(msgs)}
 
+    # every distinct subspace gets an int id the first time it is seen;
+    # the caches and the search state below hold ids, not echelon tuples
+    spaces = []        # id -> canonical echelon tuple
+    dims = []          # id -> dimension
+    ids = {}           # canonical echelon tuple -> id
+
+    def intern(space):
+        got = ids.get(space)
+        if got is None:
+            got = ids[space] = len(spaces)
+            spaces.append(space)
+            dims.append(len(space))
+        return got
+
+    zero = intern(())
+    sums = {}
+
+    def plus(a, b):
+        if a == b or b == zero:
+            return a
+        if a == zero:
+            return b
+        key = (a, b) if a < b else (b, a)
+        got = sums.get(key)
+        if got is None:
+            big, small = (a, b) if dims[a] >= dims[b] else (b, a)
+            got = sums[key] = intern(alg.add_spaces(spaces[big],
+                                                    spaces[small]))
+        return got
+
     unit_spaces = {m: alg.canon([alg.unit(mpos[m] * k + a) for a in range(k)])
                    for m in msgs}
-    demand_space = {r: alg.canon([row for m in net.demands[r]
-                                  for row in unit_spaces[m]])
-                    for r in net.receivers}
+    unit_ids = {m: intern(space) for m, space in unit_spaces.items()}
 
     # the rank receiver check below handles one free edge exactly; several
     # free edges at one receiver go back into the searched set instead
@@ -212,78 +264,57 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     pos = {e: i for i, e in enumerate(outer)}
     local_one = {r: edges[0] for r, edges in plan.local_of.items()}
 
-    assign = {}
-
-    def resolve_edge(e):
-        while True:
-            if e in assign:
-                return assign[e]
-            kind, val = plan.normalized[e]
+    def sources(inputs):
+        """Inputs resolved through forwarding chains once: the id of the
+        span of the messages among them, and the searched positions."""
+        const, at = zero, set()
+        for kind, val in inputs:
+            while kind == "edge" and val not in pos:
+                kind, val = plan.normalized[val]
             if kind == "message":
-                return unit_spaces[val]
-            e = val
+                const = plus(const, unit_ids[val])
+            else:
+                at.add(pos[val])
+        return const, tuple(sorted(at))
 
-    def resolve(inp):
-        kind, val = inp
-        if kind == "message":
-            return unit_spaces[val]
-        return resolve_edge(val)
+    cur = [zero] * len(outer)    # id assigned to each searched position
 
-    sum_cache = {}
-
-    def sum_many(spaces):
-        spaces = sorted(spaces)
-        acc = spaces[0] if spaces else ()
-        for s in spaces[1:]:
-            key = (acc, s)
-            got = sum_cache.get(key)
-            if got is None:
-                got = alg.add_spaces(acc, s)
-                sum_cache[key] = got
-            acc = got
+    def span(src):
+        acc, at = src
+        for p in at:
+            acc = plus(acc, cur[p])
         return acc
 
-    def tail_space(node):
-        return sum_many([resolve(i) for i in net.inputs(node)])
+    tails = [sources(net.inputs(e.tail)) for e in outer]
 
-    # position of the last searched edge each receiver's check depends on
-    def edge_dep(e):
-        while True:
-            if e in pos:
-                return pos[e]
-            nxt = plan.normalized.get(e)
-            if nxt is None:        # free edge: its choices live in its tail
-                return node_dep(e.tail)
-            if nxt[0] == "message":
-                return -1
-            e = nxt[1]
-
-    def node_dep(node):
-        return max((edge_dep(ee) for kk, ee in net.inputs(node)
-                    if kk == "edge"), default=-1)
-
+    # per receiver: fixed sources, the free edge's tail sources (or None),
+    # demand id; it is checked right after the last position it reads
+    checks = []
     ready = {}
     for r in net.receivers:
-        d = -1
-        for kind, val in net.inputs(r):
-            if kind != "edge":
-                continue
-            if val == local_one.get(r):
-                d = max(d, node_dep(val.tail))
-            else:
-                d = max(d, edge_dep(val))
-        ready.setdefault(d, []).append(r)
+        free_edge = local_one.get(r)
+        fixed = sources(inp for inp in net.inputs(r)
+                        if inp != ("edge", free_edge))
+        free = (None if free_edge is None
+                else sources(net.inputs(free_edge.tail)))
+        depth = max(fixed[1] + (free[1] if free else ()), default=-1)
+        demand = zero
+        for m in net.demands[r]:
+            demand = plus(demand, unit_ids[m])
+        ready.setdefault(depth, []).append(len(checks))
+        checks.append((fixed, free, demand))
 
     cand_cache = {}
 
-    def candidates(space):
-        got = cand_cache.get(space)
+    def candidates(tail):
+        got = cand_cache.get(tail)
         if got is None:
+            space = spaces[tail]
             d = len(space)
-            got = sorted((alg.canon([alg.mix(space, coord) for coord in form])
-                          for form in fl.echelon_forms(q, d, min(d, k))),
-                         key=lambda s: (-len(s), s))
-            cand_cache[space] = got
+            forms = sorted((alg.canon([alg.mix(space, c) for c in form])
+                            for form in fl.echelon_forms(q, d, min(d, k))),
+                           key=lambda s: (-len(s), s))
+            got = cand_cache[tail] = [intern(s) for s in forms]
         return got
 
     recv_memo = {}
@@ -291,55 +322,56 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
              "receiver_checks": 0, "memo_hits": 0,
              "searched_edges": len(outer)}
 
-    def receiver_ok(r):
-        fixed = []
-        free = []
-        for inp in net.inputs(r):
-            if inp[0] == "edge" and inp[1] == local_one.get(r):
-                free.append(tail_space(inp[1].tail))
-            else:
-                fixed.append(resolve(inp))
-        w0 = sum_many(fixed) if fixed else ()
-        key = (r, w0, tuple(free))
+    def receiver_ok(j):
+        fixed, free, u = checks[j]
+        w0 = span(fixed)
+        f = -1 if free is None else span(free)
+        key = (j, w0, f)
         got = recv_memo.get(key)
         if got is not None:
             stats["memo_hits"] += 1
             return got
         stats["receiver_checks"] += 1
-        u = demand_space[r]
-        if not free:
-            ok = alg.contains_all(w0, u)
+        # u lies in w exactly when w + u == w, so containment is cached
+        # on (space id, demand id) by the sum cache
+        if f < 0:
+            ok = plus(w0, u) == w0
         else:
-            reach = sum_many([w0, free[0]])
-            ok = (alg.contains_all(reach, u)
-                  and len(sum_many([w0, u])) - len(w0) <= k)
+            # the free edge adds at most k dimensions, all from its tail
+            reach = plus(w0, f)
+            ok = (dims[plus(w0, u)] - dims[w0] <= k
+                  and plus(reach, u) == reach)
         recv_memo[key] = ok
         return ok
 
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
+    budget = opts.node_budget
 
     def dfs(i):
         if i == len(outer):
             return True
-        e = outer[i]
-        cands = candidates(tail_space(e.tail))
+        cands = candidates(span(tails[i]))
         if i == 0 and opts.shards > 1:
             cands = cands[opts.shard_index::opts.shards]
+        here = ready.get(i, ())
         for s in cands:
-            stats["nodes"] += 1
-            if stats["nodes"] > opts.node_budget:
+            nodes = stats["nodes"] = stats["nodes"] + 1
+            if nodes > budget:
                 raise _Budget("node budget exhausted")
-            if deadline is not None and stats["nodes"] % 1024 == 0 \
+            if deadline is not None and nodes % 1024 == 0 \
                     and time.perf_counter() > deadline:
                 raise _Budget("time budget exhausted")
-            assign[e] = s
-            if all(receiver_ok(r) for r in ready.get(i, ())) and dfs(i + 1):
-                return True
-        assign.pop(e, None)
+            cur[i] = s
+            for j in here:
+                if not receiver_ok(j):
+                    break
+            else:
+                if dfs(i + 1):
+                    return True
         return False
 
     try:
-        found = all(receiver_ok(r) for r in ready.get(-1, ())) and dfs(0)
+        found = all(receiver_ok(j) for j in ready.get(-1, ())) and dfs(0)
     except _Budget as exc:
         stats["elapsed"] = time.perf_counter() - t0
         return SolveResult("budget-exceeded", None, stats | {"reason": str(exc)})
@@ -350,6 +382,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
         return SolveResult("exhausted-unsolvable", None, stats)
 
+    assign = {e: spaces[cur[i]] for i, e in enumerate(outer)}
     code = _rank_witness(net, ring, field, k, ops, alg, plan, local_one,
                          assign, unit_spaces, mpos)
     report = verify_solution(net, code)
@@ -420,8 +453,7 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
                     mc = ops.mul[c]
                     part = tuple(ops.add[x][mc[y]] for x, y in zip(part, row))
             parts.append(part)
-        basis, _, _ = fl.rref(ops, parts)
-        rows_map[free_edge] = pad(basis)
+        rows_map[free_edge] = pad(fl.canon_space(ops, parts))
 
     def coeff_blocks(stack, targets, arity):
         """Ring elements per input expressing each target row over the stack."""
@@ -696,20 +728,19 @@ def solve_scalar(net: Network, ring: Ring,
                  options: Optional[SearchOptions] = None) -> SolveResult:
     """Decide scalar solvability over the ring by complete search."""
     opts = options or SearchOptions()
+    _check_options(opts)
     issues = validate_network(net)
     if issues:
         raise ValueError("invalid network: " + "; ".join(issues))
     strategy = opts.strategy
     if strategy == "auto":
         strategy = "rank" if _rank_parts(ring) else "exhaustive"
-    if strategy == "rank":
-        if _rank_parts(ring) is None:
-            raise ValueError("the rank strategy needs a field or a matrix "
-                             "ring over a field")
-        return _solve_rank(net, ring, opts)
     if strategy == "exhaustive":
         return _solve_table(net, ring, opts)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if _rank_parts(ring) is None:
+        raise ValueError("the rank strategy needs a field or a matrix "
+                         "ring over a field")
+    return _solve_rank(net, ring, opts)
 
 
 def solve_vector(net: Network, field: Ring, k: int,
@@ -726,6 +757,7 @@ def solve_vector(net: Network, field: Ring, k: int,
     if k < 1:
         raise ValueError("dimension must be at least 1")
     opts = options or SearchOptions()
+    _check_options(opts)
     memo: dict[int, SolveResult] = {}
 
     def attempt(dim: int) -> SolveResult:
@@ -917,6 +949,10 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     solvable size, plus a verdict per examined ring."""
     t0 = time.perf_counter()
     opts = options or SearchOptions()
+    _check_options(opts)
+    if opts.shards > 1:
+        # one shard's "exhausted-unsolvable" says nothing about the ring
+        raise ValueError("a smallest-ring sweep cannot be sharded")
     descs = sorted(catalog if catalog is not None
                    else structured_catalog(max_size), key=_catalog_key)
     block_cache: dict[tuple[int, int], SolveResult] = {}

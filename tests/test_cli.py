@@ -48,6 +48,35 @@ def test_missing_file_is_65(files):
                str(files["gf2"])) == DATA
 
 
+def test_wrong_typed_input_is_65(files, capsys):
+    listed = files["dir"] / "list.json"
+    listed.write_text("[1, 2]")
+    assert run("solve", "scalar", str(listed), "--ring",
+               str(files["gf2"])) == DATA
+    assert run("solve", "scalar", str(files["m"]), "--ring",
+               str(listed)) == DATA
+    assert run("code", "verify", str(files["m"]), str(listed)) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [("--shards", "2", "--shard-index", "5"),
+                                   ("--shards", "0"),
+                                   ("--budget", "0"),
+                                   ("--time-budget", "0")])
+def test_bad_search_options_are_65(files, flags, capsys):
+    # an empty shard must not read as "exhausted-unsolvable"
+    for ring in ("gf2", "z4"):
+        assert run("solve", "scalar", str(files["m"]), "--ring",
+                   str(files[ring]), *flags) == DATA
+    assert run("solve", "vector", str(files["c3"]), "--field", "2",
+               "--dim", "2", *flags) == DATA
+    assert run("solve", "smallest", str(files["c3"]), "--max-size", "4",
+               *flags) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 4 and "Traceback" not in err
+
+
 def test_net_gen_and_validate(files, capsys):
     assert run("net", "validate", str(files["m"])) == OK
     out = json.loads(capsys.readouterr().out)

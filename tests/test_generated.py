@@ -1,0 +1,87 @@
+"""Every search route against full enumeration, on generated networks.
+
+The strategy draws small valid DAGs: one to three sources (the first may
+own two messages), up to two relays, one or two receivers, parallel edges
+anywhere, receiver in-degree at most three and random demands among the
+messages that reach each receiver.  Coefficient slots are capped so that
+tests/bruteforce.py can enumerate every code over GF(3).
+"""
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+import bruteforce
+from netring.networks import Network, validate_network
+from netring.rings import PrimeField, construct_ring
+from netring.solver import SearchOptions, solve_scalar
+
+MAX_SLOTS = 6      # 3**6 coefficient assignments for the oracle
+RINGS = [construct_ring(PrimeField(2)), construct_ring(PrimeField(3))]
+
+
+def _slots(net):
+    return sum(len(net.inputs(e.tail)) for e in net.edges)
+
+
+@st.composite
+def networks(draw):
+    n_src = draw(st.integers(1, 3))
+    n_relay = draw(st.integers(0, 2))
+    n_recv = draw(st.integers(1, 2))
+    sources = [f"s{i}" for i in range(n_src)]
+    relays = [f"u{i}" for i in range(n_relay)]
+    receivers = [f"t{i}" for i in range(n_recv)]
+    messages = [(f"m{i}", s) for i, s in enumerate(sources)]
+    if draw(st.booleans()):
+        messages.append((f"m{n_src}", sources[0]))
+
+    edges = []
+
+    def feed(head, earlier, most):
+        count = {}
+        for tail in draw(st.lists(st.sampled_from(earlier), min_size=1,
+                                  max_size=most)):
+            count[tail] = count.get(tail, 0) + 1
+            edges.append((tail, head, count[tail] - 1))
+
+    for i, u in enumerate(relays):
+        feed(u, sources + relays[:i], 2)
+    for t in receivers:
+        feed(t, sources + relays, 3)
+
+    owner = dict(messages)
+    reach = {v: {v} for v in sources + relays + receivers}
+    for tail, head, _ in edges:     # edges are listed in topological order
+        reach[head] |= reach[tail]
+    demands = {}
+    for t in receivers:
+        seen = sorted(m for m, s in owner.items() if s in reach[t])
+        if seen and draw(st.booleans()):
+            demands[t] = tuple(seen)     # everything that reaches t
+        elif seen:
+            demands[t] = tuple(draw(st.lists(st.sampled_from(seen),
+                                             min_size=1, unique=True)))
+    net = Network(sources + relays + receivers, edges, messages, demands)
+    assert not validate_network(net)
+    return net
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands
+                         and _slots(net) <= MAX_SLOTS))
+def test_every_route_agrees_with_enumeration(net):
+    for ring in RINGS:
+        want, _, _ = bruteforce.solve(net, ring)
+        event(f"GF({ring.size}) {want}")
+        for strategy in ("rank", "exhaustive"):
+            for normalize in (True, False):
+                opts = SearchOptions(strategy=strategy,
+                                     normalize_forwarding=normalize)
+                res = solve_scalar(net, ring, opts)
+                where = (ring.size, strategy, normalize)
+                assert res.status == want, where
+                if res.solved:
+                    assert bruteforce.check_code(net, res.code), where
+                else:
+                    assert res.code is None, where

@@ -105,6 +105,25 @@ def test_env_budget_default(monkeypatch):
     assert SearchOptions().node_budget == solver.DEFAULT_NODE_BUDGET
 
 
+@pytest.mark.parametrize("bad", [dict(shards=0), dict(shards=2, shard_index=2),
+                                 dict(shard_index=-1), dict(node_budget=0),
+                                 dict(time_budget=0.0), dict(time_budget=-1),
+                                 dict(strategy="bogus")])
+def test_invalid_options_are_rejected(gf2, bad):
+    with pytest.raises(ValueError):
+        solve_scalar(choose_two_network(3), gf2, SearchOptions(**bad))
+    with pytest.raises(ValueError):
+        solve_vector(choose_two_network(3), gf2, 2, SearchOptions(**bad))
+
+
+def test_sweep_refuses_shards():
+    # shard 3 of 4 holds only the zero space for the first parallel edge,
+    # which would read as "GF(2) is unsolvable"
+    with pytest.raises(ValueError):
+        smallest_ring_search(pair_network(), max_size=4,
+                             options=SearchOptions(shards=4, shard_index=3))
+
+
 def test_shards_cover_the_space(gf2, z4):
     # solvable: some shard finds it, every solved shard's code verifies
     net = choose_two_network(3)
