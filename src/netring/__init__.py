@@ -6,7 +6,7 @@ from .rings import (
     verify_ring_axioms, left_ideals, two_sided_ideals, maximal_proper,
     radical, quotient, find_homomorphisms, find_isomorphism, identity_hom,
     semisimple_catalog, semisimple_decompose, prime_power_decompose,
-    descriptor_to_json, descriptor_from_json, describe,
+    descriptor_to_json, descriptor_from_json, describe, descriptor_size,
 )
 from .modules import (
     AbelianGroup, Module, ModuleAxiomError, cyclic, direct_sum,
@@ -17,6 +17,7 @@ from .modules import (
 from .networks import (
     Edge, Network, validate_network, m_network, dim_n_network,
     choose_two_network, trivial_network, network_to_json, network_from_json,
+    parse_network,
 )
 from .codes import (
     LinearCode, Verdict, check_shape, transfer_vectors, verify_solution,

@@ -225,17 +225,7 @@ def _cmd_net(args) -> int:
         _emit(args, "net gen", [], result, t0)
         return EXIT_OK
     if args.action == "validate":
-        try:
-            data = _load(args.network)
-            net = _networks.Network(
-                [str(v) for v in data["nodes"]],
-                [(str(t), str(h), int(o)) for (t, h, o) in data["edges"]],
-                [(str(m), str(o)) for (m, o) in data["messages"]],
-                {str(r): tuple(map(str, ms))
-                 for r, ms in data["demands"].items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _DataError(f"malformed network JSON: {exc}") from exc
+        net = _decode(args.network, "network", _networks.parse_network)
         issues = _networks.validate_network(net)
         result = {"ok": not issues, "issues": issues}
         _emit(args, "net validate", [args.network], result, t0)

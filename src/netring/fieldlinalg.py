@@ -30,9 +30,9 @@ class FieldOps:
         self.field = field
         q = field.size
         self.q = q
-        self.add = [[field.add(a, b) for b in range(q)] for a in range(q)]
-        self.mul = [[field.mul(a, b) for b in range(q)] for a in range(q)]
-        self.neg = [field.neg(a) for a in range(q)]
+        self.add = field.add_table().tolist()
+        self.mul = field.mul_table().tolist()
+        self.neg = field.neg_table().tolist()
         inv = [0] * q
         for a in range(1, q):
             row = self.mul[a]

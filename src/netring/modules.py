@@ -28,10 +28,12 @@ class AbelianGroup:
 
     def __init__(self, size: int, add: Callable[[int, int], int],
                  neg: Callable[[int], int], *, orders=None, components=None,
-                 label: str = "group"):
+                 label: str = "group", tables=None):
         self.size = size
         self._add = add
         self._neg = neg
+        # tables() -> (add table, neg table) when they exist elsewhere
+        self._tables = tables
         self.orders = tuple(orders) if orders is not None else None
         self.components = tuple(components) if components is not None else None
         self.label = label
@@ -80,6 +82,9 @@ class AbelianGroup:
             if self.size > GROUP_TABLE_CAP:
                 raise ValueError(
                     f"group of size {self.size} exceeds the dense-table cap")
+            if self._tables is not None:
+                self._add_table, self._neg_table = self._tables()
+                return self._add_table
             t = np.zeros((self.size, self.size), dtype=np.int64)
             for a in range(self.size):
                 for b in range(self.size):
@@ -187,11 +192,9 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
 
 
 def additive_group(ring: Ring) -> AbelianGroup:
-    g = AbelianGroup(ring.size, ring.add, ring.neg, label=f"add({ring.descriptor!r})")
-    if ring.size <= GROUP_TABLE_CAP and ring._add_table is not None:
-        g._add_table = ring._add_table
-        g._neg_table = ring._neg_table
-    return g
+    return AbelianGroup(ring.size, ring.add, ring.neg,
+                        label=f"add({ring.descriptor!r})",
+                        tables=lambda: (ring.add_table(), ring.neg_table()))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +213,12 @@ class Module:
     """A left module: `ring` acting on `group` through `action`."""
 
     def __init__(self, ring: Ring, group: AbelianGroup, action: Callable[[int, int], int],
-                 *, label: str = "module"):
+                 *, label: str = "module", table=None):
         self.ring = ring
         self.group = group
         self._action = action
         self.label = label
+        self._table = table   # table() -> the action table, when it exists elsewhere
         self._act_table = None
         self._annihilator = None
         # populated by the structured constructors
@@ -232,6 +236,9 @@ class Module:
 
     def act_table(self) -> np.ndarray:
         if self._act_table is None:
+            if self._table is not None:
+                self._act_table = self._table()
+                return self._act_table
             pairs = self.ring.size * self.group.size
             if pairs > EXHAUSTIVE_PAIR_CAP:
                 raise ValueError(
@@ -272,8 +279,8 @@ def construct_module(ring: Ring, group: AbelianGroup, action, *,
         table = np.asarray(action, dtype=np.int64)
         if table.shape != (ring.size, group.size):
             raise ValueError("action table must be |R| x |G|")
-        mod = Module(ring, group, lambda r, g: int(table[r, g]))
-        mod._act_table = table
+        mod = Module(ring, group, lambda r, g: int(table[r, g]),
+                     table=lambda: table)
     if check:
         verify_module_axioms(mod)
     return mod
@@ -329,12 +336,10 @@ def verify_module_axioms(mod: Module) -> None:
 
 def scalar_module(ring: Ring) -> Module:
     """The ring acting on its own additive group by left multiplication."""
-    mod = Module(ring, additive_group(ring), ring.mul,
+    mod = Module(ring, additive_group(ring), ring.mul, table=ring.mul_table,
                  label=f"scalar({_rings.describe(ring.descriptor)})")
     mod.vector_dim = 1 if ring.is_field() else None
     mod.base_ring = ring if mod.vector_dim else None
-    if ring.size <= GROUP_TABLE_CAP and ring._mul_table is not None:
-        mod._act_table = ring._mul_table
     return mod
 
 
@@ -491,8 +496,6 @@ def group_from_table(table) -> AbelianGroup:
     neg = np.zeros(n, dtype=np.int64)
     rows, cols = np.nonzero(t == 0)
     neg[rows] = cols
-    g = AbelianGroup(n, lambda a, b: int(t[a, b]), lambda a: int(neg[a]),
-                     label=f"table group of size {n}")
-    g._add_table = t
-    g._neg_table = neg
-    return g
+    return AbelianGroup(n, lambda a, b: int(t[a, b]), lambda a: int(neg[a]),
+                        label=f"table group of size {n}",
+                        tables=lambda: (t, neg))

@@ -240,13 +240,22 @@ def network_to_json(net: Network):
     }
 
 
-def network_from_json(data) -> Network:
-    net = Network(
+def parse_network(data) -> Network:
+    """The network a JSON object describes, not yet validated."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a network is a JSON object, "
+                        f"not {type(data).__name__}")
+    return Network(
         [str(v) for v in data["nodes"]],
         [(str(t), str(h), int(o)) for (t, h, o) in data["edges"]],
         [(str(m), str(owner)) for (m, owner) in data["messages"]],
         {str(r): tuple(str(m) for m in ms) for r, ms in data["demands"].items()},
     )
+
+
+def network_from_json(data) -> Network:
+    """parse_network, then a ValueError naming every validate_network issue."""
+    net = parse_network(data)
     issues = validate_network(net)
     if issues:
         raise ValueError("invalid network: " + "; ".join(issues))

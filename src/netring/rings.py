@@ -2,20 +2,34 @@
 
 Every ring element is addressed by an integer 0..size-1.  Index 0 is always
 the additive identity and index 1 the multiplicative identity whenever the
-ring has one; the remaining elements keep the natural coordinate order of
-their constructor (residues ascending, polynomial coefficient vectors by
-ascending integer encoding, matrix entries row-major most-significant-first,
-product components most-significant-first).  Constructors cover integers mod
-n, prime and Galois fields, full and upper-triangular matrix rings, finite
-products, and explicit operation tables (with a flag for rngs, i.e. rings
-without an identity).  Structural queries cover axiom verification, ideal
-lattices, the radical, quotients, homomorphism and isomorphism search, the
-catalogue of semisimple rings of prime-power order, and decomposition into
-prime-power blocks via central idempotents.
+ring has one.  Constructors cover integers mod n, prime and Galois fields,
+full and upper-triangular matrix rings, finite products, and explicit
+operation tables (with a flag for rngs, i.e. rings without an identity).
+
+Residue rings (integers mod n, prime fields) compute on the index itself.
+Every compound ring records its coordinate rings, one per digit, most
+significant first: k copies of GF(p) for GF(p^k) (digits are the polynomial
+coefficients, highest degree first), one copy of the entry ring per matrix
+slot (row-major; only the slots r <= c for upper-triangular rings), and the
+factors of a product.  The digits read as a mixed-radix number give an
+element's natural code; the codec `Ring.coords`/`Ring.from_coords` is the
+one place that converts, moving the identity's code to index 1 and shifting
+the codes below it up by one.  Addition and negation act digit by digit for
+every compound kind; each kind supplies only its multiplication, as a list
+of terms per output digit (the polynomial product reduced by the modulus,
+the row-by-column sum, or the componentwise product).  The scalar
+operations and `Ring._build_tables` evaluate the same rules, the latter on
+whole rows of the lazily built coordinate array, a block of rows at a time.
+
+Structural queries cover axiom verification, ideal lattices, the radical,
+quotients, homomorphism and isomorphism search, the catalogue of semisimple
+rings of prime-power order, and decomposition into prime-power blocks via
+central idempotents.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -97,6 +111,25 @@ class TableRing:
 RingDescriptor = Union[
     PrimeField, GaloisField, IntegersMod, MatrixRing, UpperTriangular, Product, TableRing
 ]
+
+
+def descriptor_size(desc: RingDescriptor) -> int:
+    """Number of elements of the ring a descriptor names, without building it."""
+    if isinstance(desc, PrimeField):
+        return desc.p
+    if isinstance(desc, GaloisField):
+        return desc.p ** desc.k
+    if isinstance(desc, IntegersMod):
+        return desc.n
+    if isinstance(desc, MatrixRing):
+        return descriptor_size(desc.inner) ** (desc.k ** 2)
+    if isinstance(desc, UpperTriangular):
+        return descriptor_size(desc.field) ** (desc.k * (desc.k + 1) // 2)
+    if isinstance(desc, Product):
+        return math.prod(descriptor_size(f) for f in desc.factors)
+    if isinstance(desc, TableRing):
+        return len(desc.add)
+    raise TypeError(f"not a ring descriptor: {desc!r}")
 
 
 # built-in Galois moduli (lex-least monic irreducible, coefficients c_0..c_k).
@@ -195,7 +228,18 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the ring itself
 
-def _pin(nat: int, one_nat: int) -> int:
+_RESIDUE_KINDS = ("prime_field", "integers_mod")
+_TABLE_BLOCK = 1 << 16   # table entries computed per block of rows
+
+
+def _pin(nat, one_nat: int):
+    """Element index of natural code nat (an int or an array of them): 0
+    stays 0, the identity's code moves to 1, the codes below it shift up."""
+    if isinstance(nat, np.ndarray):
+        out = nat + 1 - (nat > one_nat)
+        out[nat == 0] = 0
+        out[nat == one_nat] = 1
+        return out
     if nat == 0:
         return 0
     if nat == one_nat:
@@ -211,33 +255,123 @@ def _unpin(idx: int, one_nat: int) -> int:
     return idx - 1 if idx - 1 < one_nat else idx
 
 
-class Ring:
-    """A finite ring; construct through construct_ring()."""
+def _same(u):
+    return u
 
-    def __init__(self, descriptor, kind, size, unital, add, neg, mul, one_nat=1):
+
+def _digit_ops(ring: "Ring", tables: bool):
+    """(add, mul, neg, reduce) on digits over a coordinate ring.
+
+    Residue rings use plain integer arithmetic and reduce once, at the end
+    of a digit's sum; any other ring uses its scalar operations, or lookups
+    in its tables when `tables` is set (the digits are then arrays)."""
+    if ring.kind in _RESIDUE_KINDS:
+        n = ring.size
+        return operator.add, operator.mul, operator.neg, lambda u: u % n
+    if not tables:
+        return ring.add, ring.mul, ring.neg, _same
+    add, mul = ring.add_table(), ring.mul_table()
+    return ((lambda u, v: add[u, v]), (lambda u, v: mul[u, v]),
+            ring.neg_table().__getitem__, _same)
+
+
+class Ring:
+    """A finite ring; construct through construct_ring().
+
+    A compound ring (Galois field, matrix, upper-triangular or product)
+    addresses its elements by digits over `coord_rings`, most significant
+    first: coords() and from_coords() are the only conversions between an
+    element index and its digits.  Addition and negation act digit by
+    digit; `mul_terms` is the kind's multiplication rule: digit d of a*b is
+    the sum, over the terms (i, j, c) listed for d, of c * a_i * b_j in
+    coordinate ring d.  Residue rings compute on the index itself; table
+    rings arrive with their tables."""
+
+    def __init__(self, descriptor, kind, size, unital=True, *, coord_rings=(),
+                 one_coords=(), mul_terms=(), tables=None):
         self.descriptor = descriptor
         self.kind = kind
         self.size = size
         self.unital = unital
         self.one = (1 if size > 1 else 0) if unital else None
-        self._add = add
-        self._neg = neg
-        self._mul = mul
-        self._one_nat = one_nat
-        self._add_table = None
-        self._mul_table = None
-        self._neg_table = None
+        self.coord_rings: tuple[Ring, ...] = tuple(coord_rings)
+        self._radices = tuple(r.size for r in self.coord_rings)
+        self._one_nat = 0
+        for s, d in zip(self._radices, one_coords):
+            self._one_nat = self._one_nat * s + d
+        self._mul_terms = mul_terms
+        self._ops = None
+        self._coord_array = None
+        self._add_table, self._mul_table, self._neg_table = tables or (None,) * 3
         self._inv_table = None
         self._char = None
         self._commutative = None
         # structure hooks filled in by the constructor where they apply
         self.inner: Optional[Ring] = None
         self.k: Optional[int] = None
+        self.slots: Optional[tuple[tuple[int, int], ...]] = None
         self.factors: Optional[tuple[Ring, ...]] = None
         self.input_index_map: Optional[tuple[int, ...]] = None
 
     def __repr__(self):
         return f"Ring({self.descriptor!r}, size={self.size})"
+
+    # -- the coordinate codec
+
+    def coords(self, idx: int) -> tuple[int, ...]:
+        """Digits of element idx over coord_rings, most significant first."""
+        if not self.coord_rings:
+            raise TypeError(f"a {self.kind} ring has no coordinates")
+        nat = _unpin(idx, self._one_nat)
+        out = []
+        for s in reversed(self._radices):
+            nat, d = divmod(nat, s)
+            out.append(d)
+        return tuple(reversed(out))
+
+    def from_coords(self, digits):
+        """Inverse of coords(); also encodes a list of digit arrays."""
+        if not self.coord_rings:
+            raise TypeError(f"a {self.kind} ring has no coordinates")
+        if len(digits) != len(self._radices):
+            raise ValueError(f"expected {len(self._radices)} digits, "
+                             f"got {len(digits)}")
+        nat = 0
+        for s, d in zip(self._radices, digits):
+            nat = nat * s + d
+        return _pin(nat, self._one_nat)
+
+    def _coords_of_all(self) -> np.ndarray:
+        """size x digits array: row idx holds coords(idx) (built on first use)."""
+        if self._coord_array is None:
+            nat = np.arange(self.size, dtype=np.int64)
+            arr = np.empty((self.size, len(self._radices)), dtype=np.int64)
+            rows = _pin(nat, self._one_nat)
+            for t in reversed(range(len(self._radices))):
+                nat, arr[rows, t] = np.divmod(nat, self._radices[t])
+            self._coord_array = arr
+        return self._coord_array
+
+    def _add_coords(self, x, y, ops):
+        return [red(add(u, v)) for (add, _, _, red), u, v in zip(ops, x, y)]
+
+    def _neg_coords(self, x, ops):
+        return [red(neg(u)) for (_, _, neg, red), u in zip(ops, x)]
+
+    def _mul_coords(self, x, y, ops):
+        out = []
+        for (add, mul, _, red), terms in zip(ops, self._mul_terms):
+            acc = 0
+            for i, j, c in terms:
+                v = mul(x[i], y[j])
+                acc = add(acc, v if c == 1 else mul(c, v))
+            out.append(red(acc))
+        return out
+
+    def _scalar_ops(self):
+        if self._ops is None:
+            self._ops = [_digit_ops(r, False) for r in self.coord_rings]
+        return self._ops
 
     # -- arithmetic on canonical indices
 
@@ -245,13 +379,19 @@ class Ring:
         t = self._add_table
         if t is not None:
             return int(t[a, b])
-        return self._add(a, b)
+        if self.coord_rings:
+            return self.from_coords(self._add_coords(
+                self.coords(a), self.coords(b), self._scalar_ops()))
+        return (a + b) % self.size
 
     def neg(self, a: int) -> int:
         t = self._neg_table
         if t is not None:
             return int(t[a])
-        return self._neg(a)
+        if self.coord_rings:
+            return self.from_coords(self._neg_coords(self.coords(a),
+                                                     self._scalar_ops()))
+        return (-a) % self.size
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -260,7 +400,10 @@ class Ring:
         t = self._mul_table
         if t is not None:
             return int(t[a, b])
-        return self._mul(a, b)
+        if self.coord_rings:
+            return self.from_coords(self._mul_coords(
+                self.coords(a), self.coords(b), self._scalar_ops()))
+        return (a * b) % self.size
 
     def scalar_multiple(self, n: int, a: int) -> int:
         """n-fold additive multiple n*a (n may exceed the characteristic)."""
@@ -304,16 +447,35 @@ class Ring:
         return self._neg_table
 
     def _build_tables(self):
+        """Evaluate the scalar rules on whole rows of elements at once, a
+        block of rows at a time, so temporaries stay a few blocks large."""
         if self.size > TABLE_CAP:
             raise ValueError(
                 f"ring of size {self.size} exceeds the dense-table cap {TABLE_CAP}")
-        add, mul = _dense_tables(self)
-        self._add_table = add
-        self._mul_table = mul
-        neg = np.zeros(self.size, dtype=add.dtype)
-        rows, cols = np.nonzero(add == 0)
-        neg[rows] = cols
-        self._neg_table = neg
+        n = self.size
+        idx = np.arange(n, dtype=np.int64)
+        if self.coord_rings:
+            ops = [_digit_ops(r, True) for r in self.coord_rings]
+            digits = list(self._coords_of_all().T)
+            y = [col[None, :] for col in digits]
+
+            def block(rows):
+                x = [col[rows, None] for col in digits]
+                return (self.from_coords(self._add_coords(x, y, ops)),
+                        self.from_coords(self._mul_coords(x, y, ops)))
+            neg = self.from_coords(self._neg_coords(digits, ops))
+        else:
+            def block(rows):
+                a = idx[rows, None]
+                return (a + idx) % n, (a * idx) % n
+            neg = (-idx) % n
+        add = np.empty((n, n), dtype=np.int64)
+        mul = np.empty((n, n), dtype=np.int64)
+        step = max(1, _TABLE_BLOCK // n)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            add[rows], mul[rows] = block(rows)
+        self._add_table, self._mul_table, self._neg_table = add, mul, neg
 
     # -- derived structure
 
@@ -376,76 +538,37 @@ class Ring:
         mul = self.mul_table()
         return [a for a in range(self.size) if 1 in mul[a]]
 
-    # -- structure accessors (raise TypeError on the wrong kind)
+    # -- structure accessors: views on coords (TypeError on the wrong kind)
 
     def field_coeffs(self, idx: int) -> tuple[int, ...]:
+        """Polynomial coefficients c_0..c_{k-1}, ascending."""
         if self.kind != "galois_field":
             raise TypeError("field_coeffs needs a galois_field ring")
-        p, k = self.descriptor.p, self.descriptor.k
-        t, out = idx, []
-        for _ in range(k):
-            out.append(t % p)
-            t //= p
-        return tuple(out)
+        return self.coords(idx)[::-1]
 
     def field_from_coeffs(self, coeffs) -> int:
         if self.kind != "galois_field":
             raise TypeError("field_from_coeffs needs a galois_field ring")
         p = self.descriptor.p
-        acc = 0
-        for c in reversed(tuple(coeffs)):
-            acc = acc * p + c % p
-        return acc
+        return self.from_coords([c % p for c in reversed(tuple(coeffs))])
 
     def mat_entries(self, idx: int) -> tuple[tuple[int, ...], ...]:
         """k x k entry grid of a matrix or upper-triangular ring element."""
-        if self.kind == "matrix":
-            nat = _unpin(idx, self._one_nat)
-            s, k = self.inner.size, self.k
-            flat = []
-            for _ in range(k * k):
-                flat.append(nat % s)
-                nat //= s
-            flat.reverse()
-            return tuple(tuple(flat[r * k:(r + 1) * k]) for r in range(k))
-        if self.kind == "upper_triangular":
-            nat = _unpin(idx, self._one_nat)
-            s, k = self.inner.size, self.k
-            count = k * (k + 1) // 2
-            flat = []
-            for _ in range(count):
-                flat.append(nat % s)
-                nat //= s
-            flat.reverse()
-            rows = [[0] * k for _ in range(k)]
-            pos = 0
-            for r in range(k):
-                for c in range(r, k):
-                    rows[r][c] = flat[pos]
-                    pos += 1
-            return tuple(tuple(row) for row in rows)
-        raise TypeError("mat_entries needs a matrix or upper_triangular ring")
+        if self.slots is None:
+            raise TypeError("mat_entries needs a matrix or upper_triangular ring")
+        rows = [[0] * self.k for _ in range(self.k)]
+        for (r, c), v in zip(self.slots, self.coords(idx)):
+            rows[r][c] = v
+        return tuple(tuple(row) for row in rows)
 
     def mat_from_entries(self, rows) -> int:
+        if self.slots is None:
+            raise TypeError("mat_from_entries needs a matrix or upper_triangular ring")
         rows = tuple(tuple(r) for r in rows)
-        s, k = self.inner.size, self.k
-        if self.kind == "matrix":
-            nat = 0
-            for r in range(k):
-                for c in range(k):
-                    nat = nat * s + rows[r][c]
-            return _pin(nat, self._one_nat)
-        if self.kind == "upper_triangular":
-            nat = 0
-            for r in range(k):
-                for c in range(k):
-                    if c < r:
-                        if rows[r][c] != 0:
-                            raise ValueError("entry below the diagonal must be zero")
-                    else:
-                        nat = nat * s + rows[r][c]
-            return _pin(nat, self._one_nat)
-        raise TypeError("mat_from_entries needs a matrix or upper_triangular ring")
+        if self.kind == "upper_triangular" and any(
+                rows[r][c] for r in range(self.k) for c in range(r)):
+            raise ValueError("entry below the diagonal must be zero")
+        return self.from_coords([rows[r][c] for r, c in self.slots])
 
     def matrix_unit(self, r: int, c: int, scale: int = 1) -> int:
         """The matrix with `scale` at (r, c) and zeros elsewhere."""
@@ -457,21 +580,12 @@ class Ring:
     def prod_parts(self, idx: int) -> tuple[int, ...]:
         if self.kind != "product":
             raise TypeError("prod_parts needs a product ring")
-        nat = _unpin(idx, self._one_nat)
-        parts = []
-        for f in reversed(self.factors):
-            parts.append(nat % f.size)
-            nat //= f.size
-        parts.reverse()
-        return tuple(parts)
+        return self.coords(idx)
 
     def prod_from_parts(self, parts) -> int:
         if self.kind != "product":
             raise TypeError("prod_from_parts needs a product ring")
-        nat = 0
-        for f, v in zip(self.factors, parts):
-            nat = nat * f.size + v
-        return _pin(nat, self._one_nat)
+        return self.from_coords(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -480,29 +594,20 @@ class Ring:
 def construct_ring(descriptor: RingDescriptor) -> Ring:
     """Build a ring from its descriptor (deterministic element indexing)."""
     if isinstance(descriptor, PrimeField):
-        p = descriptor.p
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return Ring(descriptor, "prime_field", p, True,
-                    lambda a, b: (a + b) % p, lambda a: (-a) % p,
-                    lambda a, b: (a * b) % p)
+        if not is_prime(descriptor.p):
+            raise ValueError(f"{descriptor.p} is not prime")
+        return Ring(descriptor, "prime_field", descriptor.p)
 
     if isinstance(descriptor, IntegersMod):
-        n = descriptor.n
-        if n < 2:
+        if descriptor.n < 2:
             raise ValueError("modulus must be at least 2")
-        return Ring(descriptor, "integers_mod", n, True,
-                    lambda a, b: (a + b) % n, lambda a: (-a) % n,
-                    lambda a, b: (a * b) % n)
+        return Ring(descriptor, "integers_mod", descriptor.n)
 
     if isinstance(descriptor, GaloisField):
         return _construct_galois(descriptor)
 
-    if isinstance(descriptor, MatrixRing):
+    if isinstance(descriptor, (MatrixRing, UpperTriangular)):
         return _construct_matrix(descriptor)
-
-    if isinstance(descriptor, UpperTriangular):
-        return _construct_upper_triangular(descriptor)
 
     if isinstance(descriptor, Product):
         return _construct_product(descriptor)
@@ -525,139 +630,46 @@ def _construct_galois(desc: GaloisField) -> Ring:
         raise ValueError("modulus must be monic of degree k")
     if not poly_is_irreducible(poly, p):
         raise ValueError(f"modulus {poly} is reducible over GF({p})")
-    size = p ** k
-
-    def decode(idx):
-        out, t = [], idx
-        for _ in range(k):
-            out.append(t % p)
-            t //= p
-        return out
-
-    def encode(coeffs):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * p + c % p
-        return acc
-
-    def add(a, b):
-        return encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
-
-    def neg(a):
-        return encode([(-x) % p for x in decode(a)])
-
-    def mul(a, b):
-        return encode(_poly_mul_mod(decode(a), decode(b), poly, p))
-
-    ring = Ring(desc, "galois_field", size, True, add, neg, mul)
+    # red[d]: coefficients of x^d modulo the modulus, for d <= 2k - 2
+    red = [[int(i == d) for i in range(k)] for d in range(k)]
+    for _ in range(k - 1):
+        prev = red[-1]
+        red.append([(low - prev[-1] * m) % p
+                    for low, m in zip([0] + prev[:-1], poly)])
+    # digit t holds the coefficient of x^(k-1-t): polynomial product, reduced
+    terms = [[(k - 1 - i, k - 1 - j, red[i + j][e])
+              for i in range(k) for j in range(k) if red[i + j][e]]
+             for e in reversed(range(k))]
+    base = construct_ring(PrimeField(p))
+    ring = Ring(desc, "galois_field", p ** k, coord_rings=(base,) * k,
+                one_coords=(0,) * (k - 1) + (1,), mul_terms=terms)
     ring.modulus = poly
     return ring
 
 
-def _construct_matrix(desc: MatrixRing) -> Ring:
+def _construct_matrix(desc) -> Ring:
+    """Full matrix rings and, over a field, upper-triangular ones: entries
+    at the slots (r, c) (r <= c only for upper-triangular), row-major."""
+    full = isinstance(desc, MatrixRing)
     if desc.k < 1:
         raise ValueError("matrix dimension must be at least 1")
-    inner = construct_ring(desc.inner)
-    if not inner.unital:
+    inner = construct_ring(desc.inner if full else desc.field)
+    if full and not inner.unital:
         raise ValueError("matrix rings need a unital entry ring")
-    k, s = desc.k, inner.size
-    size = s ** (k * k)
-    one_nat = 0
-    for r in range(k):
-        for c in range(k):
-            one_nat = one_nat * s + (1 if r == c else 0)
-
-    def decode(nat):
-        flat = []
-        for _ in range(k * k):
-            flat.append(nat % s)
-            nat //= s
-        flat.reverse()
-        return flat
-
-    def encode(flat):
-        acc = 0
-        for v in flat:
-            acc = acc * s + v
-        return acc
-
-    def add(a, b):
-        ea, eb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        return _pin(encode([inner.add(x, y) for x, y in zip(ea, eb)]), one_nat)
-
-    def neg(a):
-        return _pin(encode([inner.neg(x) for x in decode(_unpin(a, one_nat))]), one_nat)
-
-    def mul(a, b):
-        ea, eb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        out = []
-        for r in range(k):
-            for c in range(k):
-                acc = 0
-                for t in range(k):
-                    acc = inner.add(acc, inner.mul(ea[r * k + t], eb[t * k + c]))
-                out.append(acc)
-        return _pin(encode(out), one_nat)
-
-    ring = Ring(desc, "matrix", size, True, add, neg, mul, one_nat)
-    ring.inner = inner
-    ring.k = k
-    return ring
-
-
-def _construct_upper_triangular(desc: UpperTriangular) -> Ring:
-    if desc.k < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    inner = construct_ring(desc.field)
-    if not inner.is_field():
+    if not full and not inner.is_field():
         raise ValueError("upper-triangular rings are built over a field")
-    k, s = desc.k, inner.size
-    slots = [(r, c) for r in range(k) for c in range(r, k)]
-    size = s ** len(slots)
-    one_nat = 0
-    for (r, c) in slots:
-        one_nat = one_nat * s + (1 if r == c else 0)
-
-    def decode(nat):
-        flat = []
-        for _ in range(len(slots)):
-            flat.append(nat % s)
-            nat //= s
-        flat.reverse()
-        grid = [[0] * k for _ in range(k)]
-        for (r, c), v in zip(slots, flat):
-            grid[r][c] = v
-        return grid
-
-    def encode(grid):
-        acc = 0
-        for (r, c) in slots:
-            acc = acc * s + grid[r][c]
-        return acc
-
-    def add(a, b):
-        ga, gb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        return _pin(encode([[inner.add(x, y) for x, y in zip(ra, rb)]
-                            for ra, rb in zip(ga, gb)]), one_nat)
-
-    def neg(a):
-        g = decode(_unpin(a, one_nat))
-        return _pin(encode([[inner.neg(x) for x in row] for row in g]), one_nat)
-
-    def mul(a, b):
-        ga, gb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        out = [[0] * k for _ in range(k)]
-        for r in range(k):
-            for c in range(r, k):
-                acc = 0
-                for t in range(r, c + 1):
-                    acc = inner.add(acc, inner.mul(ga[r][t], gb[t][c]))
-                out[r][c] = acc
-        return _pin(encode(out), one_nat)
-
-    ring = Ring(desc, "upper_triangular", size, True, add, neg, mul, one_nat)
+    k = desc.k
+    slots = tuple((r, c) for r in range(k) for c in range(k) if full or r <= c)
+    pos = {slot: t for t, slot in enumerate(slots)}
+    # entry (r, c) of a product: the sum over t of a[r, t] * b[t, c]
+    terms = [[(pos[r, t], pos[t, c], 1) for t in range(k)
+              if (r, t) in pos and (t, c) in pos] for r, c in slots]
+    ring = Ring(desc, "matrix" if full else "upper_triangular",
+                inner.size ** len(slots), coord_rings=(inner,) * len(slots),
+                one_coords=[int(r == c) for r, c in slots], mul_terms=terms)
     ring.inner = inner
     ring.k = k
+    ring.slots = slots
     return ring
 
 
@@ -667,38 +679,9 @@ def _construct_product(desc: Product) -> Ring:
     factors = tuple(construct_ring(d) for d in desc.factors)
     if not all(f.unital for f in factors):
         raise ValueError("product factors must be unital")
-    size = math.prod(f.size for f in factors)
-    one_nat = 0
-    for f in factors:
-        one_nat = one_nat * f.size + 1
-
-    def decode(nat):
-        parts = []
-        for f in reversed(factors):
-            parts.append(nat % f.size)
-            nat //= f.size
-        parts.reverse()
-        return parts
-
-    def encode(parts):
-        acc = 0
-        for f, v in zip(factors, parts):
-            acc = acc * f.size + v
-        return acc
-
-    def add(a, b):
-        pa, pb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        return _pin(encode([f.add(x, y) for f, x, y in zip(factors, pa, pb)]), one_nat)
-
-    def neg(a):
-        return _pin(encode([f.neg(x) for f, x in zip(factors, decode(_unpin(a, one_nat)))]),
-                    one_nat)
-
-    def mul(a, b):
-        pa, pb = decode(_unpin(a, one_nat)), decode(_unpin(b, one_nat))
-        return _pin(encode([f.mul(x, y) for f, x, y in zip(factors, pa, pb)]), one_nat)
-
-    ring = Ring(desc, "product", size, True, add, neg, mul, one_nat)
+    ring = Ring(desc, "product", math.prod(f.size for f in factors),
+                coord_rings=factors, one_coords=(1,) * len(factors),
+                mul_terms=[[(t, t, 1)] for t in range(len(factors))])
     ring.factors = factors
     return ring
 
@@ -750,9 +733,6 @@ def _construct_table(desc: TableRing) -> Ring:
     add_t = np.array(perm_add, dtype=np.int64)
     mul_t = np.array(perm_mul, dtype=np.int64)
 
-    ring = Ring(desc, "table", n, desc.unital and one is not None,
-                lambda a, b: int(add_t[a, b]), None,
-                lambda a, b: int(mul_t[a, b]))
     neg = np.zeros(n, dtype=np.int64)
     rows, cols = np.nonzero(add_t == 0)
     ok = np.zeros(n, dtype=bool)
@@ -762,78 +742,10 @@ def _construct_table(desc: TableRing) -> Ring:
             ok[r] = True
     if not ok.all():
         raise ValueError("some element has no additive inverse")
-    ring._neg = lambda a: int(neg[a])
-    ring._add_table = add_t
-    ring._mul_table = mul_t
-    ring._neg_table = neg
+    ring = Ring(desc, "table", n, desc.unital and one is not None,
+                tables=(add_t, mul_t, neg))
     ring.input_index_map = tuple(new_of_old)
     return ring
-
-
-def _dense_tables(ring: Ring):
-    """Dense numpy add/mul tables over canonical indices."""
-    n = ring.size
-    dtype = np.int64
-    if ring.kind in ("prime_field", "integers_mod"):
-        idx = np.arange(n, dtype=dtype)
-        return (idx[:, None] + idx[None, :]) % n, (idx[:, None] * idx[None, :]) % n
-    if ring.kind == "galois_field":
-        p, k = ring.descriptor.p, ring.descriptor.k
-        idx = np.arange(n)
-        coeffs = np.zeros((n, k), dtype=dtype)
-        t = idx.copy()
-        for i in range(k):
-            coeffs[:, i] = t % p
-            t //= p
-        weights = p ** np.arange(k, dtype=dtype)
-        add = ((coeffs[:, None, :] + coeffs[None, :, :]) % p) @ weights
-        # multiplication: convolve coefficient vectors, reduce by the modulus
-        conv = np.zeros((n, n, 2 * k - 1), dtype=dtype)
-        for i in range(k):
-            for j in range(k):
-                conv[:, :, i + j] += coeffs[:, None, i] * coeffs[None, :, j]
-        red = np.zeros((2 * k - 1, k), dtype=dtype)
-        for i in range(k):
-            red[i, i] = 1
-        xk = [(-c) % p for c in ring.modulus[:-1]]  # residue of x^k
-        cur = xk[:]
-        for d in range(k, 2 * k - 1):
-            red[d, :] = cur
-            shifted = [0] + cur[:-1]
-            lead = cur[k - 1]
-            cur = [(shifted[i] + lead * xk[i]) % p for i in range(k)]
-        prod = (conv.reshape(n * n, 2 * k - 1) @ red) % p
-        mul = (prod @ weights).reshape(n, n)
-        return add, mul
-    if ring.kind == "product":
-        parts = np.zeros((n, len(ring.factors)), dtype=dtype)
-        for i in range(n):
-            parts[i] = ring.prod_parts(i)
-        # componentwise tables, re-encoded to canonical indices
-        nat_add = np.zeros((n, n), dtype=dtype)
-        nat_mul = np.zeros((n, n), dtype=dtype)
-        for t, f in enumerate(ring.factors):
-            col = parts[:, t]
-            nat_add = nat_add * f.size + f.add_table()[col[:, None], col[None, :]]
-            nat_mul = nat_mul * f.size + f.mul_table()[col[:, None], col[None, :]]
-        return _pin_array(nat_add, ring._one_nat), _pin_array(nat_mul, ring._one_nat)
-    if ring.kind == "table":
-        return ring._add_table, ring._mul_table
-    # matrix / upper-triangular / anything else: straight double loop
-    add = np.zeros((n, n), dtype=dtype)
-    mul = np.zeros((n, n), dtype=dtype)
-    for a in range(n):
-        for b in range(n):
-            add[a, b] = ring._add(a, b)
-            mul[a, b] = ring._mul(a, b)
-    return add, mul
-
-
-def _pin_array(nat: np.ndarray, one_nat: int) -> np.ndarray:
-    out = nat + 1 - (nat > one_nat)
-    out[nat == 0] = 0
-    out[nat == one_nat] = 1
-    return out
 
 
 def _commutative(ring: Ring):

@@ -819,42 +819,19 @@ def solve_vector(net: Network, field: Ring, k: int,
 # ---------------------------------------------------------------------------
 # smallest-ring sweep
 
-_KIND_ORDER = {"integers_mod": 0, "prime_field": 0, "galois_field": 1,
-               "upper_triangular": 2, "matrix": 3, "product": 4}
-
-
-def _descriptor_size(desc: RingDescriptor) -> int:
-    if isinstance(desc, _rings.PrimeField):
-        return desc.p
-    if isinstance(desc, _rings.GaloisField):
-        return desc.p ** desc.k
-    if isinstance(desc, _rings.IntegersMod):
-        return desc.n
-    if isinstance(desc, _rings.MatrixRing):
-        return _descriptor_size(desc.inner) ** (desc.k ** 2)
-    if isinstance(desc, _rings.UpperTriangular):
-        return _descriptor_size(desc.field) ** (desc.k * (desc.k + 1) // 2)
-    if isinstance(desc, _rings.Product):
-        out = 1
-        for f in desc.factors:
-            out *= _descriptor_size(f)
-        return out
-    raise TypeError(f"unsized descriptor {desc!r}")
-
-
 def _catalog_key(desc: RingDescriptor):
+    size = _rings.descriptor_size(desc)
     if isinstance(desc, (_rings.PrimeField, _rings.IntegersMod)):
         n = desc.p if isinstance(desc, _rings.PrimeField) else desc.n
-        return (_descriptor_size(desc), 0, (n,))
+        return (size, 0, (n,))
     if isinstance(desc, _rings.GaloisField):
-        return (_descriptor_size(desc), 1, (desc.p, desc.k))
+        return (size, 1, (desc.p, desc.k))
     if isinstance(desc, _rings.UpperTriangular):
-        return (_descriptor_size(desc), 2, _catalog_key(desc.field))
+        return (size, 2, _catalog_key(desc.field))
     if isinstance(desc, _rings.MatrixRing):
-        return (_descriptor_size(desc), 3, _catalog_key(desc.inner))
+        return (size, 3, _catalog_key(desc.inner))
     if isinstance(desc, _rings.Product):
-        return (_descriptor_size(desc), 4,
-                tuple(_catalog_key(f) for f in desc.factors))
+        return (size, 4, tuple(_catalog_key(f) for f in desc.factors))
     raise TypeError(f"unsortable descriptor {desc!r}")
 
 
@@ -885,7 +862,7 @@ def structured_catalog(max_size: int = 16) -> list[RingDescriptor]:
 
     def extend(start: int, factors, size: int):
         for i in range(start, len(atoms)):
-            nsize = size * _descriptor_size(atoms[i])
+            nsize = size * _rings.descriptor_size(atoms[i])
             if nsize > max_size:
                 continue
             combo = factors + [atoms[i]]
@@ -1009,7 +986,7 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     winners: list[RingVerdict] = []
     minimal: Optional[int] = None
     for desc in descs:
-        size = _descriptor_size(desc)
+        size = _rings.descriptor_size(desc)
         if minimal is not None and size > minimal:
             break
         verdict = decide(construct_ring(desc), desc)

@@ -90,6 +90,14 @@ def test_net_gen_and_validate(files, capsys):
     assert run("net", "validate", str(bad)) == FAIL
 
 
+def test_net_validate_wrong_typed_input_is_65(files, capsys):
+    listed = files["dir"] / "list.json"
+    listed.write_text("[1, 2]")
+    assert run("net", "validate", str(listed)) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_net_gen_needs_size():
     assert run("net", "gen", "dim-n") == DATA
 

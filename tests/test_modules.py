@@ -18,6 +18,16 @@ def test_scalar_module_axioms(z4, gf4, m2f2):
         assert mod.vector_dim == (1 if ring.is_field() else None) or True
 
 
+def test_ring_backed_tables_come_from_the_ring():
+    ring = construct_ring(MatrixRing(PrimeField(3), 2))
+    group, mod = modules.additive_group(ring), scalar_module(ring)
+    # building the group and the module leaves the ring's tables unbuilt
+    assert ring._add_table is None and ring._mul_table is None
+    assert group.add_table() is ring.add_table()
+    assert group.neg(5) == ring.neg(5)
+    assert mod.act_table() is ring.mul_table()
+
+
 def test_vector_module_axioms(gf2, gf3):
     for field, k in ((gf2, 2), (gf2, 3), (gf3, 2)):
         mod = vector_module(field, k)

@@ -1,6 +1,7 @@
 """Ring constructors, axioms, radicals, and homomorphisms against
 independent re-computations."""
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,39 @@ def test_zero_and_one_pinned_everywhere():
         for x in range(ring.size):
             assert ring.add(0, x) == x
             assert ring.mul(1, x) == x and ring.mul(x, 1) == x
+
+
+def test_table_build_memory_stays_near_the_tables():
+    # the two 1024 x 1024 int64 tables take 16.8 MB; temporaries are
+    # built a block of rows at a time
+    ring = construct_ring(GaloisField(2, 10))
+    tracemalloc.start()
+    try:
+        ring.add_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 10 ** 6
+
+
+def test_accessors_reject_the_wrong_kind_or_shape():
+    gf4 = construct_ring(GaloisField(2, 2))
+    ut = construct_ring(UpperTriangular(PrimeField(2), 2))
+    prod = construct_ring(Product((PrimeField(2), PrimeField(3))))
+    for call in (lambda: gf4.mat_entries(1),
+                 lambda: prod.mat_from_entries(((1,),)),
+                 lambda: ut.field_coeffs(1), lambda: ut.prod_parts(1),
+                 lambda: gf4.prod_from_parts((1, 1)),
+                 lambda: prod.field_from_coeffs((1,)),
+                 lambda: construct_ring(PrimeField(5)).coords(3)):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError):
+        ut.mat_from_entries(((1, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        prod.prod_from_parts((1, 1, 1))
+    assert ut.mat_from_entries(((1, 1), (0, 1))) == ut.from_coords((1, 1, 1))
+    assert gf4.field_from_coeffs((3, 5)) == gf4.field_from_coeffs((1, 1))
 
 
 # --- irreducible moduli, rebuilt from scratch ------------------------------

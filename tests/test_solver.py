@@ -180,7 +180,7 @@ def test_structured_catalog_inventory():
     assert len(cat) == 37
     names = [describe(d) for d in cat]
     assert len(set(names)) == 37
-    sizes = [solver._descriptor_size(d) for d in cat]
+    sizes = [rings.descriptor_size(d) for d in cat]
     assert sizes == sorted(sizes) and max(sizes) <= 16
     assert any("M_2(GF(2))" == n for n in names)
     assert any(n.startswith("UT_2") or "riangular" in n or "ut" in n.lower()
