@@ -628,7 +628,9 @@ def _construct_galois(desc: GaloisField) -> Ring:
     poly = tuple(c % p for c in poly[:-1]) + (poly[-1],)
     if len(poly) != k + 1 or poly[-1] != 1:
         raise ValueError("modulus must be monic of degree k")
-    if not poly_is_irreducible(poly, p):
+    # the built-in moduli are irreducible by construction (and re-derived by
+    # the ring tests); only a caller's modulus needs the check
+    if desc.poly is not None and not poly_is_irreducible(poly, p):
         raise ValueError(f"modulus {poly} is reducible over GF({p})")
     # red[d]: coefficients of x^d modulo the modulus, for d <= 2k - 2
     red = [[int(i == d) for i in range(k)] for d in range(k)]

@@ -1,20 +1,22 @@
-"""Exhaustive solvability search for scalar and vector linear codes.
+"""Scalar and vector solvability: one decision procedure, two search engines.
 
-Two complete strategies share one front end:
+_decide answers "is the network scalar-solvable over R?" for solve_scalar's
+auto strategy and for every ring of the smallest-ring sweep.  A ring the
+rank engine accepts is searched directly.  Any other ring is first reduced
+by its maximal two-sided ideals, since a solution pushes down to every
+quotient: a simple ring is searched in canonical M_r(GF(q)) form and the
+witness carried back through an isomorphism; an unsolvable simple quotient
+settles the ring, one that ran out of budget leaves it "budget-exceeded";
+only when all are solvable is the ring itself enumerated.  stats["method"]
+names the route.
 
-* the rank strategy covers fields and matrix rings over fields.  A code's
-  edge carries a subspace of the field-row space spanned by its tail's
-  inputs, so the search walks assignments of at-most-k-dimensional
-  subspaces in topological order, pruning each receiver as soon as its
-  inputs are settled.  Equality of spans is decided on reduced echelon
-  bases, with a packed fast path over the two-element field.  Before the
-  search, every input is resolved once through its forwarding chain to a
-  message span or a searched-edge position, and each distinct subspace is
-  interned as an int id, so the search state, span sums, candidate lists
-  and the receiver memo are all keyed on small ints; a span sum that is
-  not cached yet inserts one operand's rows into the other's reduced
-  basis (fieldlinalg.space_sum), with no reducing transform.
-* the exhaustive strategy covers every ring with dense tables.  It
+* the rank engine covers fields and matrix rings over fields.  A code's
+  edge carries a subspace of the row space spanned by its tail's inputs,
+  so the search walks assignments of at-most-k-dimensional subspaces in
+  topological order, pruning each receiver once its inputs are settled.
+  Inputs are resolved once through forwarding chains, and each subspace (a
+  reduced echelon basis, bit-packed over GF(2)) is interned as an int id.
+* the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
   numpy table gathers.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as _field
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -69,12 +72,14 @@ class SearchOptions:
     shard_index: int = 0
 
 
-def _check_options(opts: SearchOptions) -> None:
-    """Raise ValueError on options no search can honour.
+def _validated(net: Network, options: Optional[SearchOptions]) -> SearchOptions:
+    """The options to search with; ValueError on an invalid network or on
+    options no search can honour.
 
     Checked when a search starts, not on construction, because the CLI
     sets fields one by one.  An out-of-range shard would search nothing
     and read as "exhausted-unsolvable", so it must never get that far."""
+    opts = options or SearchOptions()
     if opts.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {opts.strategy!r}")
     if opts.shards < 1:
@@ -88,6 +93,10 @@ def _check_options(opts: SearchOptions) -> None:
     if opts.time_budget is not None and not opts.time_budget > 0:
         raise ValueError(f"time budget must be positive, "
                          f"got {opts.time_budget}")
+    issues = validate_network(net)
+    if issues:
+        raise ValueError("invalid network: " + "; ".join(issues))
+    return opts
 
 
 @dataclass
@@ -119,7 +128,6 @@ class _Plan:
     """
 
     def __init__(self, net: Network, opts: SearchOptions, joint_cap=None):
-        self.net = net
         receivers = set(net.receivers)
         self.normalized = {}
         candidates = {}
@@ -347,31 +355,41 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
     budget = opts.node_budget
 
-    def dfs(i):
-        if i == len(outer):
-            return True
-        cands = candidates(span(tails[i]))
-        if i == 0 and opts.shards > 1:
-            cands = cands[opts.shard_index::opts.shards]
-        here = ready.get(i, ())
-        for s in cands:
-            nodes = stats["nodes"] = stats["nodes"] + 1
-            if nodes > budget:
-                raise _Budget("node budget exhausted")
-            if deadline is not None and nodes % 1024 == 0 \
-                    and time.perf_counter() > deadline:
-                raise _Budget("time budget exhausted")
-            cur[i] = s
-            for j in here:
-                if not receiver_ok(j):
+    def dfs():
+        # a loop, not a call per depth: recursion would hit the interpreter's
+        # limit, and its speed would hang on the caller's stack depth
+        todo = []      # per depth entered: the candidates not tried yet
+        i = 0
+        while i < len(outer):
+            if i == len(todo):
+                cands = candidates(span(tails[i]))
+                if i == 0 and opts.shards > 1:
+                    cands = cands[opts.shard_index::opts.shards]
+                todo.append(iter(cands))
+            here = ready.get(i, ())
+            for s in todo[i]:
+                nodes = stats["nodes"] = stats["nodes"] + 1
+                if nodes > budget:
+                    raise _Budget("node budget exhausted")
+                if deadline is not None and nodes % 1024 == 0 \
+                        and time.perf_counter() > deadline:
+                    raise _Budget("time budget exhausted")
+                cur[i] = s
+                for j in here:
+                    if not receiver_ok(j):
+                        break
+                else:
+                    i += 1
                     break
             else:
-                if dfs(i + 1):
-                    return True
-        return False
+                todo.pop()
+                i -= 1
+                if i < 0:
+                    return False
+        return True
 
     try:
-        found = all(receiver_ok(j) for j in ready.get(-1, ())) and dfs(0)
+        found = all(receiver_ok(j) for j in ready.get(-1, ())) and dfs()
     except _Budget as exc:
         stats["elapsed"] = time.perf_counter() - t0
         return SolveResult("budget-exceeded", None, stats | {"reason": str(exc)})
@@ -492,6 +510,17 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
 # ---------------------------------------------------------------------------
 # exhaustive strategy: lexicographic coefficient enumeration
 
+def _table_slots(net: Network, size: int, opts: SearchOptions):
+    """The exhaustive plan and its searched (edge, input) coefficient slots."""
+    def joint_cap(edges):
+        slots = sum(len(net.inputs(e.tail)) for e in edges)
+        return size ** slots <= opts.local_budget
+
+    plan = _Plan(net, opts, joint_cap=joint_cap)
+    return plan, [(e, j) for e in plan.outer
+                  for j in range(len(net.inputs(e.tail)))]
+
+
 def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     t0 = time.perf_counter()
     if not ring.unital:
@@ -505,12 +534,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     msgs = net.message_names
     m = len(msgs)
     mpos = {name: i for i, name in enumerate(msgs)}
-
-    def joint_cap(edges):
-        slots = sum(len(net.inputs(e.tail)) for e in edges)
-        return size ** slots <= opts.local_budget
-
-    plan = _Plan(net, opts, joint_cap=joint_cap)
+    plan, slots = _table_slots(net, size, opts)
     for r in net.receivers:
         if size ** len(net.inputs(r)) > opts.decode_budget:
             return SolveResult("budget-exceeded", None, {
@@ -518,8 +542,6 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
                     f"receiver {r} has {len(net.inputs(r))} inputs; decode "
                     f"enumeration exceeds decode_budget"})
 
-    slots = [(e, j) for e in plan.outer
-             for j in range(len(net.inputs(e.tail)))]
     slot_pos = {key: i for i, key in enumerate(slots)}
     nslots = len(slots)
     total = size ** nslots
@@ -541,14 +563,13 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     c0 = lo
     while c0 < hi:
         n = min(CHUNK, hi - c0)
-        if stats["assignments"] + n > opts.node_budget:
+        stop = ("node" if stats["assignments"] + n > opts.node_budget else
+                "time" if deadline is not None
+                and time.perf_counter() > deadline else None)
+        if stop:
             stats["elapsed"] = time.perf_counter() - t0
             return SolveResult("budget-exceeded", None,
-                               stats | {"reason": "node budget exhausted"})
-        if deadline is not None and time.perf_counter() > deadline:
-            stats["elapsed"] = time.perf_counter() - t0
-            return SolveResult("budget-exceeded", None,
-                               stats | {"reason": "time budget exhausted"})
+                               stats | {"reason": f"{stop} budget exhausted"})
         stats["assignments"] += n
         idx = np.arange(c0, c0 + n, dtype=np.int64)
         cols = [((idx // w) % size).astype(np.int32) for w in weights]
@@ -581,9 +602,8 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             lslots = [(e, j) for e in locals_here
                       for j in range(len(net.inputs(e.tail)))]
             lcount = size ** len(lslots)
-            lw = [size ** (len(lslots) - 1 - i) for i in range(len(lslots))]
-            lcols = [((np.arange(lcount) // w) % size).astype(np.int32)
-                     for w in lw]
+            lcols = [((np.arange(lcount) // size ** (len(lslots) - 1 - i))
+                      % size).astype(np.int32) for i in range(len(lslots))]
 
             def take(arr):
                 return arr if arr.shape[0] == 1 else arr[alive]
@@ -592,18 +612,14 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             for e in locals_here:
                 acc = None
                 for j, inp in enumerate(net.inputs(e.tail)):
-                    pos = lslots.index((e, j))
-                    c = lcols[pos][None, :, None]
+                    c = lcols[lslots.index((e, j))][None, :, None]
                     term = mulT[c, take(input_rows(inp))[:, None, :]]
                     acc = term if acc is None else addT[acc, term]
                 local_rows[e] = acc
 
-            arr_list = []
-            for inp in net.inputs(r):
-                if inp[0] == "edge" and inp[1] in local_rows:
-                    arr_list.append(local_rows[inp[1]])
-                else:
-                    arr_list.append(take(input_rows(inp))[:, None, :])
+            arr_list = [local_rows[inp[1]] if inp[1] in local_rows
+                        else take(input_rows(inp))[:, None, :]
+                        for inp in net.inputs(r)]
             t = len(arr_list)
             dcount = size ** t
             feas = None
@@ -649,14 +665,13 @@ def _table_witness(net, ring, plan, slots, weights, winner, unit_rows, opts):
     """Rebuild explicit coefficients from a surviving global index."""
     size = ring.size
     m = len(net.message_names)
-    mpos = {name: i for i, name in enumerate(net.message_names)}
     coeff = {key: (winner // w) % size for key, w in zip(slots, weights)}
 
     rows = {}
 
     def input_row(inp):
         if inp[0] == "message":
-            return tuple(ring.one if j == mpos[inp[1]] else 0 for j in range(m))
+            return tuple(unit_rows[inp[1]].tolist())
         return rows[inp[1]]
 
     def combine(cs, input_list):
@@ -684,38 +699,26 @@ def _table_witness(net, ring, plan, slots, weights, winner, unit_rows, opts):
         locals_here = plan.local_of.get(r, [])
         lslots = [(e, j) for e in locals_here
                   for j in range(len(net.inputs(e.tail)))]
-        lcount = size ** len(lslots)
         ins = net.inputs(r)
-        t = len(ins)
-        unit = {name: tuple(ring.one if j == mpos[name] else 0
-                            for j in range(m))
-                for name in net.demands[r]}
-        done = False
-        for l in range(lcount):
+        # local and decode coefficients both run in lexicographic order
+        for digits in product(range(size), repeat=len(lslots)):
             for e in locals_here:
                 base = lslots.index((e, 0))
-                cs = tuple((l // size ** (len(lslots) - 1 - (base + j))) % size
-                           for j in range(len(net.inputs(e.tail))))
+                cs = digits[base:base + len(net.inputs(e.tail))]
                 edge_coeffs[e] = cs
                 rows[e] = combine(cs, net.inputs(e.tail))
             picked = {}
             for name in net.demands[r]:
-                hit = None
-                for d in range(size ** t):
-                    cs = tuple((d // size ** (t - 1 - i)) % size
-                               for i in range(t))
-                    if combine(cs, ins) == unit[name]:
-                        hit = cs
-                        break
+                want = input_row(("message", name))
+                hit = next((cs for cs in product(range(size), repeat=len(ins))
+                            if combine(cs, ins) == want), None)
                 if hit is None:
                     break
                 picked[name] = hit
             if len(picked) == len(net.demands[r]):
-                for name, cs in picked.items():
-                    decodings[(r, name)] = cs
-                done = True
+                decodings.update(((r, name), cs) for name, cs in picked.items())
                 break
-        if not done:
+        else:
             raise RuntimeError(f"witness assignment stopped decoding at {r}")
 
     return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
@@ -724,23 +727,93 @@ def _table_witness(net, ring, plan, slots, weights, winner, unit_rows, opts):
 # ---------------------------------------------------------------------------
 # front ends
 
+def _canonical_simple(r: int, q: int) -> RingDescriptor:
+    p, a = _rings._prime_power(q)
+    inner = _rings.PrimeField(p) if a == 1 else _rings.GaloisField(p, a)
+    return inner if r == 1 else _rings.MatrixRing(inner, r)
+
+
+def _block_name(r: int, q: int) -> str:
+    return _rings.describe(_canonical_simple(r, q))
+
+
+def _decide(net: Network, ring: Ring, opts: SearchOptions,
+            blocks: dict) -> SolveResult:
+    """Scalar solvability over the ring, by the route in the module notes.
+
+    blocks memoizes the canonical simple-ring searches by (r, q) across
+    calls; those run with the caller's options, so a caller that reduces
+    must not shard them."""
+    def block(r, q):
+        if (r, q) not in blocks:
+            blocks[(r, q)] = _solve_rank(
+                net, construct_ring(_canonical_simple(r, q)), opts)
+        return blocks[(r, q)]
+
+    parts = _rank_parts(ring)
+    if parts is not None:
+        r, q = parts[1], parts[0].size
+        res = _solve_rank(net, ring, opts)
+        if ring.descriptor == _canonical_simple(r, q):
+            blocks.setdefault((r, q), res)
+        method = f"direct search as {_block_name(r, q)}"
+    else:
+        maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
+        maxi.sort(key=lambda i: (len(i.elements), i.elements))
+        if len(maxi) == 1 and maxi[0].elements == (0,):
+            [(r, q)] = _rings.semisimple_decompose(ring)
+            res, method = block(r, q), f"direct search as {_block_name(r, q)}"
+        else:
+            # a solution pushes down to every quotient, so one unsolvable
+            # simple quotient settles the ring without searching it
+            quotients = {}
+            for ideal in maxi:
+                [rq] = _rings.semisimple_decompose(
+                    _rings.quotient(ring, ideal)[0])
+                if rq not in quotients:
+                    res = quotients[rq] = block(*rq)
+                    if res.status == "exhausted-unsolvable":
+                        method = f"quotient onto {_block_name(*rq)} is unsolvable"
+                        break
+            else:
+                stopped = [got for got in quotients.values()
+                           if got.status == "budget-exceeded"]
+                if stopped:
+                    res, method = stopped[0], "a quotient search ran out of budget"
+                else:
+                    res = _solve_table(net, ring, opts)
+                    method = "all simple quotients solvable; searched directly"
+    code = res.code
+    if res.solved and code.module.ring is not ring:
+        iso = _rings.find_isomorphism(code.module.ring, ring)
+        if iso is None:
+            raise AssertionError("no isomorphism onto the canonical simple form")
+        code = _transforms.hom_lift(code, iso, _modules.scalar_module(ring))
+    return SolveResult(res.status, code, res.stats | {"method": method})
+
+
 def solve_scalar(net: Network, ring: Ring,
                  options: Optional[SearchOptions] = None) -> SolveResult:
-    """Decide scalar solvability over the ring by complete search."""
-    opts = options or SearchOptions()
-    _check_options(opts)
-    issues = validate_network(net)
-    if issues:
-        raise ValueError("invalid network: " + "; ".join(issues))
+    """Decide scalar solvability over the ring.  auto goes through _decide
+    unless a ring the rank strategy does not accept fits one enumeration
+    block (reducing would cost more than searching) or the search is sharded
+    (a quotient's verdict is not one shard's); rank and exhaustive are raw
+    searches of the ring itself."""
+    opts = _validated(net, options)
     strategy = opts.strategy
     if strategy == "auto":
-        strategy = "rank" if _rank_parts(ring) else "exhaustive"
-    if strategy == "exhaustive":
-        return _solve_table(net, ring, opts)
-    if _rank_parts(ring) is None:
+        if _rank_parts(ring) is not None or (
+                opts.shards == 1 and ring.unital and ring.has_tables()
+                and ring.size ** len(_table_slots(net, ring.size, opts)[1])
+                > CHUNK):
+            return _decide(net, ring, opts, {})
+        strategy = "exhaustive"
+    if strategy == "rank" and _rank_parts(ring) is None:
         raise ValueError("the rank strategy needs a field or a matrix "
                          "ring over a field")
-    return _solve_rank(net, ring, opts)
+    res = (_solve_rank if strategy == "rank" else _solve_table)(net, ring, opts)
+    res.stats["method"] = f"direct search as {_rings.describe(ring.descriptor)}"
+    return res
 
 
 def solve_vector(net: Network, field: Ring, k: int,
@@ -756,17 +829,13 @@ def solve_vector(net: Network, field: Ring, k: int,
         raise ValueError("vector codes need a field of scalars")
     if k < 1:
         raise ValueError("dimension must be at least 1")
-    opts = options or SearchOptions()
-    _check_options(opts)
+    opts = _validated(net, options)
     memo: dict[int, SolveResult] = {}
 
     def attempt(dim: int) -> SolveResult:
-        got = memo.get(dim)
-        if got is not None:
-            return got
-        res = _attempt_uncached(dim)
-        memo[dim] = res
-        return res
+        if dim not in memo:
+            memo[dim] = _attempt_uncached(dim)
+        return memo[dim]
 
     def direct_estimate(dim: int) -> int:
         q = field.size
@@ -782,8 +851,7 @@ def solve_vector(net: Network, field: Ring, k: int,
 
     def _attempt_uncached(dim: int) -> SolveResult:
         if dim == 1:
-            res = solve_scalar(net, field, opts)
-            return res
+            return solve_scalar(net, field, opts)
         if direct_estimate(dim) <= opts.node_budget:
             mat = construct_ring(_rings.MatrixRing(field.descriptor, dim))
             res = solve_scalar(net, mat, opts)
@@ -894,94 +962,24 @@ class SmallestRingReport:
     elapsed: float
 
 
-def _simple_block(ring: Ring) -> tuple[int, int]:
-    blocks = _rings.semisimple_decompose(ring)
-    if len(blocks) != 1:
-        raise AssertionError("expected a simple ring")
-    return blocks[0]
-
-
-def _canonical_simple(r: int, q: int) -> RingDescriptor:
-    pp = _rings._prime_power(q)
-    p, a = pp
-    inner = _rings.PrimeField(p) if a == 1 else _rings.GaloisField(p, a)
-    return inner if r == 1 else _rings.MatrixRing(inner, r)
-
-
-def _block_name(r: int, q: int) -> str:
-    return _rings.describe(_canonical_simple(r, q))
-
-
 def smallest_ring_search(net: Network, max_size: int = 16,
                          catalog: Optional[list[RingDescriptor]] = None,
                          options: Optional[SearchOptions] = None
                          ) -> SmallestRingReport:
     """Scan the catalogue by ascending size for scalar solvability.
 
-    Simple rings are searched directly (in canonical matrix-over-field
-    form, transported back through an isomorphism).  A ring with proper
-    two-sided quotients is first reduced: a solution over the ring pushes
-    through every quotient map, so one unsolvable simple quotient settles
-    it without any search.  Returns every solvable ring of the least
-    solvable size, plus a verdict per examined ring."""
+    Each ring is decided by _decide, which always reduces by ring structure
+    here, with one memo of canonical simple-ring searches for the whole
+    sweep.  Returns every solvable ring of the least solvable size, plus a
+    verdict per examined ring."""
     t0 = time.perf_counter()
-    opts = options or SearchOptions()
-    _check_options(opts)
+    opts = _validated(net, options)
     if opts.shards > 1:
         # one shard's "exhausted-unsolvable" says nothing about the ring
         raise ValueError("a smallest-ring sweep cannot be sharded")
     descs = sorted(catalog if catalog is not None
                    else structured_catalog(max_size), key=_catalog_key)
-    block_cache: dict[tuple[int, int], SolveResult] = {}
-
-    def solve_block(r: int, q: int) -> SolveResult:
-        got = block_cache.get((r, q))
-        if got is None:
-            got = solve_scalar(net, construct_ring(_canonical_simple(r, q)),
-                               opts)
-            block_cache[(r, q)] = got
-        return got
-
-    def decide(ring: Ring, desc: RingDescriptor) -> RingVerdict:
-        name = _rings.describe(desc)
-        maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
-        maxi.sort(key=lambda i: (len(i.elements), i.elements))
-        if len(maxi) == 1 and maxi[0].elements == (0,):
-            r, q = _simple_block(ring)
-            res = solve_block(r, q)
-            code = None
-            if res.solved:
-                canon = res.code.module.ring
-                iso = _rings.find_isomorphism(canon, ring)
-                if iso is None:
-                    raise AssertionError("no isomorphism onto the canonical "
-                                         "simple form")
-                code = _transforms.hom_lift(res.code, iso,
-                                            _modules.scalar_module(ring))
-            return RingVerdict(desc, name, ring.size, res.status,
-                               f"direct search as {_block_name(r, q)}", code)
-        blocks = []
-        for ideal in maxi:
-            simple, _ = _rings.quotient(ring, ideal)
-            r, q = _simple_block(simple)
-            if (r, q) in blocks:
-                continue
-            blocks.append((r, q))
-            res = solve_block(r, q)
-            if res.status == "exhausted-unsolvable":
-                return RingVerdict(desc, name, ring.size,
-                                   "exhausted-unsolvable",
-                                   f"quotient onto {_block_name(r, q)} "
-                                   "is unsolvable")
-        if any(solve_block(r, q).status == "budget-exceeded"
-               for (r, q) in blocks):
-            return RingVerdict(desc, name, ring.size, "budget-exceeded",
-                               "a quotient search ran out of budget")
-        res = solve_scalar(net, ring, opts)
-        return RingVerdict(desc, name, ring.size, res.status,
-                           "all simple quotients solvable; searched directly",
-                           res.code)
-
+    blocks: dict[tuple[int, int], SolveResult] = {}
     verdicts: list[RingVerdict] = []
     winners: list[RingVerdict] = []
     minimal: Optional[int] = None
@@ -989,7 +987,9 @@ def smallest_ring_search(net: Network, max_size: int = 16,
         size = _rings.descriptor_size(desc)
         if minimal is not None and size > minimal:
             break
-        verdict = decide(construct_ring(desc), desc)
+        res = _decide(net, construct_ring(desc), opts, blocks)
+        verdict = RingVerdict(desc, _rings.describe(desc), size, res.status,
+                              res.stats["method"], res.code)
         verdicts.append(verdict)
         if verdict.status == "solved":
             minimal = size

@@ -9,17 +9,23 @@ purpose; only ever pointed at tiny instances.
 from itertools import product
 
 
-def edge_values(net, ring, coeffs, assignment):
+def wiring(net):
+    """(edge, inputs of its tail) pairs in topological order."""
+    return [(e, net.inputs(e.tail)) for e in net.topo_edges()]
+
+
+def edge_values(net, ring, coeffs, assignment, wires=None):
     """Evaluate every edge for one message assignment.
 
     coeffs maps each edge to a tuple of ring indices, one per input of the
     edge's tail (in net.inputs order).  assignment maps message name ->
-    ring index.
+    ring index.  wires, the network's wiring(), may be passed in by callers
+    that evaluate one network many times.
     """
     value = {}
-    for e in net.topo_edges():
+    for e, ins in wires or wiring(net):
         acc = 0
-        for c, (kind, ref) in zip(coeffs[e], net.inputs(e.tail)):
+        for c, (kind, ref) in zip(coeffs[e], ins):
             v = assignment[ref] if kind == "message" else value[ref]
             acc = ring.add(acc, ring.mul(c, v))
         value[e] = acc
@@ -35,9 +41,10 @@ def all_assignments(net, ring):
 def _input_tables(net, ring, coeffs, receiver, assignments):
     """For each assignment, the receiver's input values in order."""
     ins = net.inputs(receiver)
+    wires = wiring(net)
     tables = []
     for a in assignments:
-        vals = edge_values(net, ring, coeffs, a)
+        vals = edge_values(net, ring, coeffs, a, wires)
         tables.append(tuple(a[ref] if kind == "message" else vals[ref]
                             for kind, ref in ins))
     return tables

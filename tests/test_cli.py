@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,30 @@ def test_solve_exit_codes(files, tmp_path):
 
     assert run("solve", "scalar", str(files["m"]), "--ring",
                str(files["gf2"]), "--budget", "4", "-o", str(out)) == BUDGET
+
+
+def test_solve_scalar_settles_z4_by_its_quotient(files, tmp_path):
+    out = tmp_path / "res.json"
+    t0 = time.perf_counter()
+    assert run("solve", "scalar", str(files["m"]), "--ring",
+               str(files["z4"]), "-o", str(out)) == FAIL
+    assert time.perf_counter() - t0 < 1.0
+    res = json.loads(out.read_text())
+    assert res["status"] == "exhausted-unsolvable" and res["code"] is None
+    assert res["stats"]["method"] == "quotient onto GF(2) is unsolvable"
+
+
+def test_solve_scalar_over_a_rng_is_65(files, tmp_path, capsys):
+    # the even residues modulo 8: no identity, so no quotient argument and
+    # no coefficient search applies
+    rng = tmp_path / "rng.json"
+    rng.write_text(json.dumps({
+        "kind": "table", "unital": False,
+        "add": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+        "mul": [[2 * a * b % 4 for b in range(4)] for a in range(4)]}))
+    assert run("solve", "scalar", str(files["m"]), "--ring", str(rng)) == DATA
+    err = capsys.readouterr().err
+    assert err == "netring: the coefficient search requires a unital ring\n"
 
 
 def test_env_budget(files, tmp_path, monkeypatch):

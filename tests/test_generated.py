@@ -4,18 +4,27 @@ The strategy draws small valid DAGs: one to three sources (the first may
 own two messages), up to two relays, one or two receivers, parallel edges
 anywhere, receiver in-degree at most three and random demands among the
 messages that reach each receiver.  Coefficient slots are capped so that
-tests/bruteforce.py can enumerate every code over GF(3).
+tests/bruteforce.py can enumerate every code over GF(3); over the rings
+that are not fields, the oracle's codes times message assignments are
+capped instead, which keeps it to at most 4^6 codes.
 """
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from netring.networks import Network, validate_network
-from netring.rings import PrimeField, construct_ring
-from netring.solver import SearchOptions, solve_scalar
+from netring.rings import (IntegersMod, PrimeField, Product, UpperTriangular,
+                           construct_ring, describe)
+from netring.solver import SearchOptions, smallest_ring_search, solve_scalar
 
-MAX_SLOTS = 6      # 3**6 coefficient assignments for the oracle
+MAX_SLOTS = 6      # 3**6 or 4**6 coefficient assignments for the oracle
 RINGS = [construct_ring(PrimeField(2)), construct_ring(PrimeField(3))]
+# a local ring, a product of fields and a non-commutative ring, each with
+# GF(2) quotients, so the reduction route has something to reduce
+REDUCIBLE = [construct_ring(IntegersMod(4)),
+             construct_ring(Product((PrimeField(2), PrimeField(2)))),
+             construct_ring(UpperTriangular(PrimeField(2), 2))]
+ORACLE_WORK = 4 ** 8   # codes times message assignments, per ring
 
 
 def _slots(net):
@@ -85,3 +94,32 @@ def test_every_route_agrees_with_enumeration(net):
                     assert bruteforce.check_code(net, res.code), where
                 else:
                     assert res.code is None, where
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands
+                         and _slots(net) <= MAX_SLOTS))
+def test_reduction_agrees_with_enumeration_over_rings(net):
+    for ring in REDUCIBLE:
+        if ring.size ** (_slots(net) + len(net.message_names)) > ORACLE_WORK:
+            continue
+        name = describe(ring.descriptor)
+        want, _, _ = bruteforce.solve(net, ring)
+        runs = {"auto": solve_scalar(net, ring)}
+        for normalize in (True, False):
+            runs[f"exhaustive/{normalize}"] = solve_scalar(
+                net, ring, SearchOptions(strategy="exhaustive",
+                                         normalize_forwarding=normalize))
+        # a one-ring sweep always reduces, however small the search
+        verdict = smallest_ring_search(net, catalog=[ring.descriptor]
+                                       ).verdicts[0]
+        runs["reduction"] = verdict
+        event(f"{name} {want} by {verdict.method}")
+        for where, res in runs.items():
+            assert res.status == want, (name, where)
+            if res.status == "solved":
+                assert bruteforce.check_code(net, res.code), (name, where)
+            else:
+                assert res.code is None, (name, where)

@@ -146,6 +146,25 @@ def test_bad_modulus_rejected():
         construct_ring(GaloisField(2, 2, (1, 0, 1)))  # x^2+1 = (x+1)^2
 
 
+def test_only_a_callers_modulus_is_checked(monkeypatch):
+    # a reducible modulus from the caller still fails the same way
+    with pytest.raises(ValueError, match=r"modulus \(1, 0, 1\) is reducible"):
+        construct_ring(GaloisField(2, 2, (1, 0, 1)))
+    # moduli outside the built-in table come from a search that tests each
+    # candidate, so they are irreducible by construction too
+    for p, k in ((2, 7), (11, 2), (13, 3)):
+        assert (p, k) not in rings.IRREDUCIBLE
+        assert _is_irreducible(rings.default_modulus(p, k), p)
+    # the built-in moduli skip the check
+    calls = []
+    monkeypatch.setattr(rings, "poly_is_irreducible",
+                        lambda poly, p: calls.append(poly) or True)
+    construct_ring(GaloisField(2, 4))
+    assert calls == []
+    construct_ring(GaloisField(3, 2, (2, 1, 1)))
+    assert calls == [(2, 1, 1)]
+
+
 # --- radical against an independent Jacobson computation -------------------
 
 def _units(ring):

@@ -1,4 +1,6 @@
 """Complete-search solver against full enumeration, plus search plumbing."""
+import time
+
 import pytest
 
 import bruteforce
@@ -6,8 +8,8 @@ from conftest import (chain2_network, chain_network, pair_network,
                       starve_network, wire2_network)
 from netring import codes, networks, rings, solver
 from netring.networks import choose_two_network, m_network, trivial_network
-from netring.rings import (GaloisField, IntegersMod, PrimeField,
-                           construct_ring, describe)
+from netring.rings import (GaloisField, IntegersMod, PrimeField, Product,
+                           TableRing, construct_ring, describe)
 from netring.solver import (SearchOptions, nonunital_demo, smallest_ring_search,
                             solve_scalar, solve_vector, structured_catalog)
 
@@ -139,6 +141,91 @@ def test_shards_cover_the_space(gf2, z4):
         res = solve_scalar(wire2_network(), z4,
                            SearchOptions(shards=2, shard_index=i))
         assert res.status == "exhausted-unsolvable"
+
+
+@pytest.mark.parametrize("n, method", [
+    (3, "direct search as Z_4"),          # fits one block: never reduced
+    (4, "quotient onto GF(2) is unsolvable")])
+def test_sharded_auto_never_reduces(z4, monkeypatch, n, method):
+    # a quotient's verdict is the ring's, not one shard's: a sharded auto
+    # search enumerates the ring itself, and the quotient and canonical-block
+    # searches behind an unsharded verdict are never cut into shards
+    calls = []
+    for name in ("_solve_rank", "_solve_table"):
+        engine = getattr(solver, name)
+
+        def traced(net, ring, opts, engine=engine):
+            calls.append((describe(ring.descriptor), opts.shards))
+            return engine(net, ring, opts)
+        monkeypatch.setattr(solver, name, traced)
+    net = choose_two_network(n)
+    whole = solve_scalar(net, z4)
+    assert whole.stats["method"] == method
+    assert all(shards == 1 for _, shards in calls)
+    calls.clear()
+    parts = [solve_scalar(net, z4, SearchOptions(shards=4, shard_index=i))
+             for i in range(4)]
+    assert all(res.stats["method"] == "direct search as Z_4" for res in parts)
+    assert calls == [("Z_4", 4)] * 4
+    union = ("solved" if any(res.solved for res in parts)
+             else "exhausted-unsolvable")
+    assert union == whole.status
+
+
+# Z_2[x]/(x^2), a + b*x stored as a + 2*b
+DUAL_NUMBERS = TableRing(
+    tuple(tuple(i ^ j for j in range(4)) for i in range(4)),
+    tuple(tuple((i & j & 1) | ((((i & 1) * (j >> 1)) ^ ((i >> 1) * (j & 1)))
+                               << 1) for j in range(4)) for i in range(4)))
+
+
+@pytest.mark.parametrize("desc", [IntegersMod(4),
+                                  Product((PrimeField(2), PrimeField(2))),
+                                  DUAL_NUMBERS], ids=describe)
+def test_auto_settles_m_network_by_a_quotient(desc):
+    ring = construct_ring(desc)
+    t0 = time.perf_counter()
+    res = solve_scalar(m_network(), ring)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "exhausted-unsolvable" and res.code is None
+    assert res.stats["method"] == "quotient onto GF(2) is unsolvable"
+
+
+def _table_copy(desc):
+    ring = construct_ring(desc)
+    return construct_ring(TableRing(ring.add_table().tolist(),
+                                    ring.mul_table().tolist()))
+
+
+def test_table_copies_of_fields_are_named_by_their_canonical_form():
+    res = solve_scalar(m_network(), _table_copy(GaloisField(2, 2)))
+    assert res.status == "exhausted-unsolvable"
+    assert res.stats["method"] == "direct search as GF(2^2)"
+    gf3 = _table_copy(PrimeField(3))
+    net = choose_two_network(4)
+    res = solve_scalar(net, gf3)
+    assert res.solved and res.stats["method"] == "direct search as GF(3)"
+    assert res.code.module.ring is gf3
+    assert codes.semantic_verify(net, res.code).solved
+
+
+def test_explicit_strategies_stay_raw_searches(z4):
+    # the same ring and network that auto settles by its GF(2) quotient
+    res = solve_scalar(m_network(), z4, SearchOptions(node_budget=100,
+                                                      strategy="exhaustive"))
+    assert res.status == "budget-exceeded"
+    assert res.stats["method"] == "direct search as Z_4"
+
+
+def test_rank_search_depth_is_not_bounded_by_recursion(gf2):
+    # one message over 600 hops of two parallel edges: 1,200 searched edges,
+    # past the interpreter's default recursion limit
+    nodes = ["s"] + [f"u{i}" for i in range(600)] + ["t"]
+    edges = [(a, b, k) for a, b in zip(nodes, nodes[1:]) for k in (0, 1)]
+    net = networks.Network(nodes, edges, [("m", "s")], {"t": ("m",)})
+    res = solve_scalar(net, gf2)
+    assert res.solved and res.stats["searched_edges"] == 1200
+    assert codes.verify_solution(net, res.code).solved
 
 
 def test_solve_vector_boundaries(gf2):
