@@ -317,11 +317,14 @@ def _field_ops(module: Module) -> fl.FieldOps:
     return fl.FieldOps(module.base_ring)
 
 
-def variable_rows(net: Network, code: LinearCode, var) -> list[tuple[int, ...]]:
+def variable_rows(net: Network, code: LinearCode, var,
+                  transfers=None) -> list[tuple[int, ...]]:
     """Field-level rows of a variable: a message name or an edge.
 
     Expands ring coefficients into dimension-many rows over F^(k*messages),
     so stacking variables and taking the rank measures their joint entropy.
+    transfers, the code's transfer_vectors, may be passed in by callers that
+    expand many edges of one code.
     """
     module = code.module
     k = module.vector_dim
@@ -333,7 +336,9 @@ def variable_rows(net: Network, code: LinearCode, var) -> list[tuple[int, ...]]:
         return [tuple(1 if j == base + a else 0 for j in range(width))
                 for a in range(k)]
     edge = var if isinstance(var, Edge) else Edge(*var)
-    row = transfer_vectors(net, code)[edge]
+    if transfers is None:
+        transfers = transfer_vectors(net, code)
+    row = transfers[edge]
     out = []
     for a in range(k):
         line = [0] * width
@@ -354,9 +359,13 @@ def _coeff_block(module: Module, c: int):
 def entropy_of(net: Network, code: LinearCode, variables) -> EntropyReport:
     """Joint entropy (in log-|F| units) of edge values and/or messages."""
     ops = _field_ops(code.module)
+    msgs = set(net.message_names)
+    transfers = None
+    if any(not (isinstance(v, str) and v in msgs) for v in variables):
+        transfers = transfer_vectors(net, code)
     rows = []
     for var in variables:
-        rows.extend(variable_rows(net, code, var))
+        rows.extend(variable_rows(net, code, var, transfers))
     return EntropyReport(tuple(str(v) for v in variables), fl.rank(ops, rows),
                          ops.q, code.module.vector_dim, len(net.messages))
 

@@ -402,47 +402,7 @@ def submodules(mod: Module) -> list[tuple[int, ...]]:
     nG = mod.group.size
     if nG > GROUP_TABLE_CAP:
         raise ValueError(f"submodule enumeration capped at |G| = {GROUP_TABLE_CAP}")
-    TG = mod.group.add_table()
-    A = mod.act_table()
-
-    def span(seed) -> np.ndarray:
-        mask = np.zeros(nG, dtype=bool)
-        mask[0] = True
-        frontier = [0]
-        for s in set(seed):
-            if not mask[s]:
-                mask[s] = True
-                frontier.append(s)
-        while frontier:
-            x = frontier.pop()
-            members = np.flatnonzero(mask)
-            for batch in (TG[x, members], A[:, x]):
-                for v in np.unique(batch):
-                    v = int(v)
-                    if not mask[v]:
-                        mask[v] = True
-                        frontier.append(v)
-        return mask
-
-    seen = {}
-    for g in range(nG):
-        m = span([g])
-        seen.setdefault(m.tobytes(), m)
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(seen.values())
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                u = snapshot[i] | snapshot[j]
-                if u.tobytes() in seen:
-                    continue
-                m = span(np.flatnonzero(u))
-                if seen.setdefault(m.tobytes(), m) is m:
-                    grew = True
-    out = [tuple(int(x) for x in np.flatnonzero(m)) for m in seen.values()]
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    return _rings._lattice(mod.group.add_table(), (mod.act_table(),))
 
 
 # ---------------------------------------------------------------------------

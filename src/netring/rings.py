@@ -24,7 +24,12 @@ whole rows of the lazily built coordinate array, a block of rows at a time.
 Structural queries cover axiom verification, ideal lattices, the radical,
 quotients, homomorphism and isomorphism search, the catalogue of semisimple
 rings of prime-power order, and decomposition into prime-power blocks via
-central idempotents.
+central idempotents.  One lattice routine, `_lattice`, serves left and
+two-sided ideals and the submodules of `modules`: it takes an additive
+table and action tables (the multiplication table, its transpose, or a
+module's action table), closes each element a whole frontier at a time,
+and joins the closures by sums.  The radical and the two-sided check in
+`quotient` reuse its closure.
 """
 from __future__ import annotations
 
@@ -868,79 +873,99 @@ class Ideal:
         return len(self.elements)
 
 
-def _span(ring: Ring, seed, left: bool, right: bool) -> np.ndarray:
-    """Additive subgroup containing seed, closed under the requested
-    multiplications; returned as a boolean membership mask."""
-    add = ring.add_table()
-    mul = ring.mul_table() if (left or right) else None
-    n = ring.size
+def _mark(out: np.ndarray, table: np.ndarray, rows, cols) -> None:
+    """Set out[table[r, c]] for every r in rows and c in cols, a block of
+    rows at a time, so no temporary exceeds _TABLE_BLOCK entries."""
+    step = max(1, _TABLE_BLOCK // max(1, len(cols)))
+    for lo in range(0, len(rows), step):
+        out[table[rows[lo:lo + step, None], cols]] = True
+
+
+def _closure(add: np.ndarray, actions, seed) -> np.ndarray:
+    """Least subset holding 0 and seed that is closed under the additive
+    table and every action table (T[:, x] lists the images of x), as a
+    boolean mask.  Each round sums the whole frontier with every member and
+    applies each action to it."""
+    n = add.shape[0]
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
-    frontier = [0]
-    for s in set(seed):
-        if not mask[s]:
-            mask[s] = True
-            frontier.append(s)
-    while frontier:
-        x = frontier.pop()
-        members = np.flatnonzero(mask)
-        batches = [add[x, members]]
-        if left:
-            batches.append(mul[:, x])
-        if right:
-            batches.append(mul[x, :])
-        for batch in batches:
-            for v in np.unique(batch):
-                v = int(v)
-                if not mask[v]:
-                    mask[v] = True
-                    frontier.append(v)
+    mask[np.asarray(seed, dtype=np.int64)] = True
+    frontier = np.flatnonzero(mask)
+    while frontier.size and not mask.all():
+        grown = np.zeros(n, dtype=bool)
+        _mark(grown, add, np.flatnonzero(mask), frontier)
+        for table in actions:
+            _mark(grown, table, np.arange(table.shape[0]), frontier)
+        frontier = np.flatnonzero(grown & ~mask)
+        mask |= grown
     return mask
 
 
-def _ideal_lattice(ring: Ring, left: bool, right: bool) -> list[np.ndarray]:
+def _lattice(add: np.ndarray, actions) -> list[tuple[int, ...]]:
+    """Every subset holding 0 that is closed under the additive table and the
+    action tables, as sorted element tuples ordered by (size, elements).
+
+    Left ideals pass the multiplication table, right ideals its transpose,
+    two-sided ideals both, and submodules the module's action table.  Each
+    substructure is the sum of the principal closures of its elements, and
+    a sum I + J of substructures is one again, so the lattice is the
+    principal closures and their sums, grown one principal at a time until
+    nothing new appears."""
+    n = add.shape[0]
+    seen = {}
+    for x in range(n):
+        m = _closure(add, actions, [x])
+        seen.setdefault(m.tobytes(), m)
+    principal = [(m, np.flatnonzero(m)) for m in seen.values()]
+    layer = [m for m, _ in principal]
+    while layer:
+        grown = []
+        for a in layer:
+            members = np.flatnonzero(a)
+            for p, p_members in principal:
+                if not (p & ~a).any():
+                    continue
+                s = np.zeros(n, dtype=bool)
+                _mark(s, add, members, p_members)
+                if seen.setdefault(s.tobytes(), s) is s:
+                    grown.append(s)
+        layer = grown
+    out = [tuple(int(x) for x in np.flatnonzero(m)) for m in seen.values()]
+    out.sort(key=lambda t: (len(t), t))
+    return out
+
+
+def _ideal_actions(ring: Ring, two_sided: bool):
+    mul = ring.mul_table()
+    return (mul, mul.T) if two_sided else (mul,)
+
+
+def _ideals(ring: Ring, sided: str) -> list[Ideal]:
     if ring.size > IDEAL_CAP:
         raise ValueError(f"ideal enumeration capped at size {IDEAL_CAP}")
-    seen = {}
-    for a in range(ring.size):
-        m = _span(ring, [a], left, right)
-        seen.setdefault(m.tobytes(), m)
-    masks = list(seen.values())
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(seen.values())
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                u = snapshot[i] | snapshot[j]
-                key = u.tobytes()
-                if key in seen:
-                    continue
-                m = _span(ring, np.flatnonzero(u), left, right)
-                if seen.setdefault(m.tobytes(), m) is m:
-                    grew = True
-    masks = list(seen.values())
-    masks.sort(key=lambda m: (int(m.sum()), tuple(np.flatnonzero(m))))
-    return masks
+    actions = _ideal_actions(ring, sided == "two-sided")
+    return [Ideal(ring, t, sided) for t in _lattice(ring.add_table(), actions)]
 
 
-def _sided_name(left, right):
-    return "two-sided" if (left and right) else ("left" if left else "right")
+def _is_two_sided(ring: Ring, elements) -> bool:
+    """Whether elements, 0 among them, already form a two-sided ideal."""
+    closed = _closure(ring.add_table(), _ideal_actions(ring, True), elements)
+    return int(closed.sum()) == len(set(elements))
 
 
 def left_ideals(ring: Ring) -> list[Ideal]:
-    return [Ideal(ring, tuple(int(x) for x in np.flatnonzero(m)), "left")
-            for m in _ideal_lattice(ring, True, False)]
+    return _ideals(ring, "left")
 
 
 def two_sided_ideals(ring: Ring) -> list[Ideal]:
     """All two-sided ideals, sorted by size then by element tuple."""
-    return [Ideal(ring, tuple(int(x) for x in np.flatnonzero(m)), "two-sided")
-            for m in _ideal_lattice(ring, True, True)]
+    return _ideals(ring, "two-sided")
 
 
 def maximal_proper(ideals: list[Ideal]) -> list[Ideal]:
-    """The inclusion-maximal ideals strictly below the whole ring."""
+    """The inclusion-maximal ideals strictly below the whole ring, in the
+    order given; on a lattice from left_ideals or two_sided_ideals that is
+    by size, then by element tuple."""
     if not ideals:
         return []
     full = max(len(i) for i in ideals)
@@ -955,25 +980,13 @@ def maximal_proper(ideals: list[Ideal]) -> list[Ideal]:
 
 def radical(ring: Ring) -> Ideal:
     """Intersection of the maximal left ideals (a two-sided ideal)."""
-    lefts = _ideal_lattice(ring, True, False)
-    full = ring.size
-    proper = [m for m in lefts if int(m.sum()) < full]
-    if not proper:
+    maximal = maximal_proper(left_ideals(ring))
+    if not maximal:
         return Ideal(ring, (0,), "two-sided")
-    maximal = []
-    for m in proper:
-        if not any((m != o).any() and not (m & ~o).any() for o in proper):
-            maximal.append(m)
-    inter = maximal[0].copy()
-    for m in maximal[1:]:
-        inter &= m
-    elements = tuple(int(x) for x in np.flatnonzero(inter))
-    # sanity: the intersection really is two-sided
-    members = set(elements)
-    for x in elements:
-        for r in range(ring.size):
-            if ring.mul(r, x) not in members or ring.mul(x, r) not in members:
-                raise AssertionError("radical candidate is not two-sided")
+    elements = tuple(sorted(set.intersection(
+        *(set(i.elements) for i in maximal))))
+    if not _is_two_sided(ring, elements):
+        raise AssertionError("radical candidate is not two-sided")
     return Ideal(ring, elements, "two-sided")
 
 
@@ -1023,11 +1036,8 @@ def quotient(ring: Ring, ideal: Ideal) -> tuple[Ring, RingHom]:
     members = np.array(sorted(set(ideal.elements)), dtype=np.int64)
     if 0 not in ideal.elements:
         raise ValueError("an ideal must contain the additive identity")
-    mset = set(int(x) for x in members)
-    for x in mset:
-        for r in range(ring.size):
-            if ring.mul(r, x) not in mset or ring.mul(x, r) not in mset:
-                raise ValueError("quotient needs a two-sided ideal")
+    if not _is_two_sided(ring, ideal.elements):
+        raise ValueError("quotient needs a two-sided ideal")
     add = ring.add_table()
     mul = ring.mul_table()
     rep = add[:, members].min(axis=1)          # least member of each coset

@@ -521,7 +521,10 @@ def _table_slots(net: Network, size: int, opts: SearchOptions):
                   for j in range(len(net.inputs(e.tail)))]
 
 
-def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
+def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
+                 planned=None) -> SolveResult:
+    """Enumerate the coefficient space; planned is _table_slots' result when
+    the caller has already built it."""
     t0 = time.perf_counter()
     if not ring.unital:
         raise ValueError("the coefficient search requires a unital ring")
@@ -534,7 +537,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     msgs = net.message_names
     m = len(msgs)
     mpos = {name: i for i, name in enumerate(msgs)}
-    plan, slots = _table_slots(net, size, opts)
+    plan, slots = planned or _table_slots(net, size, opts)
     for r in net.receivers:
         if size ** len(net.inputs(r)) > opts.decode_budget:
             return SolveResult("budget-exceeded", None, {
@@ -738,12 +741,12 @@ def _block_name(r: int, q: int) -> str:
 
 
 def _decide(net: Network, ring: Ring, opts: SearchOptions,
-            blocks: dict) -> SolveResult:
+            blocks: dict, planned=None) -> SolveResult:
     """Scalar solvability over the ring, by the route in the module notes.
 
     blocks memoizes the canonical simple-ring searches by (r, q) across
     calls; those run with the caller's options, so a caller that reduces
-    must not shard them."""
+    must not shard them.  planned is passed on to the direct search."""
     def block(r, q):
         if (r, q) not in blocks:
             blocks[(r, q)] = _solve_rank(
@@ -759,7 +762,6 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
         method = f"direct search as {_block_name(r, q)}"
     else:
         maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
-        maxi.sort(key=lambda i: (len(i.elements), i.elements))
         if len(maxi) == 1 and maxi[0].elements == (0,):
             [(r, q)] = _rings.semisimple_decompose(ring)
             res, method = block(r, q), f"direct search as {_block_name(r, q)}"
@@ -781,7 +783,7 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
                 if stopped:
                     res, method = stopped[0], "a quotient search ran out of budget"
                 else:
-                    res = _solve_table(net, ring, opts)
+                    res = _solve_table(net, ring, opts, planned)
                     method = "all simple quotients solvable; searched directly"
     code = res.code
     if res.solved and code.module.ring is not ring:
@@ -801,17 +803,20 @@ def solve_scalar(net: Network, ring: Ring,
     searches of the ring itself."""
     opts = _validated(net, options)
     strategy = opts.strategy
+    planned = None
     if strategy == "auto":
-        if _rank_parts(ring) is not None or (
-                opts.shards == 1 and ring.unital and ring.has_tables()
-                and ring.size ** len(_table_slots(net, ring.size, opts)[1])
-                > CHUNK):
+        if _rank_parts(ring) is not None:
             return _decide(net, ring, opts, {})
+        if opts.shards == 1 and ring.unital and ring.has_tables():
+            planned = _table_slots(net, ring.size, opts)
+            if ring.size ** len(planned[1]) > CHUNK:
+                return _decide(net, ring, opts, {}, planned)
         strategy = "exhaustive"
     if strategy == "rank" and _rank_parts(ring) is None:
         raise ValueError("the rank strategy needs a field or a matrix "
                          "ring over a field")
-    res = (_solve_rank if strategy == "rank" else _solve_table)(net, ring, opts)
+    res = (_solve_rank(net, ring, opts) if strategy == "rank"
+           else _solve_table(net, ring, opts, planned))
     res.stats["method"] = f"direct search as {_rings.describe(ring.descriptor)}"
     return res
 

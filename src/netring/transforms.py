@@ -139,9 +139,7 @@ def quotient_by_annihilator(code: LinearCode) -> tuple[LinearCode, RingHom]:
 def simple_reduction(ring: Ring) -> tuple[Ring, RingHom]:
     """Quotient onto the largest simple image (smallest maximal two-sided
     ideal, ties broken by element order); the identity when already simple."""
-    ideals = _rings.two_sided_ideals(ring)
-    maxi = _rings.maximal_proper(ideals)
-    maxi.sort(key=lambda i: (len(i.elements), i.elements))
+    maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
     if not maxi:
         return ring, _rings.identity_hom(ring)
     chosen = maxi[0]

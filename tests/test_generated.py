@@ -7,8 +7,14 @@ messages that reach each receiver.  Coefficient slots are capped so that
 tests/bruteforce.py can enumerate every code over GF(3); over the rings
 that are not fields, the oracle's codes times message assignments are
 capped instead, which keeps it to at most 4^6 codes.
+
+Drawn networks are mostly solvable in many ways, so a search that skipped
+most of its space would still find a code.  The explicit examples of the
+reduction test have few solutions: a decoy receiver behind a relay demands
+one of the two messages the relay's edge carries, which forces that edge's
+coefficient on the other message to 0.
 """
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
@@ -96,11 +102,27 @@ def test_every_route_agrees_with_enumeration(net):
                     assert res.code is None, where
 
 
+def _decoy_network(wanted: str, full_receiver: bool) -> Network:
+    """s owns m0 and m1 and feeds the relay u; t0 behind u demands only
+    `wanted`.  With full_receiver, t1 sees u and s and demands both."""
+    nodes = ["s", "u", "t0"]
+    edges = [("s", "u", 0), ("u", "t0", 0)]
+    demands = {"t0": (wanted,)}
+    if full_receiver:
+        nodes.append("t1")
+        edges += [("u", "t1", 0), ("s", "t1", 0)]
+        demands["t1"] = ("m0", "m1")
+    return Network(nodes, edges, [("m0", "s"), ("m1", "s")], demands)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(networks().filter(lambda net: net.demands
                          and _slots(net) <= MAX_SLOTS))
+@example(_decoy_network("m1", False))
+@example(_decoy_network("m0", False))
+@example(_decoy_network("m1", True))
 def test_reduction_agrees_with_enumeration_over_rings(net):
     for ring in REDUCIBLE:
         if ring.size ** (_slots(net) + len(net.message_names)) > ORACLE_WORK:

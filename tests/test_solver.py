@@ -154,9 +154,9 @@ def test_sharded_auto_never_reduces(z4, monkeypatch, n, method):
     for name in ("_solve_rank", "_solve_table"):
         engine = getattr(solver, name)
 
-        def traced(net, ring, opts, engine=engine):
+        def traced(net, ring, opts, *planned, engine=engine):
             calls.append((describe(ring.descriptor), opts.shards))
-            return engine(net, ring, opts)
+            return engine(net, ring, opts, *planned)
         monkeypatch.setattr(solver, name, traced)
     net = choose_two_network(n)
     whole = solve_scalar(net, z4)
@@ -189,6 +189,24 @@ def test_auto_settles_m_network_by_a_quotient(desc):
     assert time.perf_counter() - t0 < 1.0
     assert res.status == "exhausted-unsolvable" and res.code is None
     assert res.stats["method"] == "quotient onto GF(2) is unsolvable"
+
+
+@pytest.mark.parametrize("n, method", [
+    (3, "direct search as Z_4"),
+    (4, "quotient onto GF(2) is unsolvable")])
+def test_auto_plans_the_exhaustive_search_once(z4, monkeypatch, n, method):
+    # the plan that sizes the space for the reduction gate is the one the
+    # direct search then runs on
+    plans = []
+    table_slots = solver._table_slots
+
+    def counted(*args):
+        plans.append(table_slots(*args))
+        return plans[-1]
+    monkeypatch.setattr(solver, "_table_slots", counted)
+    res = solve_scalar(choose_two_network(n), z4)
+    assert res.stats["method"] == method
+    assert len(plans) == 1
 
 
 def _table_copy(desc):
