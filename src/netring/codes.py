@@ -6,6 +6,17 @@ the receiver; coefficient lists are aligned with Network.inputs order.  Codes
 are checked two independent ways: symbolically, by propagating rows of ring
 coefficients and comparing each decode against the demanded unit row, and
 semantically, by evaluating every assignment of group values to the messages.
+
+The symbolic check multiplies whole rows at once.  Over a compound ring
+(Galois field, matrix, upper-triangular or product ring) a row is an array
+of the ring's flat residue digits, one line per message, and an edge or a
+decode is one matmul: the stacked input rows times the stacked
+left-multiplication matrices c . T of its coefficients (rings.py), reduced
+mod the digit moduli.  Residue rings (one % per product), rings whose dense
+tables already exist (a search just built them) and rings with no digit
+rule keep the scalar rule on index tuples, where a table lookup or a single
+% beats setting up a matmul.  Both rules give the same index tuples, checks
+and failure reports.
 """
 from __future__ import annotations
 
@@ -91,26 +102,73 @@ def _combine(ring, coeffs, rows):
     return tuple(acc)
 
 
-def transfer_vectors(net: Network, code: LinearCode) -> dict[Edge, tuple[int, ...]]:
-    """Per-edge rows of ring coefficients, indexed by message order."""
-    check_shape(net, code)
-    ring = code.module.ring
-    msgs = net.message_names
-    pos = {m: i for i, m in enumerate(msgs)}
-    one = ring.one if ring.unital else None
-    rows: dict[Edge, tuple[int, ...]] = {}
+class _Rows:
+    """Rows of ring elements over the messages, under the rule the module
+    notes pick for the ring: index tuples combined by _combine, or digit
+    arrays (messages x flat digits) combined by one matmul."""
+
+    def __init__(self, code: LinearCode, width: int):
+        ring = code.module.ring
+        self.ring, self.width = ring, width
+        self.digit = (bool(ring.coord_rings) and not ring.tables_built()
+                      and ring.mul_tensor is not None)
+        if self.digit:
+            used = sorted({c for cs in code.edge_coeffs.values() for c in cs}
+                          | {c for cs in code.decodings.values() for c in cs})
+            self.slot = {c: i for i, c in enumerate(used)}
+            self.lmul = ring.left_mul_matrices(used)
+            # compound rings are unital: every unit row holds ring.one
+            self.units = np.zeros((width, width, len(ring.digit_moduli)), np.int64)
+            self.units[np.arange(width), np.arange(width)] = ring.digits([ring.one])
+
+    def unit(self, position: int):
+        if self.digit:
+            return self.units[position]
+        return unit_row(position, self.width, self.ring.one)
+
+    def combine(self, coeffs, rows):
+        if not self.digit:
+            return _combine(self.ring, coeffs, rows)
+        lmul = self.lmul[[self.slot[c] for c in coeffs]]
+        acc = np.concatenate(rows, axis=1) @ lmul.reshape(-1, lmul.shape[-1])
+        return acc % self.ring.digit_moduli
+
+    def same(self, a, b) -> bool:
+        return bool(np.array_equal(a, b)) if self.digit else a == b
+
+    def indices(self, rows) -> list[tuple[int, ...]]:
+        """Index tuples of a list of rows."""
+        if not self.digit:
+            return list(rows)
+        if not rows:
+            return []
+        return [tuple(r) for r in self.ring.from_digits(np.stack(rows)).tolist()]
+
+
+def _propagate(net: Network, code: LinearCode, rows: _Rows) -> dict:
+    """Per-edge rows, in topological order."""
+    pos = {m: i for i, m in enumerate(net.message_names)}
+    out = {}
     for e in net.topo_edges():
         in_rows = []
         for kind, ref in net.inputs(e.tail):
             if kind == "edge":
-                in_rows.append(rows[ref])
+                in_rows.append(out[ref])
             else:
-                if one is None:
+                if not rows.ring.unital:
                     raise ValueError("symbolic rows need a unital ring; "
                                      "use semantic_verify for rngs")
-                in_rows.append(unit_row(pos[ref], len(msgs), one))
-        rows[e] = _combine(ring, code.edge_coeffs[e], in_rows)
-    return rows
+                in_rows.append(rows.unit(pos[ref]))
+        out[e] = rows.combine(code.edge_coeffs[e], in_rows)
+    return out
+
+
+def transfer_vectors(net: Network, code: LinearCode) -> dict[Edge, tuple[int, ...]]:
+    """Per-edge rows of ring coefficients, indexed by message order."""
+    check_shape(net, code)
+    rows = _Rows(code, len(net.message_names))
+    by_edge = _propagate(net, code, rows)
+    return dict(zip(by_edge, rows.indices(list(by_edge.values()))))
 
 
 def verify_solution(net: Network, code: LinearCode) -> Verdict:
@@ -126,25 +184,25 @@ def verify_solution(net: Network, code: LinearCode) -> Verdict:
         raise ValueError(
             f"module is not faithful (annihilator {ann}); apply "
             "annihilator_quotient and verify the induced code")
+    check_shape(net, code)
     ring = code.module.ring
-    rows = transfer_vectors(net, code)
     msgs = net.message_names
     pos = {m: i for i, m in enumerate(msgs)}
+    rows = _Rows(code, len(msgs))
+    by_edge = _propagate(net, code, rows)
     checks = {}
     failure = None
     for r in net.receivers:
-        in_rows = []
-        for kind, ref in net.inputs(r):
-            in_rows.append(rows[ref] if kind == "edge"
-                           else unit_row(pos[ref], len(msgs), ring.one))
+        in_rows = [by_edge[ref] if kind == "edge" else rows.unit(pos[ref])
+                   for kind, ref in net.inputs(r)]
         for m in net.demands[r]:
-            got = _combine(ring, code.decodings[(r, m)], in_rows)
-            want = unit_row(pos[m], len(msgs), ring.one)
-            ok = got == want
+            got = rows.combine(code.decodings[(r, m)], in_rows)
+            ok = rows.same(got, rows.unit(pos[m]))
             checks[(r, m)] = ok
             if not ok and failure is None:
-                failure = {"receiver": r, "message": m,
-                           "decoded_row": got, "expected_row": want}
+                [decoded] = rows.indices([got])
+                failure = {"receiver": r, "message": m, "decoded_row": decoded,
+                           "expected_row": unit_row(pos[m], len(msgs), ring.one)}
     return Verdict(all(checks.values()), checks, failure, "coefficient")
 
 
@@ -339,15 +397,12 @@ def variable_rows(net: Network, code: LinearCode, var,
     if transfers is None:
         transfers = transfer_vectors(net, code)
     row = transfers[edge]
-    out = []
-    for a in range(k):
-        line = [0] * width
-        for mi, c in enumerate(row):
-            block = _coeff_block(module, c)
-            for b in range(k):
-                line[mi * k + b] = block[a][b]
-        out.append(tuple(line))
-    return out
+    if k == 1:
+        return [tuple(row)]
+    # line a, column (message, b): entry (a, b) of that message's coefficient
+    entries = module.ring.coords(np.asarray(row, dtype=np.int64))
+    lines = entries.reshape(len(row), k, k).transpose(1, 0, 2).reshape(k, width)
+    return [tuple(line) for line in lines.tolist()]
 
 
 def _coeff_block(module: Module, c: int):

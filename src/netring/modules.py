@@ -96,17 +96,17 @@ class AbelianGroup:
             self._neg_table = neg
         return self._add_table
 
-    def parts(self, idx: int) -> tuple[int, ...]:
+    def parts(self, idx) -> tuple:
+        """Component values of idx (an int, or an array of them)."""
         if self.components is None:
             raise TypeError("group is not a direct sum")
         out = []
         for g in reversed(self.components):
-            out.append(idx % g.size)
-            idx //= g.size
-        out.reverse()
-        return tuple(out)
+            idx, v = divmod(idx, g.size)
+            out.append(v)
+        return tuple(reversed(out))
 
-    def from_parts(self, parts) -> int:
+    def from_parts(self, parts):
         if self.components is None:
             raise TypeError("group is not a direct sum")
         acc = 0
@@ -161,34 +161,28 @@ def cyclic(n: int) -> AbelianGroup:
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
     if not groups:
         raise ValueError("direct sum needs at least one component")
-    sizes = [g.size for g in groups]
-    size = math.prod(sizes)
-
-    def decode(idx):
-        out = []
-        for s in reversed(sizes):
-            out.append(idx % s)
-            idx //= s
-        out.reverse()
-        return out
-
-    def encode(parts):
-        acc = 0
-        for s, v in zip(sizes, parts):
-            acc = acc * s + v
-        return acc
 
     def add(a, b):
-        return encode([g.add(x, y) for g, x, y in zip(groups, decode(a), decode(b))])
+        return out.from_parts([g.add(x, y) for g, x, y
+                               in zip(groups, out.parts(a), out.parts(b))])
 
     def neg(a):
-        return encode([g.neg(x) for g, x in zip(groups, decode(a))])
+        return out.from_parts([g.neg(x) for g, x in zip(groups, out.parts(a))])
+
+    def tables():
+        cs = out.parts(np.arange(out.size, dtype=np.int64))
+        add_t = out.from_parts([g.add_table()[c[:, None], c[None, :]]
+                                for g, c in zip(groups, cs)])
+        return add_t, np.argmax(add_t == 0, axis=1)
 
     orders = None
     if all(g.orders is not None for g in groups):
         orders = tuple(o for g in groups for o in g.orders)
     label = " + ".join(g.label for g in groups)
-    return AbelianGroup(size, add, neg, orders=orders, components=groups, label=label)
+    out = AbelianGroup(math.prod(g.size for g in groups), add, neg,
+                       orders=orders, components=groups, label=label,
+                       tables=tables)
+    return out
 
 
 def additive_group(ring: Ring) -> AbelianGroup:
@@ -340,6 +334,9 @@ def scalar_module(ring: Ring) -> Module:
                  label=f"scalar({_rings.describe(ring.descriptor)})")
     mod.vector_dim = 1 if ring.is_field() else None
     mod.base_ring = ring if mod.vector_dim else None
+    if ring.unital:
+        # r * 1 = r, so only 0 acts as zero: faithful by construction
+        mod._annihilator = (0,)
     return mod
 
 
@@ -351,17 +348,16 @@ def vector_module(ring: Ring, k: int) -> Module:
     group = direct_sum(*[additive_group(ring) for _ in range(k)])
 
     def act(midx: int, gidx: int) -> int:
-        entries = mat.mat_entries(midx)
-        vec = group.parts(gidx)
-        out = []
-        for r in range(k):
-            acc = 0
-            for c in range(k):
-                acc = ring.add(acc, ring.mul(entries[r][c], vec[c]))
-            out.append(acc)
-        return group.from_parts(out)
+        # column 0 of m*V, where V holds the column in column 0 and zeros
+        # elsewhere: the same rule the table below evaluates on digits
+        vs = group.parts(gidx)
+        col = mat.from_coords([vs[r] if c == 0 else 0 for r, c in mat.slots])
+        prod = mat.coords(mat.mul(midx, col))
+        return group.from_parts([prod[r * k] for r in range(k)])
 
-    mod = Module(mat, group, act,
+    # with a digit rule, numpy fills the table (and checks its size)
+    table = None if mat.mul_tensor is None else (lambda: _vector_table(mat, group))
+    mod = Module(mat, group, act, table=table,
                  label=f"vector({_rings.describe(ring.descriptor)}, {k})")
     mod.vector_dim = k
     mod.base_ring = ring
@@ -369,6 +365,31 @@ def vector_module(ring: Ring, k: int) -> Module:
     # record that instead of scanning |M_k(R)| elements lazily
     mod._annihilator = (0,)
     return mod
+
+
+def _vector_table(mat: Ring, group: AbelianGroup) -> np.ndarray:
+    """The action of M_k(R) on R^k by the matrix ring's digit rule: column 0
+    of m*V, as in vector_module's act.  Only the digits of column 0 enter,
+    so the tensor is cut down to them; the matrices go a block at a time."""
+    if mat.size * group.size > EXHAUSTIVE_PAIR_CAP:
+        raise ValueError(f"action table of {mat.size * group.size} entries "
+                         "exceeds the cap")
+    inner, w = mat.inner, len(mat.inner.digit_moduli)
+    col0 = [t * w + u for t, (_, c) in enumerate(mat.slots) if c == 0
+            for u in range(w)]
+    tensor = mat.mul_tensor[:, col0][:, :, col0]
+    moduli = mat.digit_moduli[col0]
+    cols = np.concatenate([inner.digits(v) for v in group.parts(
+        np.arange(group.size, dtype=np.int64))], axis=-1)
+    out = np.empty((mat.size, group.size), dtype=np.int64)
+    step = max(1, _rings._TABLE_BLOCK // group.size)
+    for lo in range(0, mat.size, step):
+        ms = np.arange(lo, min(mat.size, lo + step))
+        lmul = np.tensordot(mat.digits(ms), tensor, axes=1) % moduli
+        digits = (cols @ lmul) % moduli          # (matrix, column, digit)
+        out[lo:lo + step] = group.from_parts(
+            [inner.from_digits(digits[..., r * w:(r + 1) * w]) for r in range(mat.k)])
+    return out
 
 
 def is_faithful(mod: Module) -> bool:

@@ -21,6 +21,16 @@ the row-by-column sum, or the componentwise product).  The scalar
 operations and `Ring._build_tables` evaluate the same rules, the latter on
 whole rows of the lazily built coordinate array, a block of rows at a time.
 
+The same rules also read as one integer rule on the ring's flat digits, the
+residue digits at the leaves of its coordinate tree (M_2(GF(4)) has eight,
+each mod 2): digit d of a*b is sum_ij T[i, j, d] a_i b_j mod m_d.  The
+structure tensor T is composed, on first use, from the coordinate rings'
+tensors and the kind's terms, never by sampling products; `Ring.digits` and
+`Ring.from_digits` convert whole index arrays by arithmetic, and
+`Ring.left_mul_matrices` gives the matrix c . T with which a row of digits
+is multiplied by c on the left.  Rings with a table ring among their leaves
+have no digit rule.
+
 Structural queries cover axiom verification, ideal lattices, the radical,
 quotients, homomorphism and isomorphism search, the catalogue of semisimple
 rings of prime-power order, and decomposition into prime-power blocks via
@@ -33,6 +43,7 @@ and joins the closures by sums.  The radical and the two-sided check in
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -235,6 +246,8 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 
 _RESIDUE_KINDS = ("prime_field", "integers_mod")
 _TABLE_BLOCK = 1 << 16   # table entries computed per block of rows
+_DIGIT_CAP = 1 << 20     # largest residue modulus with a digit rule, so that
+                         # sums of digit products stay far inside int64
 
 
 def _pin(nat, one_nat: int):
@@ -252,12 +265,47 @@ def _pin(nat, one_nat: int):
     return nat + 1 - (nat > one_nat)
 
 
-def _unpin(idx: int, one_nat: int) -> int:
+def _unpin(idx, one_nat: int):
+    """Inverse of _pin, on an int or an array of indices."""
+    if isinstance(idx, np.ndarray):
+        return np.where(idx == 0, 0, np.where(idx == 1, one_nat,
+                                              idx - 1 + (idx - 1 >= one_nat)))
     if idx == 0:
         return 0
     if idx == 1:
         return one_nat
     return idx - 1 if idx - 1 < one_nat else idx
+
+
+def _digit_rule(ring: "Ring"):
+    """(moduli, T) of the ring's flat digit rule, or (None, None).
+
+    A residue ring is one digit with T = [[[1]]].  A compound ring places
+    its coordinate rings' digits side by side and adds, for every term
+    (i, j, c) of output coordinate d, c times coordinate ring d's tensor
+    into the block (i, j, d); its coordinate rings i, j and d are then one
+    and the same ring.  A table ring, or one among the coordinate rings,
+    has no rule."""
+    if ring.kind in _RESIDUE_KINDS:
+        if ring.size > _DIGIT_CAP:
+            return None, None
+        return np.array([ring.size], dtype=np.int64), np.ones((1, 1, 1), np.int64)
+    subs = ring.coord_rings
+    if not subs or any(r.mul_tensor is None for r in subs):
+        return None, None
+    off = [0]
+    for r in subs:
+        off.append(off[-1] + len(r.digit_moduli))
+    tensor = np.zeros((off[-1],) * 3, dtype=np.int64)
+    for d, terms in enumerate(ring._mul_terms):
+        sub, w = subs[d].mul_tensor, len(subs[d].digit_moduli)
+        for i, j, c in terms:
+            if w == 1:      # a residue ring's [[[1]]]; scalar indexing is cheap
+                tensor[off[i], off[j], off[d]] += c
+            else:
+                tensor[off[i]:off[i] + w, off[j]:off[j] + w, off[d]:off[d] + w] += c * sub
+    moduli = np.concatenate([r.digit_moduli for r in subs])
+    return moduli, tensor % moduli
 
 
 def _same(u):
@@ -305,6 +353,8 @@ class Ring:
         for s, d in zip(self._radices, one_coords):
             self._one_nat = self._one_nat * s + d
         self._mul_terms = mul_terms
+        # coordinates that are residues already are the flat digits
+        self._flat = all(r.kind in _RESIDUE_KINDS for r in self.coord_rings)
         self._ops = None
         self._coord_array = None
         self._add_table, self._mul_table, self._neg_table = tables or (None,) * 3
@@ -323,8 +373,9 @@ class Ring:
 
     # -- the coordinate codec
 
-    def coords(self, idx: int) -> tuple[int, ...]:
-        """Digits of element idx over coord_rings, most significant first."""
+    def coords(self, idx):
+        """Digits of element idx over coord_rings, most significant first;
+        for an array of indices, an array with one more axis of digits."""
         if not self.coord_rings:
             raise TypeError(f"a {self.kind} ring has no coordinates")
         nat = _unpin(idx, self._one_nat)
@@ -332,6 +383,8 @@ class Ring:
         for s in reversed(self._radices):
             nat, d = divmod(nat, s)
             out.append(d)
+        if isinstance(idx, np.ndarray):
+            return np.stack(out[::-1], axis=-1)
         return tuple(reversed(out))
 
     def from_coords(self, digits):
@@ -349,13 +402,61 @@ class Ring:
     def _coords_of_all(self) -> np.ndarray:
         """size x digits array: row idx holds coords(idx) (built on first use)."""
         if self._coord_array is None:
-            nat = np.arange(self.size, dtype=np.int64)
-            arr = np.empty((self.size, len(self._radices)), dtype=np.int64)
-            rows = _pin(nat, self._one_nat)
-            for t in reversed(range(len(self._radices))):
-                nat, arr[rows, t] = np.divmod(nat, self._radices[t])
-            self._coord_array = arr
+            self._coord_array = self.coords(np.arange(self.size, dtype=np.int64))
         return self._coord_array
+
+    # -- the flat digit rule (see the module notes)
+
+    @functools.cached_property
+    def _rule(self):
+        # built on first use, so rings that never multiply digit rows pay nothing
+        return _digit_rule(self)
+
+    @property
+    def digit_moduli(self) -> Optional[np.ndarray]:
+        """Modulus of each flat digit; None without a digit rule."""
+        return self._rule[0]
+
+    @property
+    def mul_tensor(self) -> Optional[np.ndarray]:
+        """The structure tensor T[i, j, d]; None without a digit rule."""
+        return self._rule[1]
+
+    def digits(self, idx) -> np.ndarray:
+        """Flat residue digits of an array of element indices, as an array
+        with one more axis; computed by arithmetic, whatever the size."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.mul_tensor is None:
+            raise TypeError(f"{describe(self.descriptor)} has no digit rule")
+        if not self.coord_rings:
+            return idx[..., None]
+        cs = self.coords(idx)
+        if self._flat:
+            return cs
+        return np.concatenate([r.digits(cs[..., t])
+                               for t, r in enumerate(self.coord_rings)], axis=-1)
+
+    def from_digits(self, digits) -> np.ndarray:
+        """Element indices of an array of flat digits (the last axis)."""
+        digits = np.asarray(digits, dtype=np.int64)
+        if not self.coord_rings:
+            return digits[..., 0]
+        if self._flat:
+            return self.from_coords([digits[..., t] for t in range(digits.shape[-1])])
+        parts, lo = [], 0
+        for r in self.coord_rings:
+            hi = lo + len(r.digit_moduli)
+            parts.append(r.from_digits(digits[..., lo:hi]))
+            lo = hi
+        return self.from_coords(parts)
+
+    def left_mul_matrices(self, coeffs) -> np.ndarray:
+        """For each c in coeffs the D x D matrix L_c = c . T (mod the
+        moduli): the digits of c*x are those of x times L_c."""
+        cd = self.digits(coeffs)
+        n = self.mul_tensor.shape[0]
+        flat = cd @ self.mul_tensor.reshape(n, n * n)
+        return flat.reshape(cd.shape[:-1] + (n, n)) % self.digit_moduli
 
     def _add_coords(self, x, y, ops):
         return [red(add(u, v)) for (add, _, _, red), u, v in zip(ops, x, y)]
@@ -435,6 +536,10 @@ class Ring:
 
     def has_tables(self) -> bool:
         return self.size <= TABLE_CAP
+
+    def tables_built(self) -> bool:
+        """Whether the dense tables exist already (table rings always)."""
+        return self._mul_table is not None
 
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
@@ -1339,6 +1444,25 @@ def _prime_power(n: int):
         return None
     [(p, k)] = f.items()
     return p, k
+
+
+def simple_block(ring: Ring) -> tuple[int, int]:
+    """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring.
+
+    A simple ring of order p^k is one matrix block, so only the one-block
+    profiles M_r(GF(p^a)) with r*r*a = k are matched, in catalogue order;
+    the radical and prime-power splits semisimple_decompose needs do not
+    arise."""
+    pp = _prime_power(ring.size)
+    if pp is not None:
+        p, k = pp
+        for profile in _matrix_profiles(k):
+            if len(profile) == 1:
+                cand = construct_ring(_profile_descriptor(p, profile))
+                if find_isomorphism(ring, cand) is not None:
+                    [(r, a)] = profile
+                    return r, p ** a
+    raise ValueError(f"{describe(ring.descriptor)} is not a simple ring")
 
 
 def semisimple_decompose(ring: Ring) -> list[tuple[int, int]]:

@@ -763,15 +763,14 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
     else:
         maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
         if len(maxi) == 1 and maxi[0].elements == (0,):
-            [(r, q)] = _rings.semisimple_decompose(ring)
+            r, q = _rings.simple_block(ring)
             res, method = block(r, q), f"direct search as {_block_name(r, q)}"
         else:
             # a solution pushes down to every quotient, so one unsolvable
             # simple quotient settles the ring without searching it
             quotients = {}
             for ideal in maxi:
-                [rq] = _rings.semisimple_decompose(
-                    _rings.quotient(ring, ideal)[0])
+                rq = _rings.simple_block(_rings.quotient(ring, ideal)[0])
                 if rq not in quotients:
                     res = quotients[rq] = block(*rq)
                     if res.status == "exhausted-unsolvable":

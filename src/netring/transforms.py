@@ -8,6 +8,8 @@ componentwise, and quotienting away an annihilator or a maximal ideal.
 """
 from __future__ import annotations
 
+import itertools
+
 from . import codes as _codes
 from . import modules as _modules
 from . import rings as _rings
@@ -116,6 +118,10 @@ def product_code(codes: list[LinearCode]) -> LinearCode:
 
     module = Module(ring, group, act,
                     label=" x ".join(m.label for m in mods))
+    # r acts as zero exactly when every component of r does
+    module._annihilator = tuple(sorted(
+        ring.prod_from_parts(parts)
+        for parts in itertools.product(*(m.annihilator() for m in mods))))
 
     def merge(per_code):
         return ring.prod_from_parts(per_code)

@@ -1,4 +1,5 @@
 """Module construction, faithfulness, and submodule lattices."""
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +130,75 @@ def test_module_identities_random(desc, data):
                                                        mod.act(s, g))
     assert mod.act(ring.mul(r, s), g) == mod.act(r, mod.act(s, g))
     assert mod.act(ring.one, g) == g
+
+
+# ---------------------------------------------------------------------------
+# faithfulness and action tables recorded by construction, against scans
+
+def _scanned_annihilator(mod):
+    return tuple(r for r in range(mod.ring.size)
+                 if all(mod._action(r, g) == 0 for g in range(mod.group.size)))
+
+
+def test_scalar_annihilators_match_scans():
+    from netring.solver import structured_catalog
+    for desc in structured_catalog(32):
+        mod = scalar_module(construct_ring(desc))
+        assert mod.annihilator() == _scanned_annihilator(mod) == (0,), desc
+
+
+def test_product_code_annihilators_match_scans(gf2, z4):
+    from netring.codes import LinearCode
+    from netring.transforms import product_code
+    from conftest import chain_network
+    net = chain_network()
+    edges = list(net.edges)
+
+    def code(module):
+        return LinearCode(module, {e: (1,) for e in edges},
+                          {("t", "m"): (1,)})
+
+    unfaithful = construct_module(z4, cyclic(2), lambda r, g: (r * g) % 2)
+    for parts in ((scalar_module(gf2), scalar_module(z4)),
+                  (scalar_module(gf2), unfaithful),
+                  (unfaithful, vector_module(gf2, 2)),
+                  (unfaithful, unfaithful)):
+        mod = product_code([code(m) for m in parts]).module
+        assert mod.annihilator() == _scanned_annihilator(mod), parts
+        assert mod.is_faithful() == all(m.is_faithful() for m in parts)
+
+
+@pytest.mark.parametrize("desc,k", [(PrimeField(2), 2), (PrimeField(2), 3),
+                                    (PrimeField(3), 2), (GaloisField(2, 2), 2)])
+def test_vector_action_table_matches_pairwise_action(desc, k):
+    field = construct_ring(desc)
+    mod = vector_module(field, k)
+    nR, nG = mod.ring.size, mod.group.size
+
+    def times(m, g):        # matrix entries times the column, by hand
+        entries, vec = mod.ring.mat_entries(m), mod.group.parts(g)
+        out = []
+        for row in entries:
+            acc = 0
+            for x, v in zip(row, vec):
+                acc = field.add(acc, field.mul(x, v))
+            out.append(acc)
+        return mod.group.from_parts(out)
+
+    want = [[times(r, g) for g in range(nG)] for r in range(nR)]
+    assert [[mod._action(r, g) for g in range(nG)] for r in range(nR)] == want
+    assert mod.act_table().tolist() == want
+    # the direct sum's tables, also built from its components, likewise
+    group = mod.group
+    assert group.add_table().tolist() == [[group._add(a, b) for b in range(nG)]
+                                          for a in range(nG)]
+    assert [group.neg(a) for a in range(nG)] == [group._neg(a) for a in range(nG)]
+
+
+def test_group_codec_on_arrays():
+    group = modules.direct_sum(cyclic(3), cyclic(4), cyclic(2))
+    idx = np.arange(group.size)
+    parts = group.parts(idx)
+    assert [tuple(int(p[i]) for p in parts) for i in idx] == \
+        [group.parts(int(i)) for i in idx]
+    assert (group.from_parts(parts) == idx).all()

@@ -271,6 +271,30 @@ def test_semisimple_catalog_counts_and_entries():
     assert len(set(names4)) == 6
 
 
+def test_simple_block_matches_semisimple_decompose():
+    """Every simple quotient of the catalogue rings to 32 elements, and a
+    table copy of each simple ring, gets the block semisimple_decompose
+    finds; rings that are not simple are refused."""
+    seen = 0
+    for desc in solver.structured_catalog(32):
+        ring = construct_ring(desc)
+        for ideal in rings.maximal_proper(rings.two_sided_ideals(ring)):
+            q = rings.quotient(ring, ideal)[0]
+            assert [rings.simple_block(q)] == rings.semisimple_decompose(q)
+            seen += 1
+    assert seen > 50
+    for desc in (MatrixRing(PrimeField(2), 2), GaloisField(2, 4),
+                 MatrixRing(PrimeField(3), 2), PrimeField(7)):
+        ring = construct_ring(desc)
+        copy = construct_ring(TableRing(ring.add_table().tolist(),
+                                        ring.mul_table().tolist()))
+        assert rings.simple_block(copy) == rings.semisimple_decompose(ring)[0]
+    for desc in (IntegersMod(4), Product((PrimeField(2), PrimeField(2))),
+                 UpperTriangular(PrimeField(2), 2), IntegersMod(6)):
+        with pytest.raises(ValueError, match="not a simple ring"):
+            rings.simple_block(construct_ring(desc))
+
+
 def test_semisimple_decompose_blocks():
     assert rings.semisimple_decompose(
         construct_ring(MatrixRing(PrimeField(2), 2))) == [(2, 2)]
