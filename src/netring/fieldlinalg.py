@@ -40,6 +40,18 @@ class FieldOps:
         self.inv = inv
 
 
+def primitive_element(ops: FieldOps) -> int:
+    """An element whose powers run through every nonzero element."""
+    for a in range(1, ops.q):
+        x, order = a, 1
+        while x != 1:
+            x = ops.mul[x][a]
+            order += 1
+        if order == ops.q - 1:
+            return a
+    raise AssertionError("a finite field has a primitive element")
+
+
 def row_scale(ops: FieldOps, row, c):
     mul_c = ops.mul[c]
     return tuple(mul_c[x] for x in row)
@@ -226,30 +238,28 @@ def count_subspaces(q: int, d: int, rmax: int) -> int:
     return sum(gaussian_binomial(d, r, q) for r in range(min(d, rmax) + 1))
 
 
-def echelon_forms(q: int, d: int, rmax: int):
-    """Yield every reduced echelon form with <= rmax rows over F_q^d.
+def echelon_forms(q: int, d: int, r: int):
+    """Yield every reduced echelon form with exactly r rows over F_q^d.
 
-    A form is a tuple of coordinate rows (tuples of ints).  For fixed rank the
-    forms come out ordered by pivot-column choice then by free entries, which
-    together with the caller's rank ordering fixes the search order.
+    A form is a tuple of coordinate rows (tuples of ints), ordered by
+    pivot-column choice then by free entries.  There are
+    gaussian_binomial(d, r, q) of them; r = 0 yields only the empty form.
     """
-    yield ()
-    for r in range(1, min(d, rmax) + 1):
-        for pivots in combinations(range(d), r):
-            free = []  # (row, col) slots that may hold arbitrary entries
-            pivot_set = set(pivots)
-            for i in range(r):
-                for j in range(pivots[i] + 1, d):
-                    if j not in pivot_set:
-                        free.append((i, j))
-            base = [[0] * d for _ in range(r)]
-            for i in range(r):
-                base[i][pivots[i]] = 1
-            if not free:
-                yield tuple(tuple(row) for row in base)
-                continue
-            for values in product(range(q), repeat=len(free)):
-                rows = [row[:] for row in base]
-                for (i, j), v in zip(free, values):
-                    rows[i][j] = v
-                yield tuple(tuple(row) for row in rows)
+    for pivots in combinations(range(d), r):
+        free = []  # (row, col) slots that may hold arbitrary entries
+        pivot_set = set(pivots)
+        for i in range(r):
+            for j in range(pivots[i] + 1, d):
+                if j not in pivot_set:
+                    free.append((i, j))
+        base = [[0] * d for _ in range(r)]
+        for i in range(r):
+            base[i][pivots[i]] = 1
+        if not free:
+            yield tuple(tuple(row) for row in base)
+            continue
+        for values in product(range(q), repeat=len(free)):
+            rows = [row[:] for row in base]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield tuple(tuple(row) for row in rows)

@@ -11,22 +11,44 @@ only when all are solvable is the ring itself enumerated.  stats["method"]
 names the route.
 
 * the rank engine covers fields and matrix rings over fields.  A code's
-  edge carries a subspace of the row space spanned by its tail's inputs,
-  so the search walks assignments of at-most-k-dimensional subspaces in
-  topological order, pruning each receiver once its inputs are settled.
-  Inputs are resolved once through forwarding chains, and each subspace (a
-  reduced echelon basis, bit-packed over GF(2)) is interned as an int id.
+  edge carries a subspace (of dimension at most k) of the row space
+  spanned by its tail's inputs, so the search walks subspace assignments
+  in topological order, pruning each receiver once its inputs are
+  settled.  Inputs are resolved once through forwarding chains, and each
+  subspace (a reduced echelon basis, bit-packed over GF(2)) is interned as
+  an int id.  Two arguments shrink the walk without losing a solution:
+  - dominance: an edge tries only subspaces of dimension min(dim tail, k).
+    Enlarging an edge's subspace only enlarges the spans downstream, and
+    a receiver check only gets easier as its spans grow, so every solution
+    enlarges, edge by edge in topological order, to one of these.
+  - message symmetry: G = prod over messages of GL(k, q), acting
+    block-diagonally on the message coordinates, maps solutions to
+    solutions of the same dimensions, since every demand is a sum of
+    whole message blocks.  A
+    searched position is claimed when its tail carries only messages, a
+    set B disjoint from those of the positions claimed before it.  Its
+    candidates then do not depend on the rest of the assignment, and
+    G_B = prod over B of GL(k, q) fixes every other claimed position.  So
+    one element of G moves any solution to one whose claimed positions
+    each hold the least echelon form of their G_B orbit, and only those
+    are tried there.  Orbits are found lazily under generators of G_B
+    (I + E_ij inside a message's block, a primitive scalar on its first
+    coordinate).  Generators of a subgroup give finer orbits, so this
+    stays sound for any drawn from G_B, never for one outside it (such as
+    a swap of two messages).
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
   numpy table gathers.
 
-Both only report "exhausted-unsolvable" after a provably complete
-enumeration; budget ceilings (NETRING_BUDGET) end a search early with an
-explicit "budget-exceeded" instead.  Edges out of single-input nodes are
-pinned to plain forwarding by default, which never changes the verdict
-(a forwarded input spans at least whatever any coefficient could keep)
-and can be switched off for cross-checks against raw enumeration.
+The exhaustive engine reports "exhausted-unsolvable" only after a
+complete enumeration, the rank engine only after a walk that is complete
+up to dominance and message symmetry; budget ceilings (NETRING_BUDGET)
+end a search early with an explicit "budget-exceeded" instead.  Edges out
+of single-input nodes are pinned to plain forwarding by default, which
+never changes the verdict (a forwarded input spans at least whatever any
+coefficient could keep) and can be switched off for cross-checks against
+raw enumeration.
 """
 from __future__ import annotations
 
@@ -182,6 +204,11 @@ class _Gf2Alg:
     def to_coords(self, row):
         return fl.unpack2(row, self.width)
 
+    def transvection(self, i: int, j: int):
+        """row -> row times I + E_ij: column i added into column j."""
+        bit, flip = 1 << i, 1 << j
+        return lambda row: row ^ flip if row & bit else row
+
 
 class _GenAlg:
     """Subspaces as tuples of coordinate-tuple echelon rows."""
@@ -210,6 +237,28 @@ class _GenAlg:
 
     def to_coords(self, row):
         return row
+
+    def transvection(self, i: int, j: int):
+        """row -> row times I + E_ij: column i added into column j."""
+        add = self.ops.add
+
+        def image(row):
+            if not row[i]:
+                return row
+            out = list(row)
+            out[j] = add[row[j]][row[i]]
+            return tuple(out)
+        return image
+
+    def scaling(self, j: int, a: int):
+        """row -> row times diag(1, .., a, .., 1): column j scaled by a."""
+        mul = self.ops.mul[a]
+
+        def image(row):
+            out = list(row)
+            out[j] = mul[row[j]]
+            return tuple(out)
+        return image
 
 
 def _rank_parts(ring: Ring):
@@ -315,19 +364,69 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     cand_cache = {}
 
     def candidates(tail):
+        """The subspaces of the tail's span an edge may carry: only the
+        largest, since a larger one is never worse (module notes), in
+        echelon order."""
         got = cand_cache.get(tail)
         if got is None:
             space = spaces[tail]
             d = len(space)
-            forms = sorted((alg.canon([alg.mix(space, c) for c in form])
-                            for form in fl.echelon_forms(q, d, min(d, k))),
-                           key=lambda s: (-len(s), s))
+            forms = sorted(alg.canon([alg.mix(space, c) for c in form])
+                           for form in fl.echelon_forms(q, d, min(d, k)))
             got = cand_cache[tail] = [intern(s) for s in forms]
         return got
 
+    # claimed positions, walked in order: the tail carries messages only,
+    # and none that an earlier claimed position carries
+    alpha = fl.primitive_element(ops)
+    claims = {}        # position -> generators of its messages' G_B
+    taken = set()
+    for i, (const, at) in enumerate(tails):
+        if at:
+            continue
+        own = [m for m in msgs if plus(const, unit_ids[m]) == const]
+        if not own or taken.intersection(own):
+            continue
+        taken.update(own)
+        gens = []
+        for m in own:
+            base = mpos[m] * k
+            gens += [alg.transvection(base + a, base + b)
+                     for a in range(k) for b in range(k) if a != b]
+            if alpha != 1:
+                gens.append(alg.scaling(base, alpha))
+        if gens:
+            claims[i] = gens
+
+    leads = {}         # candidate id at a claimed position -> leads its orbit
+
+    def orbit_leaders(cands, gens):
+        """The candidates that are the least echelon form of their orbit.
+        An orbit is found, by search under the generators, when the first
+        of its members is met."""
+        for s in cands:
+            lead = leads.get(s)
+            if lead is None:
+                orbit, grow = {s}, [s]
+                while grow:
+                    rows = spaces[grow.pop()]
+                    for g in gens:
+                        t = intern(alg.canon([g(r) for r in rows]))
+                        if t not in orbit:
+                            orbit.add(t)
+                            grow.append(t)
+                first = min(orbit, key=spaces.__getitem__)
+                for t in orbit:
+                    leads[t] = t == first
+                lead = leads[s]
+            if lead:
+                yield s
+            else:
+                stats["orbit_skips"] += 1
+
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
-             "receiver_checks": 0, "memo_hits": 0,
+             "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
              "searched_edges": len(outer)}
 
     def receiver_ok(j):
@@ -365,7 +464,9 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
                 cands = candidates(span(tails[i]))
                 if i == 0 and opts.shards > 1:
                     cands = cands[opts.shard_index::opts.shards]
-                todo.append(iter(cands))
+                gens = claims.get(i)
+                todo.append(iter(cands) if gens is None
+                            else orbit_leaders(cands, gens))
             here = ready.get(i, ())
             for s in todo[i]:
                 nodes = stats["nodes"] = stats["nodes"] + 1

@@ -3,10 +3,12 @@
 Everything here recomputes results from first principles — direct
 recursive evaluation of edge values, full sweeps over coefficient
 assignments, decode rows, and message assignments — without touching the
-library's transfer-vector propagation or either solver strategy.  Slow on
-purpose; only ever pointed at tiny instances.
+library's transfer-vector propagation or either solver strategy.  Only
+ever pointed at tiny instances.
 """
 from itertools import product
+
+import numpy as np
 
 
 def wiring(net):
@@ -107,29 +109,38 @@ def solve(net, ring, limit=None):
 
 def check_code(net, code):
     """Semantic pass over a LinearCode: decode outputs equal demanded
-    messages under every assignment, computed by direct recursion."""
-    module = code.module
+    messages under every assignment, computed by direct recursion.
+
+    All assignments are evaluated at once as numpy arrays.  The action and
+    addition are tabulated here from per-pair module.act and group.add
+    calls, the action only for the coefficients the code uses."""
+    module, group = code.module, code.module.group
+    size = group.size
     msgs = net.message_names
-    for combo in product(range(module.group.size), repeat=len(msgs)):
-        assignment = dict(zip(msgs, combo))
-        value = {}
-        for e in net.topo_edges():
-            acc = 0
-            for c, (kind, ref) in zip(code.edge_coeffs[e],
-                                      net.inputs(e.tail)):
-                v = assignment[ref] if kind == "message" else value[ref]
-                acc = module.group.add(acc, module.act(c, v))
-            value[e] = acc
-        for r in net.receivers:
-            for m in net.demands[r]:
-                acc = 0
-                row = code.decodings[(r, m)]
-                for d, (kind, ref) in zip(row, net.inputs(r)):
-                    v = assignment[ref] if kind == "message" else value[ref]
-                    acc = module.group.add(acc, module.act(d, v))
-                if acc != assignment[m]:
-                    return False
-    return True
+    used = {c for row in code.edge_coeffs.values() for c in row}
+    used |= {d for row in code.decodings.values() for d in row}
+    act = {c: np.array([module.act(c, g) for g in range(size)])
+           for c in used}
+    add = np.array([[group.add(a, b) for b in range(size)]
+                    for a in range(size)])
+    count = size ** len(msgs)
+    states = np.arange(count)
+    assignment = {m: states // size ** (len(msgs) - 1 - i) % size
+                  for i, m in enumerate(msgs)}
+    value = {}
+
+    def combine(coeffs, inputs):
+        acc = np.zeros(count, dtype=np.int64)
+        for c, (kind, ref) in zip(coeffs, inputs):
+            v = assignment[ref] if kind == "message" else value[ref]
+            acc = add[acc, act[c][v]]
+        return acc
+
+    for e in net.topo_edges():
+        value[e] = combine(code.edge_coeffs[e], net.inputs(e.tail))
+    return all(np.array_equal(combine(code.decodings[(r, m)],
+                                      net.inputs(r)), assignment[m])
+               for r in net.receivers for m in net.demands[r])
 
 
 def distribution_entropy(counts, base):

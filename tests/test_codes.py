@@ -59,6 +59,7 @@ def test_verification_catches_corruption():
     v1, v2 = verify_solution(net, bad), semantic_verify(net, bad)
     assert not v1.solved and not v2.solved
     assert v1.failure is not None and v2.failure is not None
+    assert not bruteforce.check_code(net, bad)
 
 
 def test_verify_matches_semantic_on_random_codes(gf2, gf3):

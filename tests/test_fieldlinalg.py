@@ -1,4 +1,6 @@
-"""Transform-free span sums against the transform-tracking rref."""
+"""Transform-free span sums against the transform-tracking rref, and the
+subspace enumeration the rank search walks."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,3 +32,25 @@ def test_span_sums_match_rref(case):
         pa, pb = [fl.pack2(r) for r in a], [fl.pack2(r) for r in b]
         assert fl.space_sum2(fl.rref2(pa), pb) == \
             tuple(fl.pack2(r) for r in want)
+
+
+@pytest.mark.parametrize("q", sorted(OPS))
+def test_echelon_forms_give_every_subspace_of_one_dimension_once(q):
+    ops = OPS[q]
+    for d in range(5):
+        for r in range(d + 1):
+            forms = list(fl.echelon_forms(q, d, r))
+            assert len(set(forms)) == len(forms) == \
+                fl.gaussian_binomial(d, r, q)
+            assert all(len(f) == r and fl.canon_space(ops, f) == f
+                       for f in forms)
+
+
+@pytest.mark.parametrize("q", sorted(OPS))
+def test_primitive_element_generates_the_nonzero_elements(q):
+    ops = OPS[q]
+    a, x, seen = fl.primitive_element(ops), 1, set()
+    for _ in range(q - 1):
+        x = ops.mul[x][a]
+        seen.add(x)
+    assert seen == set(range(1, q))

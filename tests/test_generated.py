@@ -13,15 +13,22 @@ most of its space would still find a code.  The explicit examples of the
 reduction test have few solutions: a decoy receiver behind a relay demands
 one of the two messages the relay's edge carries, which forces that edge's
 coefficient on the other message to 0.
+
+The rank search keeps one candidate per message-symmetry orbit, which is
+trivial over GF(2) with one message per edge.  The last test draws
+networks whose first source owns two messages and checks the rank search
+against exhaustive enumeration over GF(4), GF(5) and M_2(GF(2)), with
+slots capped so that the enumeration fits one block.
 """
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from netring.networks import Network, validate_network
-from netring.rings import (IntegersMod, PrimeField, Product, UpperTriangular,
-                           construct_ring, describe)
-from netring.solver import SearchOptions, smallest_ring_search, solve_scalar
+from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
+                           Product, UpperTriangular, construct_ring, describe)
+from netring.solver import (CHUNK, SearchOptions, smallest_ring_search,
+                            solve_scalar)
 
 MAX_SLOTS = 6      # 3**6 or 4**6 coefficient assignments for the oracle
 RINGS = [construct_ring(PrimeField(2)), construct_ring(PrimeField(3))]
@@ -31,6 +38,11 @@ REDUCIBLE = [construct_ring(IntegersMod(4)),
              construct_ring(Product((PrimeField(2), PrimeField(2)))),
              construct_ring(UpperTriangular(PrimeField(2), 2))]
 ORACLE_WORK = 4 ** 8   # codes times message assignments, per ring
+# rings whose rank search prunes by message symmetry, each with the most
+# coefficient slots that one exhaustive enumeration block holds
+SYMMETRIC = [(construct_ring(GaloisField(2, 2)), 6),
+             (construct_ring(PrimeField(5)), 5),
+             (construct_ring(MatrixRing(PrimeField(2), 2)), 3)]
 
 
 def _slots(net):
@@ -38,7 +50,8 @@ def _slots(net):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, shared_source=False):
+    """With shared_source, the first source always owns two messages."""
     n_src = draw(st.integers(1, 3))
     n_relay = draw(st.integers(0, 2))
     n_recv = draw(st.integers(1, 2))
@@ -46,7 +59,7 @@ def networks(draw):
     relays = [f"u{i}" for i in range(n_relay)]
     receivers = [f"t{i}" for i in range(n_recv)]
     messages = [(f"m{i}", s) for i, s in enumerate(sources)]
-    if draw(st.booleans()):
+    if shared_source or draw(st.booleans()):
         messages.append((f"m{n_src}", sources[0]))
 
     edges = []
@@ -142,6 +155,41 @@ def test_reduction_agrees_with_enumeration_over_rings(net):
         for where, res in runs.items():
             assert res.status == want, (name, where)
             if res.status == "solved":
+                assert bruteforce.check_code(net, res.code), (name, where)
+            else:
+                assert res.code is None, (name, where)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks(shared_source=True).filter(
+    lambda net: net.demands and _slots(net) <= 6))
+@example(_decoy_network("m1", False))
+@example(_decoy_network("m0", False))
+@example(_decoy_network("m1", True))
+@example(_decoy_network("m0", True))
+def test_rank_agrees_with_exhaustive_under_symmetry(net):
+    # an edge out of the first source carries two messages, whose symmetry
+    # has orbits of more than one candidate over each of these rings
+    for ring, most in SYMMETRIC:
+        if _slots(net) > most:
+            continue
+        assert ring.size ** _slots(net) <= CHUNK
+        name = describe(ring.descriptor)
+        runs = {}
+        for strategy in ("rank", "exhaustive"):
+            for normalize in (True, False):
+                runs[strategy, normalize] = solve_scalar(
+                    net, ring, SearchOptions(strategy=strategy,
+                                             normalize_forwarding=normalize))
+        want = runs["exhaustive", False].status
+        skips = sum(res.stats["orbit_skips"] for key, res in runs.items()
+                    if key[0] == "rank")
+        event(f"{name} {want}, orbit skips: {skips > 0}")
+        for where, res in runs.items():
+            assert res.status == want, (name, where)
+            if res.solved:
                 assert bruteforce.check_code(net, res.code), (name, where)
             else:
                 assert res.code is None, (name, where)

@@ -8,8 +8,8 @@ from conftest import (chain2_network, chain_network, pair_network,
                       starve_network, wire2_network)
 from netring import codes, networks, rings, solver
 from netring.networks import choose_two_network, m_network, trivial_network
-from netring.rings import (GaloisField, IntegersMod, PrimeField, Product,
-                           TableRing, construct_ring, describe)
+from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
+                           Product, TableRing, construct_ring, describe)
 from netring.solver import (SearchOptions, nonunital_demo, smallest_ring_search,
                             solve_scalar, solve_vector, structured_catalog)
 
@@ -119,8 +119,8 @@ def test_invalid_options_are_rejected(gf2, bad):
 
 
 def test_sweep_refuses_shards():
-    # shard 3 of 4 holds only the zero space for the first parallel edge,
-    # which would read as "GF(2) is unsolvable"
+    # shard 3 of 4 holds no candidate for the first parallel edge, which
+    # would read as "GF(2) is unsolvable"
     with pytest.raises(ValueError):
         smallest_ring_search(pair_network(), max_size=4,
                              options=SearchOptions(shards=4, shard_index=3))
@@ -141,6 +141,29 @@ def test_shards_cover_the_space(gf2, z4):
         res = solve_scalar(wire2_network(), z4,
                            SearchOptions(shards=2, shard_index=i))
         assert res.status == "exhausted-unsolvable"
+
+
+@pytest.mark.parametrize("desc", [GaloisField(2, 2), PrimeField(5),
+                                  MatrixRing(PrimeField(2), 2)], ids=describe)
+def test_rank_shards_share_out_the_orbit_leaders(desc):
+    # the M-network's first searched edge keeps one candidate per
+    # message-symmetry orbit; cut into shards, that edge's leaders are
+    # shared out, none searched twice and none lost
+    net, ring = m_network(), construct_ring(desc)
+    whole = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+    parts = [solve_scalar(net, ring, SearchOptions(strategy="rank", shards=3,
+                                                   shard_index=i))
+             for i in range(3)]
+    union = ("solved" if any(res.solved for res in parts)
+             else "exhausted-unsolvable")
+    assert union == whole.status
+    for res in parts:
+        if res.solved:
+            assert codes.verify_solution(net, res.code).solved
+    if not whole.solved:
+        assert whole.stats["orbit_skips"] > 0
+        for key in ("nodes", "orbit_skips"):
+            assert sum(res.stats[key] for res in parts) == whole.stats[key]
 
 
 @pytest.mark.parametrize("n, method", [
