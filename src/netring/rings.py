@@ -32,9 +32,10 @@ is multiplied by c on the left.  Rings with a table ring among their leaves
 have no digit rule.
 
 Structural queries cover axiom verification, ideal lattices, the radical,
-quotients, homomorphism and isomorphism search, the catalogue of semisimple
-rings of prime-power order, and decomposition into prime-power blocks via
-central idempotents.  One lattice routine, `_lattice`, serves left and
+quotients, homomorphism and isomorphism search, the simple rings of each
+size (`simple_rings`, with `simple_ring` naming M_r(GF(q))), the catalogue
+of semisimple rings of prime-power order, and decomposition into
+prime-power blocks via central idempotents.  One lattice routine, `_lattice`, serves left and
 two-sided ideals and the submodules of `modules`: it takes an additive
 table and action tables (the multiplication table, its transpose, or a
 module's action table), closes each element a whole frontier at a time,
@@ -1375,13 +1376,7 @@ def _matrix_profiles(k: int):
 
 
 def _profile_descriptor(p: int, profile) -> RingDescriptor:
-    def gf(a):
-        return PrimeField(p) if a == 1 else GaloisField(p, a)
-
-    def block(r, a):
-        return gf(a) if r == 1 else MatrixRing(gf(a), r)
-
-    blocks = [block(r, a) for (r, a) in profile]
+    blocks = [simple_ring(r, p ** a) for (r, a) in profile]
     return blocks[0] if len(blocks) == 1 else Product(tuple(blocks))
 
 
@@ -1446,22 +1441,36 @@ def _prime_power(n: int):
     return p, k
 
 
+def simple_rings(n: int) -> list[tuple[int, int]]:
+    """(r, q) for each simple ring with n elements, M_r(GF(q)) with
+    q^(r*r) = n: GF(n) first, then r ascending.
+
+    By Wedderburn's theorems every finite simple ring is one of these, so
+    n names none unless it is a prime power p^k, and then one per square
+    r*r dividing k."""
+    pp = _prime_power(n)
+    if pp is None:
+        return []
+    p, k = pp
+    return [(r, p ** (k // (r * r))) for r in range(1, math.isqrt(k) + 1)
+            if k % (r * r) == 0]
+
+
+def simple_ring(r: int, q: int) -> RingDescriptor:
+    """The descriptor of M_r(GF(q)): the field itself when r is 1."""
+    p, a = _prime_power(q)
+    field = PrimeField(p) if a == 1 else GaloisField(p, a)
+    return field if r == 1 else MatrixRing(field, r)
+
+
 def simple_block(ring: Ring) -> tuple[int, int]:
     """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring.
 
-    A simple ring of order p^k is one matrix block, so only the one-block
-    profiles M_r(GF(p^a)) with r*r*a = k are matched, in catalogue order;
-    the radical and prime-power splits semisimple_decompose needs do not
-    arise."""
-    pp = _prime_power(ring.size)
-    if pp is not None:
-        p, k = pp
-        for profile in _matrix_profiles(k):
-            if len(profile) == 1:
-                cand = construct_ring(_profile_descriptor(p, profile))
-                if find_isomorphism(ring, cand) is not None:
-                    [(r, a)] = profile
-                    return r, p ** a
+    Only the simple rings of the same size are matched; the radical and
+    prime-power splits semisimple_decompose needs do not arise."""
+    for r, q in simple_rings(ring.size):
+        if find_isomorphism(ring, construct_ring(simple_ring(r, q))) is not None:
+            return r, q
     raise ValueError(f"{describe(ring.descriptor)} is not a simple ring")
 
 

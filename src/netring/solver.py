@@ -10,6 +10,13 @@ settles the ring, one that ran out of budget leaves it "budget-exceeded";
 only when all are solvable is the ring itself enumerated.  stats["method"]
 names the route.
 
+The same fact settles the smallest-ring question without looking at any
+ring but the simple ones: every finite ring with identity R has a simple
+quotient M_r(GF(q)) with at most |R| elements, equal only when R is
+simple.  So the default sweep walks the simple rings by size, each one
+rank search, and needs no catalogue, ideals or isomorphisms; an explicit
+catalogue goes through the same loop, ring by ring.
+
 * the rank engine covers fields and matrix rings over fields.  A code's
   edge carries a subspace (of dimension at most k) of the row space
   spanned by its tail's inputs, so the search walks subspace assignments
@@ -70,6 +77,8 @@ from .rings import Ring, RingDescriptor, construct_ring
 
 DEFAULT_NODE_BUDGET = 20_000_000
 CHUNK = 1 << 12
+LOCAL_BUDGET = 1 << 12     # joint coefficient space of one receiver's free edges
+DECODE_BUDGET = 1 << 15    # decode tuples per demand
 
 
 def _env_budget() -> int:
@@ -88,8 +97,6 @@ class SearchOptions:
     strategy: str = "auto"              # one of STRATEGIES
     node_budget: int = _field(default_factory=_env_budget)
     time_budget: Optional[float] = None  # seconds, None = unlimited
-    local_budget: int = 1 << 12         # joint coefficient space of one receiver's free edges
-    decode_budget: int = 1 << 15        # decode tuples per demand
     shards: int = 1
     shard_index: int = 0
 
@@ -615,7 +622,7 @@ def _table_slots(net: Network, size: int, opts: SearchOptions):
     """The exhaustive plan and its searched (edge, input) coefficient slots."""
     def joint_cap(edges):
         slots = sum(len(net.inputs(e.tail)) for e in edges)
-        return size ** slots <= opts.local_budget
+        return size ** slots <= LOCAL_BUDGET
 
     plan = _Plan(net, opts, joint_cap=joint_cap)
     return plan, [(e, j) for e in plan.outer
@@ -640,11 +647,11 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
     mpos = {name: i for i, name in enumerate(msgs)}
     plan, slots = planned or _table_slots(net, size, opts)
     for r in net.receivers:
-        if size ** len(net.inputs(r)) > opts.decode_budget:
+        if size ** len(net.inputs(r)) > DECODE_BUDGET:
             return SolveResult("budget-exceeded", None, {
                 "strategy": "exhaustive", "reason":
                     f"receiver {r} has {len(net.inputs(r))} inputs; decode "
-                    f"enumeration exceeds decode_budget"})
+                    f"enumeration exceeds DECODE_BUDGET ({DECODE_BUDGET})"})
 
     slot_pos = {key: i for i, key in enumerate(slots)}
     nslots = len(slots)
@@ -831,14 +838,8 @@ def _table_witness(net, ring, plan, slots, weights, winner, unit_rows, opts):
 # ---------------------------------------------------------------------------
 # front ends
 
-def _canonical_simple(r: int, q: int) -> RingDescriptor:
-    p, a = _rings._prime_power(q)
-    inner = _rings.PrimeField(p) if a == 1 else _rings.GaloisField(p, a)
-    return inner if r == 1 else _rings.MatrixRing(inner, r)
-
-
 def _block_name(r: int, q: int) -> str:
-    return _rings.describe(_canonical_simple(r, q))
+    return _rings.describe(_rings.simple_ring(r, q))
 
 
 def _decide(net: Network, ring: Ring, opts: SearchOptions,
@@ -851,14 +852,14 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
     def block(r, q):
         if (r, q) not in blocks:
             blocks[(r, q)] = _solve_rank(
-                net, construct_ring(_canonical_simple(r, q)), opts)
+                net, construct_ring(_rings.simple_ring(r, q)), opts)
         return blocks[(r, q)]
 
     parts = _rank_parts(ring)
     if parts is not None:
         r, q = parts[1], parts[0].size
         res = _solve_rank(net, ring, opts)
-        if ring.descriptor == _canonical_simple(r, q):
+        if ring.descriptor == _rings.simple_ring(r, q):
             blocks.setdefault((r, q), res)
         method = f"direct search as {_block_name(r, q)}"
     else:
@@ -1005,15 +1006,19 @@ def _catalog_key(desc: RingDescriptor):
         return (size, 3, _catalog_key(desc.inner))
     if isinstance(desc, _rings.Product):
         return (size, 4, tuple(_catalog_key(f) for f in desc.factors))
+    if isinstance(desc, _rings.TableRing):
+        return (size, 5, (desc.add, desc.mul))
     raise TypeError(f"unsortable descriptor {desc!r}")
 
 
 def structured_catalog(max_size: int = 16) -> list[RingDescriptor]:
     """Unital rings from the structured families, up to max_size elements:
     residue rings at prime-power moduli, Galois fields, upper-triangular
-    and full matrix rings over prime fields, and products of those.  The
-    sweep below is complete for this catalogue, not for every finite
-    unital ring of these sizes."""
+    and full matrix rings over prime fields, and products of those, in
+    the order a sweep walks them.  Not every finite unital ring of these
+    sizes is here; an explicit sweep over this list answers for its rings
+    only.  The default sweep does not need it: it walks the simple rings,
+    which settle every ring (see smallest_ring_search)."""
     atoms: list[RingDescriptor] = []
     for n in range(2, max_size + 1):
         pp = _rings._prime_power(n)
@@ -1071,19 +1076,29 @@ def smallest_ring_search(net: Network, max_size: int = 16,
                          catalog: Optional[list[RingDescriptor]] = None,
                          options: Optional[SearchOptions] = None
                          ) -> SmallestRingReport:
-    """Scan the catalogue by ascending size for scalar solvability.
+    """The least size of a ring over which the network is scalar-solvable,
+    every solvable ring of that size, and a verdict per examined ring.
 
-    Each ring is decided by _decide, which always reduces by ring structure
-    here, with one memo of canonical simple-ring searches for the whole
-    sweep.  Returns every solvable ring of the least solvable size, plus a
-    verdict per examined ring."""
+    With no catalogue the sweep walks the simple rings M_r(GF(q)) up to
+    max_size elements, by ascending size and built one at a time, each
+    decided by one rank search.  That answers for every finite ring with
+    identity: R has a simple quotient with at most |R| elements, equal only
+    when R is simple, and a solution over R pushes down to it.  An explicit
+    catalogue is walked in the same order by the same loop, whatever
+    max_size says, and answers for the listed rings only.  Each ring goes through
+    _decide, with one memo of canonical simple-ring searches per sweep."""
     t0 = time.perf_counter()
     opts = _validated(net, options)
     if opts.shards > 1:
         # one shard's "exhausted-unsolvable" says nothing about the ring
         raise ValueError("a smallest-ring sweep cannot be sharded")
-    descs = sorted(catalog if catalog is not None
-                   else structured_catalog(max_size), key=_catalog_key)
+    if max_size < 2:
+        raise ValueError(f"max size must be at least 2, got {max_size}")
+    if catalog is not None and not catalog:
+        raise ValueError("the ring catalogue is empty")
+    descs = (sorted(catalog, key=_catalog_key) if catalog is not None
+             else (_rings.simple_ring(r, q) for n in range(2, max_size + 1)
+                   for r, q in _rings.simple_rings(n)))
     blocks: dict[tuple[int, int], SolveResult] = {}
     verdicts: list[RingVerdict] = []
     winners: list[RingVerdict] = []
@@ -1100,10 +1115,17 @@ def smallest_ring_search(net: Network, max_size: int = 16,
             minimal = size
             winners.append(verdict)
 
-    coverage = ("catalogue: residue rings at prime powers, Galois fields, "
-                "upper-triangular and full matrix rings over prime fields, "
-                f"and products of those, up to {max_size} elements; the "
-                "sweep is complete for these families only")
+    if catalog is not None:
+        coverage = f"complete for the {len(catalog)} listed rings only"
+    else:
+        coverage = (f"complete for every finite ring with identity up to "
+                    f"{max_size} elements: each has a simple quotient "
+                    "M_r(GF(q)) no larger than itself, a solution pushes "
+                    "down to it, and the simple rings were swept by size")
+    stopped = [v.name for v in verdicts if v.status == "budget-exceeded"]
+    if stopped:
+        coverage += ("; the budget stopped the search over "
+                     + ", ".join(stopped) + ", so their sizes are not settled")
     return SmallestRingReport(minimal, winners, verdicts, coverage,
                               time.perf_counter() - t0)
 

@@ -187,9 +187,10 @@ def test_c06_smallest_ring_sweep():
     assert [v.name for v in report.winners] == ["M_2(GF(2))"]
     assert all(v.status == "exhausted-unsolvable"
                for v in report.verdicts if v.size < 16)
-    assert "complete for these families only" in report.coverage
-    _report(6, "structured sweep up to 16 elements finds M_2(GF(2)) alone, "
-               "and says so with the catalogue caveat")
+    assert ("complete for every finite ring with identity up to 16 elements"
+            in report.coverage)
+    _report(6, "simple-ring sweep up to 16 elements finds M_2(GF(2)) alone, "
+               "complete over every finite ring with identity")
 
 
 # ---------------------------------------------------------------------------

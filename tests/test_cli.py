@@ -78,6 +78,29 @@ def test_bad_search_options_are_65(files, flags, capsys):
     assert err.count("\n") == 4 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [("--max-size", "0"), ("--max-size", "-5"),
+                                   ("--max-size", "1"), ("--catalog", "[]")])
+def test_degenerate_sweeps_are_65(files, flags, capsys):
+    # an empty sweep must not read as "exhausted-unsolvable"
+    if flags[0] == "--catalog":
+        empty = files["dir"] / "empty.json"
+        empty.write_text(flags[1])
+        flags = ("--catalog", str(empty))
+    assert run("solve", "smallest", str(files["c3"]), *flags) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_to_a_large_size_stops_at_the_first_winner(files, tmp_path):
+    # nothing is built up front, so the bound costs nothing once a ring solves
+    out = tmp_path / "s.json"
+    t0 = time.perf_counter()
+    assert run("solve", "smallest", str(files["c3"]), "--max-size", "100000",
+               "-o", str(out)) == OK
+    assert time.perf_counter() - t0 < 5.0
+    assert json.loads(out.read_text())["minimal_size"] == 2
+
+
 def test_net_gen_and_validate(files, capsys):
     assert run("net", "validate", str(files["m"])) == OK
     out = json.loads(capsys.readouterr().out)

@@ -15,20 +15,25 @@ one of the two messages the relay's edge carries, which forces that edge's
 coefficient on the other message to 0.
 
 The rank search keeps one candidate per message-symmetry orbit, which is
-trivial over GF(2) with one message per edge.  The last test draws
-networks whose first source owns two messages and checks the rank search
-against exhaustive enumeration over GF(4), GF(5) and M_2(GF(2)), with
-slots capped so that the enumeration fits one block.
+trivial over GF(2) with one message per edge.  A test draws networks whose
+first source owns two messages and checks the rank search against
+exhaustive enumeration over GF(4), GF(5) and M_2(GF(2)), with slots capped
+so that the enumeration fits one block.
+
+The default smallest-ring sweep looks only at simple rings; the last test
+checks it against a sweep of the whole structured catalogue, which
+decides every other ring by its quotients.
 """
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from netring.networks import Network, validate_network
+from netring.networks import (Network, choose_two_network, dim_n_network,
+                              m_network, validate_network)
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
                            Product, UpperTriangular, construct_ring, describe)
 from netring.solver import (CHUNK, SearchOptions, smallest_ring_search,
-                            solve_scalar)
+                            solve_scalar, structured_catalog)
 
 MAX_SLOTS = 6      # 3**6 or 4**6 coefficient assignments for the oracle
 RINGS = [construct_ring(PrimeField(2)), construct_ring(PrimeField(3))]
@@ -193,3 +198,22 @@ def test_rank_agrees_with_exhaustive_under_symmetry(net):
                 assert bruteforce.check_code(net, res.code), (name, where)
             else:
                 assert res.code is None, (name, where)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands))
+@example(m_network())
+@example(choose_two_network(3))
+@example(choose_two_network(4))
+@example(choose_two_network(5))
+@example(choose_two_network(6))
+@example(dim_n_network(2))
+def test_simple_ring_sweep_agrees_with_the_catalogue(net):
+    simple = smallest_ring_search(net, 16)
+    listed = smallest_ring_search(net, catalog=structured_catalog(16))
+    event(f"minimal size {simple.minimal_size}")
+    assert simple.minimal_size == listed.minimal_size
+    assert ([v.descriptor for v in simple.winners]
+            == [v.descriptor for v in listed.winners])

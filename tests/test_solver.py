@@ -292,7 +292,8 @@ def test_smallest_ring_search_small_net():
     assert report.minimal_size == 2
     assert [v.name for v in report.winners] == ["GF(2)"]
     assert len(report.verdicts) == 1  # search stops past the first size
-    assert "complete for these families only" in report.coverage
+    assert ("complete for every finite ring with identity up to 4 elements"
+            in report.coverage)
 
 
 def test_smallest_ring_search_unsolvable_everywhere():
@@ -301,6 +302,78 @@ def test_smallest_ring_search_unsolvable_everywhere():
     assert report.winners == []
     assert all(v.status == "exhausted-unsolvable" for v in report.verdicts)
     assert {v.size for v in report.verdicts} == {2, 3, 4}
+
+
+def test_m_network_sweep_searches_each_simple_ring_once():
+    report = smallest_ring_search(m_network(), 16)
+    assert report.minimal_size == 16
+    assert [v.name for v in report.winners] == ["M_2(GF(2))"]
+    want = [describe(rings.simple_ring(r, q)) for n in range(2, 17)
+            for r, q in rings.simple_rings(n)]
+    assert [v.name for v in report.verdicts] == want
+    assert all(v.method == f"direct search as {v.name}"
+               for v in report.verdicts)
+    assert report.coverage.startswith(
+        "complete for every finite ring with identity up to 16 elements")
+
+
+def test_default_sweep_needs_no_ideals_or_isomorphisms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default sweep left the simple rings")
+    for name in ("two_sided_ideals", "quotient", "find_isomorphism"):
+        monkeypatch.setattr(rings, name, refuse)
+    report = smallest_ring_search(m_network(), 16)
+    assert [v.name for v in report.winners] == ["M_2(GF(2))"]
+
+
+def test_explicit_catalogue_coverage_names_the_listed_rings_only():
+    cat = [IntegersMod(4), PrimeField(3), PrimeField(2)]
+    report = smallest_ring_search(wire2_network(), max_size=100, catalog=cat)
+    assert [v.name for v in report.verdicts] == ["GF(2)", "GF(3)", "Z_4"]
+    assert report.coverage == "complete for the 3 listed rings only"
+    assert report.verdicts[2].method == "quotient onto GF(2) is unsolvable"
+
+
+def test_sweep_coverage_names_the_rings_the_budget_stopped():
+    report = smallest_ring_search(m_network(), 16,
+                                  options=SearchOptions(node_budget=50))
+    stopped = [v.name for v in report.verdicts
+               if v.status == "budget-exceeded"]
+    assert stopped and ", ".join(stopped) in report.coverage
+    assert "not settled" in report.coverage
+
+
+def test_explicit_catalogue_may_list_table_rings():
+    copy = _table_copy(PrimeField(2)).descriptor
+    report = smallest_ring_search(choose_two_network(3),
+                                  catalog=[copy, PrimeField(2)])
+    assert [v.name for v in report.winners] == ["GF(2)",
+                                                "table ring of size 2"]
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_size=1), dict(max_size=0),
+                                    dict(max_size=-5), dict(catalog=[])])
+def test_sweep_refuses_degenerate_requests(kwargs):
+    # an empty sweep would read as "no ring solves it"
+    with pytest.raises(ValueError):
+        smallest_ring_search(choose_two_network(3), **kwargs)
+
+
+def test_simple_ring_inventory():
+    for most, count in ((16, 11), (32, 19), (4096, 611)):
+        found = [(n, r, q) for n in range(2, most + 1)
+                 for r, q in rings.simple_rings(n)]
+        assert len(found) == count
+        assert [n for n, _, _ in found] == sorted(n for n, _, _ in found)
+        for n, r, q in found:
+            desc = rings.simple_ring(r, q)
+            assert rings.descriptor_size(desc) == n == q ** (r * r)
+            assert solver._rank_parts(construct_ring(desc)) is not None
+    # the field first at each size, then larger matrix blocks
+    assert rings.simple_rings(16) == [(1, 16), (2, 2)]
+    assert rings.simple_rings(2 ** 36) == [(1, 2 ** 36), (2, 2 ** 9),
+                                          (3, 2 ** 4), (6, 2)]
+    assert rings.simple_rings(12) == rings.simple_rings(1) == []
 
 
 def test_structured_catalog_inventory():
