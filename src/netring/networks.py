@@ -45,6 +45,10 @@ class Network:
             self._out[v].sort(key=lambda e: (e.head, e.ordinal))
         self._owned = {v: [m for (m, owner) in self.messages if owner == v]
                        for v in self.nodes}
+        # a network is never changed after construction, so the orders and
+        # inputs are computed once; a cycle is not cached and raises again
+        self._inputs = {}
+        self._topo_nodes = self._topo_edges = None
 
     def __repr__(self):
         return (f"Network({len(self.nodes)} nodes, {len(self.edges)} edges, "
@@ -69,11 +73,16 @@ class Network:
 
     def inputs(self, node: str):
         """The node's inputs: ("edge", Edge) then ("message", name) entries."""
-        out = [("edge", e) for e in self._in[node]]
-        out += [("message", m) for m in self._owned[node]]
-        return tuple(out)
+        out = self._inputs.get(node)
+        if out is None:
+            out = self._inputs[node] = (
+                tuple(("edge", e) for e in self._in[node])
+                + tuple(("message", m) for m in self._owned[node]))
+        return out
 
     def topo_nodes(self):
+        if self._topo_nodes is not None:
+            return self._topo_nodes
         indeg = {v: len(self._in[v]) for v in self.nodes}
         ready = sorted(v for v in self.nodes if indeg[v] == 0)
         order = []
@@ -91,12 +100,16 @@ class Network:
                 ready = sorted(set(ready) | bump)
         if len(order) != len(self.nodes):
             raise ValueError("network contains a cycle")
-        return tuple(order)
+        self._topo_nodes = tuple(order)
+        return self._topo_nodes
 
     def topo_edges(self):
-        rank = {v: i for i, v in enumerate(self.topo_nodes())}
-        return tuple(sorted(self.edges,
-                            key=lambda e: (rank[e.tail], e.tail, e.ordinal, e.head)))
+        if self._topo_edges is None:
+            rank = {v: i for i, v in enumerate(self.topo_nodes())}
+            self._topo_edges = tuple(sorted(
+                self.edges,
+                key=lambda e: (rank[e.tail], e.tail, e.ordinal, e.head)))
+        return self._topo_edges
 
 
 def validate_network(net: Network) -> list[str]:

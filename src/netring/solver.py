@@ -46,7 +46,12 @@ catalogue goes through the same loop, ring by ring.
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
-  numpy table gathers.
+  numpy table gathers.  A receiver then decides each distinct input once
+  per block: the t input rows of every (assignment, local choice) pack
+  into one exact integer key, np.unique leaves the distinct tuples, all
+  |R|^t decode combinations of each are built at once, and the verdicts
+  scatter back to the rows.  stats["receiver_checks"] counts the distinct
+  tuples decided, stats["memo_hits"] the rows that reused a verdict.
 
 The exhaustive engine reports "exhausted-unsolvable" only after a
 complete enumeration, the rank engine only after a walk that is complete
@@ -62,6 +67,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as _field
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -629,6 +635,83 @@ def _table_slots(net: Network, size: int, opts: SearchOptions):
                   for j in range(len(net.inputs(e.tail)))]
 
 
+@lru_cache(maxsize=None)
+def _key_layout(size: int, t: int, m: int):
+    """How t rows of m base-size digits pack into exact int64 key words.
+
+    Each word holds as many digits as stay below 2^63, so a key is one word
+    whenever size^(t*m) does (always for m <= 4 under DECODE_BUDGET) and is
+    split, never hashed, past that.  Returns row i's (m, words) placement
+    matrix for every i, then each digit's word and place value."""
+    n = t * m
+    per = 1
+    while per < n and size ** (per + 1) < 1 << 63:
+        per += 1
+    pos = np.arange(n)
+    word = pos // per
+    digit_place = np.array([size ** (per - 1 - p % per) for p in range(n)],
+                           dtype=np.int64)
+    place = np.zeros((n, -(-n // per)), dtype=np.int64)
+    place[pos, word] = digit_place
+    layout = (place.reshape(t, m, -1), word, digit_place)
+    for arr in layout:      # cached, so shared by every caller
+        arr.setflags(write=False)
+    return layout
+
+
+def _distinct_inputs(arr_list, shape, size: int, m: int):
+    """The distinct input tuples among a receiver's rows, as a (u, t, m)
+    array, and for each (assignment, local choice) of shape, flattened,
+    the index of its tuple.
+
+    Each input i adds its rows times its placement matrix to the key, so a
+    message row broadcast over the whole shape costs one product."""
+    place, word, digit_place = _key_layout(size, len(arr_list), m)
+    key = np.zeros(shape + (place.shape[-1],), dtype=np.int64)
+    for arr, p in zip(arr_list, place):
+        key += arr @ p
+    key = key.reshape(-1, place.shape[-1])
+    if key.shape[1] == 1:
+        uniq, inv = np.unique(key[:, 0], return_inverse=True)
+        uniq = uniq[:, None]
+    else:
+        uniq, inv = np.unique(key, axis=0, return_inverse=True)
+    tuples = ((uniq[:, word] // digit_place) % size).astype(np.int32)
+    return tuples.reshape(len(uniq), len(arr_list), m), inv.reshape(-1)
+
+
+def _decodable(tuples, mulT, addT, one: int, targets) -> np.ndarray:
+    """Whether each input tuple (rows X_1..X_t of a (u, t, m) array) lets
+    its receiver decode every target message: some d in R^t with
+    d_1 X_1 + ... + d_t X_t the target's unit row.
+
+    All |R|^t combinations of a tuple are built at once, blocks of tuples
+    keeping them within _rings._TABLE_BLOCK entries.  A combination is the
+    unit row e_j iff entry j is the identity and its entries sum to the
+    identity, since zero is index 0 and no index is negative."""
+    u, t, m = tuples.shape
+    size = len(mulT)
+    digits = np.arange(size)[:, None]
+    ok = np.empty(u, dtype=bool)
+    step = max(1, _rings._TABLE_BLOCK // (size ** t * m))
+    for b in range(0, u, step):
+        blk = tuples[b:b + step]
+        acc = mulT[digits, blk[:, 0, None, :]]
+        for i in range(1, t):
+            term = mulT[digits, blk[:, i, None, :]]
+            acc = addT[acc[:, :, None, :], term[:, None, :, :]
+                       ].reshape(len(blk), -1, m)
+        weight = acc[..., 0].copy()
+        for j in range(1, m):
+            weight += acc[..., j]
+        unit = weight == one
+        hit = np.ones(len(blk), dtype=bool)
+        for j in targets:
+            hit &= (unit & (acc[..., j] == one)).any(axis=1)
+        ok[b:b + step] = hit
+    return ok
+
+
 def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
                  planned=None) -> SolveResult:
     """Enumerate the coefficient space; planned is _table_slots' result when
@@ -665,11 +748,12 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
                  for name in msgs}
 
     stats = {"strategy": "exhaustive", "ring_size": size,
-             "slots": nslots, "space": total, "assignments": 0}
+             "slots": nslots, "space": total, "assignments": 0,
+             "receiver_checks": 0, "memo_hits": 0}
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
 
     topo = net.topo_edges()
-    receivers = list(net.receivers)
+    receivers = [r for r in net.receivers if net.demands[r]]
 
     c0 = lo
     while c0 < hi:
@@ -731,28 +815,14 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
             arr_list = [local_rows[inp[1]] if inp[1] in local_rows
                         else take(input_rows(inp))[:, None, :]
                         for inp in net.inputs(r)]
-            t = len(arr_list)
-            dcount = size ** t
-            feas = None
-            for name in net.demands[r]:
-                target = unit_rows[name][None, None, :]
-                found = np.zeros((alive.size, lcount), dtype=bool)
-                for d in range(dcount):
-                    # big-endian digits of d over the receiver inputs
-                    acc = None
-                    for i, arr in enumerate(arr_list):
-                        digit = (d // size ** (t - 1 - i)) % size
-                        term = mulT[digit, arr]
-                        acc = term if acc is None else addT[acc, term]
-                    found |= np.all(acc == target, axis=-1)
-                    if found.all():
-                        break
-                feas = found if feas is None else (feas & found)
-                if not feas.any():
-                    break
-            keep = feas.any(axis=1) if feas is not None else \
-                np.ones(alive.size, dtype=bool)
-            alive = alive[keep]
+            # each distinct input tuple is decided once per chunk
+            tuples, inv = _distinct_inputs(arr_list, (alive.size, lcount),
+                                           size, m)
+            ok = _decodable(tuples, mulT, addT, ring.one,
+                            [mpos[name] for name in net.demands[r]])
+            stats["receiver_checks"] += len(tuples)
+            stats["memo_hits"] += len(inv) - len(tuples)
+            alive = alive[ok[inv].reshape(alive.size, lcount).any(axis=1)]
 
         if alive.size:
             winner = int(idx[alive[0]])
@@ -1092,6 +1162,11 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     if opts.shards > 1:
         # one shard's "exhausted-unsolvable" says nothing about the ring
         raise ValueError("a smallest-ring sweep cannot be sharded")
+    if opts.strategy != "auto":
+        # _decide picks each ring's route; a strategy would go unread
+        raise ValueError(f"a smallest-ring sweep decides each ring by its "
+                         f"own route; strategy {opts.strategy!r} is not "
+                         "supported")
     if max_size < 2:
         raise ValueError(f"max size must be at least 2, got {max_size}")
     if catalog is not None and not catalog:

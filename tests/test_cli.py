@@ -91,6 +91,16 @@ def test_degenerate_sweeps_are_65(files, flags, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "rank"])
+def test_sweep_strategy_is_65(files, strategy, capsys):
+    # the sweep picks each ring's route itself, so a strategy has no effect
+    assert run("solve", "smallest", str(files["c3"]), "--max-size", "4",
+               "--strategy", strategy) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "strategy" in err
+
+
 def test_sweep_to_a_large_size_stops_at_the_first_winner(files, tmp_path):
     # nothing is built up front, so the bound costs nothing once a ring solves
     out = tmp_path / "s.json"

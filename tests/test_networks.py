@@ -132,3 +132,26 @@ def test_edge_display_names():
     two = Network(["a", "b"], [("a", "b", 0), ("a", "b", 1)],
                   [("m", "a")], {"b": ("m",)})
     assert [str(e) for e in two.edges] == ["a->b", "a->b#1"]
+
+
+def test_orders_and_inputs_are_computed_once():
+    net = m_network()
+    nodes, edges = net.topo_nodes(), net.topo_edges()
+    assert net.topo_nodes() is nodes and net.topo_edges() is edges
+    fresh = Network(net.nodes, net.edges, net.messages, net.demands)
+    assert fresh.topo_nodes() == nodes
+    assert fresh.topo_edges() == edges
+    for v in net.nodes:
+        assert net.inputs(v) is net.inputs(v)
+        assert net.inputs(v) == tuple(
+            [("edge", e) for e in net.in_edges(v)]
+            + [("message", m) for m in net.owned_messages(v)])
+
+
+def test_a_cycle_raises_on_every_call():
+    net = Network(["a", "b"], [("a", "b"), ("b", "a")], [], {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cycle"):
+            net.topo_nodes()
+        with pytest.raises(ValueError, match="cycle"):
+            net.topo_edges()

@@ -1,6 +1,8 @@
 """Complete-search solver against full enumeration, plus search plumbing."""
 import time
+from itertools import product
 
+import numpy as np
 import pytest
 
 import bruteforce
@@ -9,7 +11,8 @@ from conftest import (chain2_network, chain_network, pair_network,
 from netring import codes, networks, rings, solver
 from netring.networks import choose_two_network, m_network, trivial_network
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
-                           Product, TableRing, construct_ring, describe)
+                           Product, TableRing, UpperTriangular, construct_ring,
+                           describe)
 from netring.solver import (SearchOptions, nonunital_demo, smallest_ring_search,
                             solve_scalar, solve_vector, structured_catalog)
 
@@ -124,6 +127,17 @@ def test_sweep_refuses_shards():
     with pytest.raises(ValueError):
         smallest_ring_search(pair_network(), max_size=4,
                              options=SearchOptions(shards=4, shard_index=3))
+
+
+@pytest.mark.parametrize("strategy", ["rank", "exhaustive"])
+def test_sweep_refuses_a_strategy(strategy):
+    # _decide never reads the strategy; accepting it would silently ignore it
+    with pytest.raises(ValueError, match="strategy"):
+        smallest_ring_search(choose_two_network(3), max_size=4,
+                             options=SearchOptions(strategy=strategy))
+    auto = smallest_ring_search(choose_two_network(3), max_size=4,
+                                options=SearchOptions(strategy="auto"))
+    assert auto.minimal_size == 2
 
 
 def test_shards_cover_the_space(gf2, z4):
@@ -420,3 +434,86 @@ def test_result_stats_shape(gf2):
     assert table.solved
     assert table.stats["strategy"] == "exhaustive"
     assert table.code.edge_coeffs[trivial_network().edges[0]] == (1,)
+
+
+def test_exhaustive_decides_each_distinct_input_once(gf3):
+    # choose-two(5) over GF(3): 59,049 assignments in 15 chunks; rows
+    # whose receiver inputs repeat within a chunk reuse the first verdict
+    res = solve_scalar(choose_two_network(5), gf3,
+                       SearchOptions(strategy="exhaustive"))
+    assert res.status == "exhausted-unsolvable"
+    assert res.stats["assignments"] == 59049
+    assert res.stats["receiver_checks"] == 2556
+    assert res.stats["memo_hits"] == 157629
+
+
+def _five_sources(edges, demand):
+    nodes = [f"s{i}" for i in range(1, 6)] + sorted(
+        {v for e in edges for v in e} - {f"s{i}" for i in range(1, 6)})
+    return networks.Network(nodes, edges,
+                            [(f"x{i}", f"s{i}") for i in range(1, 6)],
+                            {"t": demand})
+
+
+def test_exhaustive_keys_stay_exact_past_int64():
+    # 3 inputs x 5 messages = 15 digits of 5 bits: a key of 75 bits, past
+    # one int64 word; a wrapped key unpacks to the wrong input rows
+    gf32 = construct_ring(GaloisField(2, 5))
+    opts = SearchOptions(strategy="exhaustive")
+    delivered = _five_sources([("s1", "t"), ("s2", "t"), ("s3", "t")],
+                              ("x1",))
+    res = solve_scalar(delivered, gf32, opts)
+    assert res.solved and codes.verify_solution(delivered, res.code).solved
+    # x3 and x4 reach t only through the relay's one edge
+    shared = _five_sources([("s1", "t"), ("s2", "t"), ("s3", "u"),
+                            ("s4", "u"), ("u", "t")], ("x3", "x4"))
+    res = solve_scalar(shared, gf32, opts)
+    assert res.status == "exhausted-unsolvable"
+    assert res.stats["receiver_checks"] == 32 * 32
+
+
+def test_time_budget_stops_the_exhaustive_search_promptly():
+    # every chunk of the M-network over Z_8 must finish quickly enough
+    # for the deadline, checked between chunks, to be met
+    z8 = construct_ring(IntegersMod(8))
+    t0 = time.perf_counter()
+    res = solve_scalar(m_network(), z8,
+                       SearchOptions(strategy="exhaustive", time_budget=1))
+    assert time.perf_counter() - t0 < 10
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "time budget exhausted"
+
+
+
+def _loop_decodable(ring, rows, targets):
+    """The per-d loop the vectorized receiver check replaced."""
+    m = len(rows[0])
+
+    def combination(d):
+        acc = [0] * m
+        for c, row in zip(d, rows):
+            acc = [ring.add(a, ring.mul(c, v)) for a, v in zip(acc, row)]
+        return acc
+
+    reached = [combination(d)
+               for d in product(range(ring.size), repeat=len(rows))]
+    return all([ring.one if i == j else 0 for i in range(m)] in reached
+               for j in targets)
+
+
+@pytest.mark.parametrize("desc", [IntegersMod(4),
+                                  UpperTriangular(PrimeField(2), 2),
+                                  Product((PrimeField(2), PrimeField(3)))])
+def test_decodable_matches_a_loop_over_decode_tuples(desc):
+    ring = construct_ring(desc)
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, ring.size, size=(400, 2, 3))
+    rows[::4, 0] = [0, ring.one, 0]     # a unit row, so both verdicts occur
+    arr_list = [rows[:, None, i, :] for i in range(2)]
+    tuples, inv = solver._distinct_inputs(arr_list, (400, 1), ring.size, 3)
+    assert (tuples[inv] == rows).all()
+    for targets in ([0], [1], [0, 2]):
+        got = solver._decodable(tuples, ring.mul_table(), ring.add_table(),
+                                ring.one, targets)
+        assert got.tolist() == [_loop_decodable(ring, x, targets)
+                                for x in tuples.tolist()]
