@@ -10,6 +10,7 @@ of the digest.  Exit codes: 0 success/solved, 1 failed/unsolvable,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -480,6 +481,8 @@ def _suite_pipeline():
     p = 2
     nets = [("two-relays", _networks.choose_two_network(2)),
             ("three-relays", _networks.choose_two_network(3))]
+    # the same factor ring recurs across the catalogue entries
+    solved = {}
     for k in (2, 3, 4):
         big = _rings.construct_ring(_rings.GaloisField(p, k))
         for desc in _rings.semisimple_catalog(p, k):
@@ -497,7 +500,10 @@ def _suite_pipeline():
             for net_name, net in nets:
                 per_factor = []
                 for f in factors:
-                    sub = _solver.solve_scalar(net, _rings.construct_ring(f))
+                    if (net_name, f) not in solved:
+                        solved[(net_name, f)] = _solver.solve_scalar(
+                            net, _rings.construct_ring(f))
+                    sub = solved[(net_name, f)]
                     if not sub.solved:
                         per_factor = None
                         break
@@ -562,7 +568,10 @@ def _add_common(p):
     p.add_argument("--manifest", help="write a run manifest here")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser; built once per process, since parsing leaves it
+    unchanged and every main() call would otherwise rebuild it."""
     parser = _Parser(prog="netring",
                      description="finite-ring linear network codes")
     parser.add_argument("--version", action="version", version=__version__)

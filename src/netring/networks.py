@@ -142,6 +142,7 @@ def validate_network(net: Network) -> list[str]:
         issues.append("network contains a cycle")
         acyclic = False
     owners = dict((m, owner) for (m, owner) in net.messages)
+    reach = {}      # owner -> every node it reaches, itself included
     for r, wanted in net.demands.items():
         if r not in node_set:
             issues.append(f"receiver {r} is not a node")
@@ -149,25 +150,27 @@ def validate_network(net: Network) -> list[str]:
         for m in wanted:
             if m not in owners:
                 issues.append(f"receiver {r} demands unknown message {m}")
-            elif acyclic and not _reaches(net, owners[m], r):
-                issues.append(f"no path from {owners[m]} to {r} for message {m}")
+            elif acyclic:
+                owner = owners[m]
+                if owner not in reach:
+                    reach[owner] = _reach_set(net, owner)
+                if r not in reach[owner]:
+                    issues.append(
+                        f"no path from {owner} to {r} for message {m}")
     return issues
 
 
-def _reaches(net: Network, src: str, dst: str) -> bool:
-    if src == dst:
-        return True
+def _reach_set(net: Network, src: str) -> set:
+    """src and every node a directed path leads to from it; an unknown src
+    (reported separately) reaches whatever its dangling edges lead to."""
     seen = {src}
     stack = [src]
     while stack:
-        v = stack.pop()
-        for e in net.out_edges(v):
-            if e.head == dst:
-                return True
+        for e in net._out.get(stack.pop(), ()):
             if e.head not in seen:
                 seen.add(e.head)
                 stack.append(e.head)
-    return False
+    return seen
 
 
 # ---------------------------------------------------------------------------

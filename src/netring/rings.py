@@ -1234,16 +1234,23 @@ def _hom_search(r: Ring, s: Ring, *, injective: bool, surjective_only: bool,
     used[0] = True
     results = []
 
-    gens = [lvl[0] for lvl in levels]
     unital_pair = r.unital and s.unital and r.size > 1 and s.size > 1
+    # phi is additive by construction, so it is a ring hom iff it fixes 1
+    # and phi(g h) = phi(g) phi(h) for every pair of additive generators;
+    # each pair is checked at the first level where g, h and g h are all
+    # placed, since placed values never change further down
+    level_of = np.full(n, -1, dtype=np.int64)
+    for idx, (_, _, _, pairs) in enumerate(levels):
+        for (x, _, _) in pairs:
+            level_of[x] = idx
+    products = [[] for _ in levels]
+    for gi in (lvl[0] for lvl in levels):
+        for gj in (lvl[0] for lvl in levels):
+            gg = int(mul_r[gi, gj])
+            products[max(level_of[gi], level_of[gj], level_of[gg])].append(
+                (gi, gj, gg))
 
     def finalize():
-        if unital_pair and phi[r.one] != s.one:
-            return
-        for gi in gens:
-            for gj in gens:
-                if phi[mul_r[gi, gj]] != mul_s[phi[gi], phi[gj]]:
-                    return
         if surjective_only and len(set(phi.tolist())) != sn:
             return
         results.append(tuple(int(v) for v in phi))
@@ -1279,6 +1286,9 @@ def _hom_search(r: Ring, s: Ring, *, injective: bool, surjective_only: bool,
                 placed.append((x, img))
             if ok and unital_pair and phi[r.one] >= 0 and phi[r.one] != s.one:
                 ok = False
+            if ok:
+                ok = all(phi[gg] == mul_s[phi[gi], phi[gj]]
+                         for (gi, gj, gg) in products[level_idx])
             if ok:
                 assign(level_idx + 1)
             for (x, img) in placed:

@@ -68,7 +68,6 @@ import os
 import time
 from dataclasses import dataclass, field as _field
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -680,6 +679,19 @@ def _distinct_inputs(arr_list, shape, size: int, m: int):
     return tuples.reshape(len(uniq), len(arr_list), m), inv.reshape(-1)
 
 
+def _combinations(tuples, mulT, addT) -> np.ndarray:
+    """Every d_1 X_1 + ... + d_t X_t of each tuple of rows X_1..X_t of a
+    (u, t, m) array, as a (u, |R|^t, m) array with d big-endian, that is
+    in lexicographic order."""
+    u, t, m = tuples.shape
+    digits = np.arange(len(mulT))[:, None]
+    acc = mulT[digits, tuples[:, 0, None, :]]
+    for i in range(1, t):
+        term = mulT[digits, tuples[:, i, None, :]]
+        acc = addT[acc[:, :, None, :], term[:, None, :, :]].reshape(u, -1, m)
+    return acc
+
+
 def _decodable(tuples, mulT, addT, one: int, targets) -> np.ndarray:
     """Whether each input tuple (rows X_1..X_t of a (u, t, m) array) lets
     its receiver decode every target message: some d in R^t with
@@ -690,26 +702,25 @@ def _decodable(tuples, mulT, addT, one: int, targets) -> np.ndarray:
     unit row e_j iff entry j is the identity and its entries sum to the
     identity, since zero is index 0 and no index is negative."""
     u, t, m = tuples.shape
-    size = len(mulT)
-    digits = np.arange(size)[:, None]
     ok = np.empty(u, dtype=bool)
-    step = max(1, _rings._TABLE_BLOCK // (size ** t * m))
+    step = max(1, _rings._TABLE_BLOCK // (len(mulT) ** t * m))
     for b in range(0, u, step):
-        blk = tuples[b:b + step]
-        acc = mulT[digits, blk[:, 0, None, :]]
-        for i in range(1, t):
-            term = mulT[digits, blk[:, i, None, :]]
-            acc = addT[acc[:, :, None, :], term[:, None, :, :]
-                       ].reshape(len(blk), -1, m)
+        acc = _combinations(tuples[b:b + step], mulT, addT)
         weight = acc[..., 0].copy()
         for j in range(1, m):
             weight += acc[..., j]
         unit = weight == one
-        hit = np.ones(len(blk), dtype=bool)
+        hit = np.ones(len(acc), dtype=bool)
         for j in targets:
             hit &= (unit & (acc[..., j] == one)).any(axis=1)
         ok[b:b + step] = hit
     return ok
+
+
+def _local_slots(net: Network, plan, r: str):
+    """The (edge, input) coefficient slots of a receiver's local edges."""
+    return [(e, j) for e in plan.local_of.get(r, [])
+            for j in range(len(net.inputs(e.tail)))]
 
 
 def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
@@ -790,12 +801,11 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
             rows[e] = acc
 
         alive = np.arange(n)
+        picks = {}
         for r in receivers:
             if alive.size == 0:
                 break
-            locals_here = plan.local_of.get(r, [])
-            lslots = [(e, j) for e in locals_here
-                      for j in range(len(net.inputs(e.tail)))]
+            lslots = _local_slots(net, plan, r)
             lcount = size ** len(lslots)
             lcols = [((np.arange(lcount) // size ** (len(lslots) - 1 - i))
                       % size).astype(np.int32) for i in range(len(lslots))]
@@ -804,7 +814,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
                 return arr if arr.shape[0] == 1 else arr[alive]
 
             local_rows = {}
-            for e in locals_here:
+            for e in plan.local_of.get(r, []):
                 acc = None
                 for j, inp in enumerate(net.inputs(e.tail)):
                     c = lcols[lslots.index((e, j))][None, :, None]
@@ -822,12 +832,25 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
                             [mpos[name] for name in net.demands[r]])
             stats["receiver_checks"] += len(tuples)
             stats["memo_hits"] += len(inv) - len(tuples)
-            alive = alive[ok[inv].reshape(alive.size, lcount).any(axis=1)]
+            # each row's least decodable local choice and the input tuple
+            # it gives, kept for the witness
+            inv = inv.reshape(alive.size, lcount)
+            okmat = ok[inv]
+            first = okmat.argmax(axis=1)
+            keep = okmat[np.arange(alive.size), first]
+            alive = alive[keep]
+            picks[r] = (alive, first[keep],
+                        tuples[inv[keep, first[keep]]])
 
         if alive.size:
-            winner = int(idx[alive[0]])
-            code = _table_witness(net, ring, plan, slots, weights, winner,
-                                  unit_rows, opts)
+            pos = int(alive[0])
+            chosen = {}
+            for r, (rows_r, first, inputs) in picks.items():
+                at = int(np.searchsorted(rows_r, pos))
+                chosen[r] = (int(first[at]), inputs[at])
+            code = _table_witness(net, ring, plan, slots, weights,
+                                  int(idx[pos]), chosen, unit_rows, mulT,
+                                  addT)
             stats["elapsed"] = time.perf_counter() - t0
             report = verify_solution(net, code)
             if not report.solved:
@@ -842,65 +865,39 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
     return SolveResult("exhausted-unsolvable", None, stats)
 
 
-def _table_witness(net, ring, plan, slots, weights, winner, unit_rows, opts):
-    """Rebuild explicit coefficients from a surviving global index."""
+def _table_witness(net, ring, plan, slots, weights, winner, chosen,
+                   unit_rows, mulT, addT):
+    """Rebuild explicit coefficients from a surviving global index.
+
+    chosen maps each receiver with demands to the index of its least local
+    choice that decodes and the (t, m) input tuple that choice gives; each
+    demand takes the least decode tuple, found among all |R|^t of them
+    built at once from the ring tables."""
     size = ring.size
-    m = len(net.message_names)
-    coeff = {key: (winner // w) % size for key, w in zip(slots, weights)}
-
-    rows = {}
-
-    def input_row(inp):
-        if inp[0] == "message":
-            return tuple(unit_rows[inp[1]].tolist())
-        return rows[inp[1]]
-
-    def combine(cs, input_list):
-        acc = tuple(0 for _ in range(m))
-        for c, inp in zip(cs, input_list):
-            row = input_row(inp)
-            acc = tuple(ring.add(a, ring.mul(c, x)) for a, x in zip(acc, row))
-        return acc
-
+    coeff = {key: winner // w % size for key, w in zip(slots, weights)}
     edge_coeffs = {}
     for e in net.topo_edges():
-        if e in plan.local_edges:
-            continue
-        ins = net.inputs(e.tail)
         if e in plan.normalized:
             edge_coeffs[e] = (ring.one,)
-            rows[e] = input_row(plan.normalized[e])
-        else:
-            cs = tuple(coeff[(e, j)] for j in range(len(ins)))
-            edge_coeffs[e] = cs
-            rows[e] = combine(cs, ins)
+        elif e not in plan.local_edges:
+            edge_coeffs[e] = tuple(coeff[(e, j)]
+                                   for j in range(len(net.inputs(e.tail))))
 
     decodings = {}
     for r in net.receivers:
-        locals_here = plan.local_of.get(r, [])
-        lslots = [(e, j) for e in locals_here
-                  for j in range(len(net.inputs(e.tail)))]
-        ins = net.inputs(r)
-        # local and decode coefficients both run in lexicographic order
-        for digits in product(range(size), repeat=len(lslots)):
-            for e in locals_here:
-                base = lslots.index((e, 0))
-                cs = digits[base:base + len(net.inputs(e.tail))]
-                edge_coeffs[e] = cs
-                rows[e] = combine(cs, net.inputs(e.tail))
-            picked = {}
-            for name in net.demands[r]:
-                want = input_row(("message", name))
-                hit = next((cs for cs in product(range(size), repeat=len(ins))
-                            if combine(cs, ins) == want), None)
-                if hit is None:
-                    break
-                picked[name] = hit
-            if len(picked) == len(net.demands[r]):
-                decodings.update(((r, name), cs) for name, cs in picked.items())
-                break
-        else:
-            raise RuntimeError(f"witness assignment stopped decoding at {r}")
+        choice, inputs = chosen.get(r, (0, None))
+        lslots = _local_slots(net, plan, r)
+        for i, (e, _) in enumerate(lslots):
+            digit = choice // size ** (len(lslots) - 1 - i) % size
+            edge_coeffs[e] = edge_coeffs.get(e, ()) + (digit,)
+        if inputs is None:
+            continue
+        t = len(inputs)
+        combos = _combinations(inputs[None], mulT, addT)[0]
+        for name in net.demands[r]:
+            d = int((combos == unit_rows[name]).all(axis=1).argmax())
+            decodings[(r, name)] = tuple(d // size ** (t - 1 - i) % size
+                                         for i in range(t))
 
     return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
 

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, manifests, JSON plumbing."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -298,6 +299,33 @@ def test_repro_suites_pass(suite, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["ok"] is True
     assert rep["checks"] and all(c["ok"] for c in rep["checks"])
+
+
+def test_repro_pipeline_output_is_pinned(capsys):
+    # the suite solves each (network, factor ring) pair once; its report
+    # must stay byte for byte what solving every entry afresh printed
+    assert run("repro", "pipeline") == OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "b111e0e89eda4cee"
+
+
+def test_parser_is_built_once_and_reused(files, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "res.json"
+    # options of one call must not carry over into the next
+    assert run("solve", "scalar", str(files["m"]), "--ring",
+               str(files["gf2"]), "--budget", "4", "-o", str(out)) == BUDGET
+    assert json.loads(out.read_text())["status"] == "budget-exceeded"
+    assert run("solve", "scalar", str(files["c3"]), "--ring",
+               str(files["gf2"])) == OK
+    assert json.loads(capsys.readouterr().out)["status"] == "solved"
+    assert run("net", "validate", str(files["m"])) == OK
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "issues": []}
+    listed = files["dir"] / "list.json"
+    listed.write_text("[1, 2]")
+    assert run("net", "validate", str(listed)) == DATA
+    assert run("solve", "scalar", str(files["m"]), "--ring",
+               str(files["z4"]), "--shards", "0") == DATA
 
 
 def test_console_script_installed():

@@ -116,6 +116,30 @@ def test_validate_flags_problems():
     assert any("self-loop" in i for i in validate_network(loop))
 
 
+def test_validate_lists_each_unreachable_demand_in_order():
+    # s2 feeds only t2, so t1 cannot get y or z, and t2 cannot get x
+    net = Network(["s1", "s2", "t1", "t2"],
+                  [("s1", "t1"), ("s2", "t2")],
+                  [("x", "s1"), ("y", "s2"), ("z", "s2")],
+                  {"t1": ("y", "x", "z"), "t2": ("x", "y")})
+    assert validate_network(net) == [
+        "no path from s2 to t1 for message y",
+        "no path from s2 to t1 for message z",
+        "no path from s1 to t2 for message x",
+    ]
+    # an owner counts as reaching itself
+    own = Network(["s"], [], [("x", "s")], {"s": ("x",)})
+    assert validate_network(own) == []
+
+
+def test_validate_reports_an_unknown_owner_without_crashing():
+    net = Network(["a", "b"], [("a", "b")], [("x", "ghost")], {"b": ("x",)})
+    assert validate_network(net) == [
+        "message x owned by unknown node ghost",
+        "no path from ghost to b for message x",
+    ]
+
+
 def test_json_round_trip():
     for net in (m_network(), choose_two_network(3), trivial_network()):
         back = network_from_json(network_to_json(net))

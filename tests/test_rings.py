@@ -1,5 +1,6 @@
 """Ring constructors, axioms, radicals, and homomorphisms against
 independent re-computations."""
+import hashlib
 import itertools
 import tracemalloc
 
@@ -230,11 +231,61 @@ def _all_homs(r, s):
     (GaloisField(2, 2), IntegersMod(4)),
     (PrimeField(3), PrimeField(3)),
     (Product((PrimeField(2), PrimeField(2))), PrimeField(2)),
+    (Product((PrimeField(2), PrimeField(2))),
+     Product((PrimeField(2), PrimeField(2)))),
+    (UpperTriangular(PrimeField(2), 2), PrimeField(2)),
 ])
 def test_hom_search_matches_exhaustive(src, dst):
     r, s = construct_ring(src), construct_ring(dst)
     got = sorted(h.mapping for h in rings.find_homomorphisms(r, s))
     assert got == _all_homs(r, s)
+
+
+def _hom_digest(pairs):
+    """sha256 prefix of every find_homomorphisms list and find_isomorphism
+    map over the (domain, codomain) pairs, in order."""
+    h = hashlib.sha256()
+    for a, b in pairs:
+        homs = [f.mapping for f in rings.find_homomorphisms(a, b)]
+        iso = rings.find_isomorphism(a, b)
+        h.update(f"{homs}|{iso.mapping if iso else None}\n".encode())
+    return h.hexdigest()[:16]
+
+
+# per domain, over every codomain in structured_catalog(8), in order
+CATALOG_HOM_DIGESTS = {
+    "GF(2)": "07fce8ac9ec23a53",
+    "GF(3)": "56ac03967e591898",
+    "Z_4": "c5aaeb97663489b7",
+    "GF(2^2)": "77814669fb0739fe",
+    "GF(2) x GF(2)": "73430c4a2c4ff2ab",
+    "GF(5)": "d5fc499dc3e31b51",
+    "GF(2) x GF(3)": "13eea60a7ea4431a",
+    "GF(7)": "4b1dcb366d2830cb",
+    "Z_8": "4c817ea7d04f8404",
+    "GF(2^3)": "18a1a43162ceeb66",
+    "UT_2(GF(2))": "85241cabf92f65e4",
+    "GF(2) x GF(2) x GF(2)": "874b1d3a96517a93",
+    "GF(2) x Z_4": "ab798b8d703d4f34",
+    "GF(2) x GF(2^2)": "bb6b89614b4630b3",
+}
+
+
+def test_hom_search_outputs_are_pinned():
+    # the lists, and the map find_isomorphism picks, are fixed by the search
+    # order; pruning may only cut branches that hold no homomorphism
+    catalog = [construct_ring(d) for d in solver.structured_catalog(8)]
+    assert all(r.unital for r in catalog)
+    got = {describe(r.descriptor): _hom_digest((r, b) for b in catalog)
+           for r in catalog}
+    assert got == CATALOG_HOM_DIGESTS
+    for src, dst, want in (
+            (GaloisField(2, 2), GaloisField(2, 4), "74e3f339e33e1c04"),
+            (GaloisField(2, 4), GaloisField(2, 4), "b7849243263190db"),
+            (MatrixRing(PrimeField(2), 2), MatrixRing(PrimeField(2), 2),
+             "b1d132844dfe998c")):
+        pair = (construct_ring(src), construct_ring(dst))
+        assert _hom_digest([pair]) == want, (describe(src), describe(dst))
 
 
 def test_homs_respect_identity_and_compose(gf2, gf4):

@@ -68,6 +68,23 @@ def test_exhaustive_witness_is_lex_least():
             assert res.code.decodings[key] == row, (describe(desc), key)
 
 
+def test_exhaustive_witness_is_built_from_the_tables():
+    # u mixes x3 and x4 into t, which also hears x1 and x2 and wants x3:
+    # the least local choice that decodes is u = x3, the 33rd of 1,024, and
+    # t has 32^3 decode tuples per choice
+    net = networks.Network(
+        ["s1", "s2", "s3", "s4", "s5", "u", "t"],
+        [("s1", "t"), ("s2", "t"), ("s3", "u"), ("s4", "u"), ("u", "t")],
+        [(f"x{i}", f"s{i}") for i in range(1, 6)], {"t": ("x3",)})
+    ring = construct_ring(GaloisField(2, 5))
+    t0 = time.perf_counter()
+    res = solve_scalar(net, ring, SearchOptions(strategy="exhaustive"))
+    assert time.perf_counter() - t0 < 5.0
+    assert res.solved and codes.verify_solution(net, res.code).solved
+    assert res.code.edge_coeffs[networks.Edge("u", "t")] == (1, 0)
+    assert res.code.decodings[("t", "x3")] == (0, 0, 1)
+
+
 def test_strategies_agree_on_fields(gf2, gf3):
     for net in (choose_two_network(3), pair_network(), wire2_network()):
         for ring in (gf2, gf3):
