@@ -11,7 +11,7 @@ from .rings import (
 from .modules import (
     AbelianGroup, Module, ModuleAxiomError, cyclic, direct_sum,
     additive_group, construct_module, verify_module_axioms, scalar_module,
-    vector_module, is_faithful, annihilator_quotient, submodules,
+    vector_module, annihilator_quotient, submodules,
     module_to_json, module_from_json,
 )
 from .networks import (

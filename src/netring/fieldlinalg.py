@@ -71,14 +71,13 @@ def rref(ops: FieldOps, rows):
     pivots[i] and zeros in every other pivot column, and transform[i] holds
     the combination of the input rows that produces basis[i].
     """
-    width = len(rows[0]) if rows else 0
     n = len(rows)
     basis = []
     transform = []
     pivots = []
     for i, row in enumerate(rows):
         combo = tuple(1 if j == i else 0 for j in range(n))
-        row, combo = _reduce(ops, basis, pivots, row, transform, combo)
+        row, combo = reduce_row(ops, basis, pivots, row, transform, combo)
         piv = _leading(row)
         if piv is None:
             continue
@@ -108,23 +107,17 @@ def _leading(row):
     return None
 
 
-def _reduce(ops, basis, pivots, row, transform=None, combo=None):
-    for b, p in zip(basis, pivots):
+def reduce_row(ops: FieldOps, basis, pivots, row, transform=None, combo=None):
+    """Residual of row after eliminating against an echelon basis.  Given
+    the basis rows' transform, combo takes the same steps and the pair
+    (residual, combo) is returned."""
+    for t, (b, p) in enumerate(zip(basis, pivots)):
         c = row[p]
         if c:
             row = row_sub_scaled(ops, row, b, c)
-            if combo is not None:
-                combo = row_sub_scaled(ops, combo, transform[basis.index(b)], c)
-    return row, combo
-
-
-def reduce_row(ops: FieldOps, basis, pivots, row):
-    """Residual of row after eliminating against an echelon basis."""
-    for b, p in zip(basis, pivots):
-        c = row[p]
-        if c:
-            row = row_sub_scaled(ops, row, b, c)
-    return row
+            if transform is not None:
+                combo = row_sub_scaled(ops, combo, transform[t], c)
+    return row if transform is None else (row, combo)
 
 
 def rank(ops: FieldOps, rows) -> int:

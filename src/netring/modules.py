@@ -10,13 +10,12 @@ column space R^k under k x k matrices) carry their axioms by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rings as _rings
-from .rings import Ring, RingHom, TableRing, MatrixRing
+from .rings import Ring, RingHom, MatrixRing
 
 GROUP_TABLE_CAP = 4096
 CHECK_WORK_CAP = 200_000_000   # elementwise operations allowed per axiom sweep
@@ -27,19 +26,17 @@ class AbelianGroup:
     """A finite abelian group on indices 0..size-1 (0 = identity)."""
 
     def __init__(self, size: int, add: Callable[[int, int], int],
-                 neg: Callable[[int], int], *, orders=None, components=None,
+                 neg: Callable[[int], int], *, components=None,
                  label: str = "group", tables=None):
         self.size = size
         self._add = add
         self._neg = neg
         # tables() -> (add table, neg table) when they exist elsewhere
         self._tables = tables
-        self.orders = tuple(orders) if orders is not None else None
         self.components = tuple(components) if components is not None else None
         self.label = label
         self._add_table = None
         self._neg_table = None
-        self._decomposition = None
 
     def __repr__(self):
         return f"AbelianGroup({self.label}, size={self.size})"
@@ -55,27 +52,6 @@ class AbelianGroup:
         if t is not None:
             return int(t[a])
         return self._neg(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def multiple(self, n: int, a: int) -> int:
-        acc, base = 0, a
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
-        return acc
-
-    def element_order(self, a: int) -> int:
-        x, c = a, 1
-        if a == 0:
-            return 1
-        while x != 0:
-            x = self.add(x, a)
-            c += 1
-        return c
 
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
@@ -114,48 +90,12 @@ class AbelianGroup:
             acc = acc * g.size + v
         return acc
 
-    def decomposition(self) -> tuple[int, ...]:
-        """Invariant cyclic decomposition: sorted prime-power orders."""
-        if self._decomposition is None:
-            if self.orders is not None:
-                out = []
-                for n in self.orders:
-                    for p, e in _rings._factorize(n).items():
-                        out.append(p ** e)
-                self._decomposition = tuple(sorted(out))
-            else:
-                self._decomposition = self._decompose_by_orders()
-        return self._decomposition
-
-    def _decompose_by_orders(self) -> tuple[int, ...]:
-        if self.size > GROUP_TABLE_CAP:
-            raise ValueError("decomposition of large closure-backed groups "
-                             "needs declared orders")
-        orders = [self.element_order(a) for a in range(self.size)]
-        out = []
-        for p in _rings._factorize(self.size):
-            counts = [1]  # c_i = #elements killed by p^i
-            i = 1
-            while counts[-1] < self.size:
-                c = sum(1 for o in orders if p ** i % o == 0)
-                if c == counts[-1]:
-                    break
-                counts.append(c)
-                i += 1
-            dims = [round(math.log(counts[j] / counts[j - 1], p))
-                    for j in range(1, len(counts))]
-            dims.append(0)
-            for j in range(1, len(dims)):
-                exactly = dims[j - 1] - dims[j]
-                out.extend([p ** j] * exactly)
-        return tuple(sorted(out))
-
 
 def cyclic(n: int) -> AbelianGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
     return AbelianGroup(n, lambda a, b: (a + b) % n, lambda a: (-a) % n,
-                        orders=(n,), label=f"Z{n}")
+                        label=f"Z{n}")
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
@@ -175,13 +115,9 @@ def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
                                 for g, c in zip(groups, cs)])
         return add_t, np.argmax(add_t == 0, axis=1)
 
-    orders = None
-    if all(g.orders is not None for g in groups):
-        orders = tuple(o for g in groups for o in g.orders)
     label = " + ".join(g.label for g in groups)
     out = AbelianGroup(math.prod(g.size for g in groups), add, neg,
-                       orders=orders, components=groups, label=label,
-                       tables=tables)
+                       components=groups, label=label, tables=tables)
     return out
 
 
@@ -390,10 +326,6 @@ def _vector_table(mat: Ring, group: AbelianGroup) -> np.ndarray:
         out[lo:lo + step] = group.from_parts(
             [inner.from_digits(digits[..., r * w:(r + 1) * w]) for r in range(mat.k)])
     return out
-
-
-def is_faithful(mod: Module) -> bool:
-    return mod.is_faithful()
 
 
 def annihilator_quotient(mod: Module) -> tuple[Ring, RingHom, Module]:

@@ -5,6 +5,9 @@ the additive identity and index 1 the multiplicative identity whenever the
 ring has one.  Constructors cover integers mod n, prime and Galois fields,
 full and upper-triangular matrix rings, finite products, and explicit
 operation tables (with a flag for rngs, i.e. rings without an identity).
+Tables from outside, quotients and prime-power blocks all become table
+rings through one re-indexing builder, `_table_ring`; only tables from
+outside are checked, and only for what the indexing needs.
 
 Residue rings (integers mod n, prime fields) compute on the index itself.
 Every compound ring records its coordinate rings, one per digit, most
@@ -359,7 +362,6 @@ class Ring:
         self._ops = None
         self._coord_array = None
         self._add_table, self._mul_table, self._neg_table = tables or (None,) * 3
-        self._inv_table = None
         self._char = None
         self._commutative = None
         # structure hooks filled in by the constructor where they apply
@@ -500,9 +502,6 @@ class Ring:
                                                      self._scalar_ops()))
         return (-a) % self.size
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         t = self._mul_table
         if t is not None:
@@ -519,17 +518,6 @@ class Ring:
             if n & 1:
                 acc = self.add(acc, base)
             base = self.add(base, base)
-            n >>= 1
-        return acc
-
-    def power(self, a: int, n: int) -> int:
-        acc, base = self.one if self.unital else None, a
-        if acc is None:
-            raise ValueError("power needs a unital ring")
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
             n >>= 1
         return acc
 
@@ -631,23 +619,6 @@ class Ring:
             return False
         return all(1 in (self.mul(a, b) for b in range(self.size))
                    for a in range(1, self.size))
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse (fields and units of table-capable rings)."""
-        if self._inv_table is None:
-            mul = self.mul_table()
-            inv = np.full(self.size, -1, dtype=np.int64)
-            rows, cols = np.nonzero(mul == 1)
-            inv[rows] = cols
-            self._inv_table = inv
-        v = int(self._inv_table[a])
-        if v < 0:
-            raise ValueError(f"element {a} is not a unit")
-        return v
-
-    def units(self) -> list[int]:
-        mul = self.mul_table()
-        return [a for a in range(self.size) if 1 in mul[a]]
 
     # -- structure accessors: views on coords (TypeError on the wrong kind)
 
@@ -800,65 +771,70 @@ def _construct_product(desc: Product) -> Ring:
 
 
 def _construct_table(desc: TableRing) -> Ring:
-    add = [list(row) for row in desc.add]
-    mul = [list(row) for row in desc.mul]
-    n = len(add)
-    if n < 1 or len(mul) != n or any(len(r) != n for r in add + mul):
+    """The table ring of tables from outside, after the checks that make
+    its element indexing well defined; the ring axioms themselves are left
+    to verify_ring_axioms."""
+    n = len(desc.add)
+    if n < 1 or len(desc.mul) != n or any(len(r) != n for r in desc.add + desc.mul):
         raise ValueError("tables must be square and of equal size")
-    for row in add + mul:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError("table entry out of range")
-    zero = None
-    for z in range(n):
-        if all(add[z][x] == x and add[x][z] == x for x in range(n)):
-            zero = z
-            break
-    if zero is None:
+    add = np.array(desc.add, dtype=np.int64)
+    mul = np.array(desc.mul, dtype=np.int64)
+    if ((add < 0) | (add >= n)).any() or ((mul < 0) | (mul >= n)).any():
+        raise ValueError("table entry out of range")
+    idx = np.arange(n)
+
+    def identities(t):
+        # positions e with t[e, x] == x == t[x, e] for every x
+        return np.flatnonzero((t == idx).all(axis=1) & (t.T == idx).all(axis=1))
+
+    zeros = identities(add)
+    if not zeros.size:
         raise ValueError("tables have no additive identity")
-    one = desc.one
+    zero, one = int(zeros[0]), None
     if desc.unital:
-        if one is None:
-            for e in range(n):
-                if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
-                    one = e
-                    break
-            if one is None:
-                raise ValueError(
-                    "tables have no multiplicative identity; pass unital=False for a rng")
-        else:
-            if not (0 <= one < n and
-                    all(mul[one][x] == x and mul[x][one] == x for x in range(n))):
-                raise ValueError(f"position {one} is not a multiplicative identity")
+        ones = identities(mul)
+        if desc.one is not None and desc.one not in ones:
+            raise ValueError(f"position {desc.one} is not a multiplicative identity")
+        if not ones.size:
+            raise ValueError(
+                "tables have no multiplicative identity; pass unital=False for a rng")
+        one = int(ones[0]) if desc.one is None else desc.one
         if one == zero and n > 1:
             raise ValueError("additive and multiplicative identities coincide")
-    else:
-        one = None
-
-    # re-index: zero -> 0, identity (if any) -> 1, remaining in given order
-    order = [zero] + ([one] if one is not None else [])
-    order += [x for x in range(n) if x not in order]
-    new_of_old = [0] * n
-    for new, old in enumerate(order):
-        new_of_old[old] = new
-    perm_add = [[new_of_old[add[order[a]][order[b]]] for b in range(n)] for a in range(n)]
-    perm_mul = [[new_of_old[mul[order[a]][order[b]]] for b in range(n)] for a in range(n)]
-    add_t = np.array(perm_add, dtype=np.int64)
-    mul_t = np.array(perm_mul, dtype=np.int64)
-
-    neg = np.zeros(n, dtype=np.int64)
-    rows, cols = np.nonzero(add_t == 0)
-    ok = np.zeros(n, dtype=bool)
-    for r, c in zip(rows, cols):
-        if not ok[r]:
-            neg[r] = c
-            ok[r] = True
-    if not ok.all():
+    if not (add == zero).any(axis=1).all():
         raise ValueError("some element has no additive inverse")
-    ring = Ring(desc, "table", n, desc.unital and one is not None,
-                tables=(add_t, mul_t, neg))
-    ring.input_index_map = tuple(new_of_old)
+    return _table_ring(desc, add, mul, zero, one)
+
+
+def _table_ring(desc, add: np.ndarray, mul: np.ndarray, zero: int,
+                one: Optional[int]) -> Ring:
+    """The table ring on add and mul, re-indexed: position zero becomes 0,
+    position one (None for a rng) becomes 1, the rest keep their order.
+    input_index_map sends each table position to its index."""
+    n = len(add)
+    first = [zero] if one is None or one == zero else [zero, one]
+    order = np.array(first + [x for x in range(n) if x not in first])
+    new_of_old = np.empty(n, dtype=np.int64)
+    new_of_old[order] = np.arange(n)
+    block = np.ix_(order, order)
+    add_t, mul_t = new_of_old[add[block]], new_of_old[mul[block]]
+    neg = np.argmax(add_t == 0, axis=1)
+    ring = Ring(desc, "table", n, one is not None, tables=(add_t, mul_t, neg))
+    ring.input_index_map = tuple(new_of_old.tolist())
     return ring
+
+
+def _induced(ring: Ring, reps: np.ndarray, index: np.ndarray,
+             one: Optional[int]) -> Ring:
+    """The table ring on the sorted elements reps of ring, 0 among them,
+    whose sum and product are ring's, read as positions in reps by index
+    (an array over all of ring's elements).  A ring by construction, so
+    it skips _construct_table's checks."""
+    block = np.ix_(reps, reps)
+    add = index[ring.add_table()[block]]
+    mul = index[ring.mul_table()[block]]
+    desc = TableRing(add.tolist(), mul.tolist(), one=one, unital=one is not None)
+    return _table_ring(desc, add, mul, 0, one)
 
 
 def _commutative(ring: Ring):
@@ -932,7 +908,7 @@ def verify_ring_axioms(ring: Ring, bound: int = AXIOM_CAP) -> AxiomReport:
     assoc(mul, "mul-associative")
 
     if ring.unital:
-        ok = bool((mul[1] == idx).all() and (mul[:, 1] == idx).all())
+        ok = bool((mul[ring.one] == idx).all() and (mul[:, ring.one] == idx).all())
         record("one-identity", ok)
 
     for a in range(n):
@@ -957,10 +933,6 @@ def verify_ring_axioms(ring: Ring, bound: int = AXIOM_CAP) -> AxiomReport:
         record("right-distributive", True)
 
     return AxiomReport(all(axioms.values()), axioms, witnesses, n)
-
-
-def is_commutative(ring: Ring) -> bool:
-    return ring.is_commutative()
 
 
 # ---------------------------------------------------------------------------
@@ -1125,13 +1097,6 @@ class RingHom:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def compose(self, inner: "RingHom") -> "RingHom":
-        """self after inner."""
-        if inner.codomain is not self.domain:
-            raise ValueError("homomorphisms do not chain")
-        return RingHom(inner.domain, self.codomain,
-                       tuple(self.mapping[v] for v in inner.mapping))
-
 
 def identity_hom(ring: Ring) -> RingHom:
     return RingHom(ring, ring, tuple(range(ring.size)))
@@ -1144,19 +1109,10 @@ def quotient(ring: Ring, ideal: Ideal) -> tuple[Ring, RingHom]:
         raise ValueError("an ideal must contain the additive identity")
     if not _is_two_sided(ring, ideal.elements):
         raise ValueError("quotient needs a two-sided ideal")
-    add = ring.add_table()
-    mul = ring.mul_table()
-    rep = add[:, members].min(axis=1)          # least member of each coset
-    reps = np.unique(rep)
-    rank_of = {int(r): i for i, r in enumerate(reps)}
-    m = len(reps)
-    q_add = [[rank_of[int(rep[add[reps[i], reps[j]]])] for j in range(m)] for i in range(m)]
-    q_mul = [[rank_of[int(rep[mul[reps[i], reps[j]]])] for j in range(m)] for i in range(m)]
-    one_pos = rank_of[int(rep[ring.one])] if ring.unital else None
-    desc = TableRing(q_add, q_mul, one=one_pos, unital=ring.unital)
-    q = construct_ring(desc)
-    remap = q.input_index_map
-    mapping = tuple(remap[rank_of[int(rep[x])]] for x in range(ring.size))
+    rep = ring.add_table()[:, members].min(axis=1)   # least member of each coset
+    reps, coset = np.unique(rep, return_inverse=True)
+    q = _induced(ring, reps, coset, int(coset[ring.one]) if ring.unital else None)
+    mapping = np.asarray(q.input_index_map)[coset]
     return q, RingHom(ring, q, mapping)
 
 
@@ -1412,6 +1368,7 @@ def prime_power_decompose(ring: Ring) -> list[Ring]:
     parts = _factorize(char)
     if len(parts) <= 1:
         return [ring]
+    mul = ring.mul_table()
     out = []
     for (p, e) in sorted(parts.items()):
         q = p ** e
@@ -1419,14 +1376,12 @@ def prime_power_decompose(ring: Ring) -> list[Ring]:
         # CRT integer: 1 mod q, 0 mod rest
         c = (pow(rest, -1, q) * rest) % char
         e_idx = ring.scalar_multiple(c, 1)
-        if ring.mul(e_idx, e_idx) != e_idx:
+        if mul[e_idx, e_idx] != e_idx:
             raise AssertionError("central idempotent construction failed")
-        subset = sorted({ring.mul(e_idx, x) for x in range(ring.size)})
-        pos = {x: i for i, x in enumerate(subset)}
-        add = [[pos[ring.add(a, b)] for b in subset] for a in subset]
-        mul = [[pos[ring.mul(a, b)] for b in subset] for a in subset]
-        factor = construct_ring(TableRing(add, mul, one=pos[e_idx]))
-        out.append(factor)
+        reps = np.unique(mul[e_idx])            # the corner e R
+        index = np.zeros(ring.size, dtype=np.int64)
+        index[reps] = np.arange(len(reps))
+        out.append(_induced(ring, reps, index, int(index[e_idx])))
     return out
 
 

@@ -133,6 +133,20 @@ def _validated(net: Network, options: Optional[SearchOptions]) -> SearchOptions:
     return opts
 
 
+def _check_axioms(ring: Ring) -> None:
+    """ValueError naming the first failed axiom and its witness when a
+    table ring, whose tables came from outside, is not a ring; every other
+    kind is one by construction."""
+    if ring.kind != "table":
+        return
+    report = _rings.verify_ring_axioms(ring)
+    for name, ok in report.axioms.items():
+        if not ok:
+            raise ValueError(f"{_rings.describe(ring.descriptor)} is not a "
+                             f"ring: {name} fails at elements "
+                             f"{report.witnesses[name]}")
+
+
 @dataclass
 class SolveResult:
     status: str                 # "solved" | "exhausted-unsolvable" | "budget-exceeded"
@@ -970,6 +984,7 @@ def solve_scalar(net: Network, ring: Ring,
     (a quotient's verdict is not one shard's); rank and exhaustive are raw
     searches of the ring itself."""
     opts = _validated(net, options)
+    _check_axioms(ring)
     strategy = opts.strategy
     planned = None
     if strategy == "auto":
@@ -998,6 +1013,7 @@ def solve_vector(net: Network, field: Ring, k: int,
     solutions block-diagonally.  The composed route can only report
     "solved" (a failed split proves nothing), so an oversized direct
     search with no working split ends in "budget-exceeded"."""
+    _check_axioms(field)
     if not field.is_field():
         raise ValueError("vector codes need a field of scalars")
     if k < 1:
@@ -1168,6 +1184,9 @@ def smallest_ring_search(net: Network, max_size: int = 16,
         raise ValueError(f"max size must be at least 2, got {max_size}")
     if catalog is not None and not catalog:
         raise ValueError("the ring catalogue is empty")
+    for desc in catalog or ():
+        if isinstance(desc, _rings.TableRing):
+            _check_axioms(construct_ring(desc))
     descs = (sorted(catalog, key=_catalog_key) if catalog is not None
              else (_rings.simple_ring(r, q) for n in range(2, max_size + 1)
                    for r, q in _rings.simple_rings(n)))

@@ -179,6 +179,25 @@ def test_solve_scalar_over_a_rng_is_65(files, tmp_path, capsys):
     assert err == "netring: the coefficient search requires a unital ring\n"
 
 
+def test_a_table_that_is_not_a_ring_is_65(files, tmp_path, capsys):
+    # Z_4's addition with GF(4)'s multiplication
+    bad = {"kind": "table",
+           "add": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+           "mul": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]}
+    ring = tmp_path / "bad.json"
+    ring.write_text(json.dumps(bad))
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([bad]))
+    assert run("ring", "verify", str(ring)) == FAIL
+    capsys.readouterr()
+    assert run("solve", "scalar", str(files["c3"]), "--ring", str(ring)) == DATA
+    assert run("solve", "smallest", str(files["m"]), "--catalog",
+               str(catalog)) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+    assert err.count("is not a ring: left-distributive fails") == 2
+
+
 def test_env_budget(files, tmp_path, monkeypatch):
     monkeypatch.setenv("NETRING_BUDGET", "4")
     assert run("solve", "scalar", str(files["m"]), "--ring",

@@ -34,6 +34,19 @@ def test_span_sums_match_rref(case):
             tuple(fl.pack2(r) for r in want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_pairs())
+def test_rref_transform_combines_the_input_rows(case):
+    q, a, b = case
+    ops, rows = OPS[q], a + b
+    basis, transform, _ = fl.rref(ops, rows)
+    for row, combo in zip(basis, transform):
+        acc = (0,) * len(row)
+        for c, r in zip(combo, rows):
+            acc = fl.row_sub_scaled(ops, acc, r, ops.neg[c])
+        assert acc == row
+
+
 @pytest.mark.parametrize("q", sorted(OPS))
 def test_echelon_forms_give_every_subspace_of_one_dimension_once(q):
     ops = OPS[q]

@@ -44,6 +44,36 @@ def test_axioms_catch_broken_table():
     assert report.witnesses
 
 
+Z2_ADD = ((0, 1), (1, 0))
+Z2_MUL = ((0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("add,mul,one,message", [
+    (((0, 1), (1,)), Z2_MUL, None, "tables must be square and of equal size"),
+    (((0, 1), (1, 2)), Z2_MUL, None, "table entry out of range"),
+    (((1, 1), (1, 1)), Z2_MUL, None, "tables have no additive identity"),
+    (Z2_ADD, ((0, 0), (0, 0)), None, "tables have no multiplicative identity"),
+    (Z2_ADD, Z2_MUL, 0, "position 0 is not a multiplicative identity"),
+    (Z2_ADD, ((0, 1), (1, 1)), None,
+     "additive and multiplicative identities coincide"),
+    (((0, 1), (1, 1)), Z2_MUL, None, "some element has no additive inverse"),
+], ids=["jagged", "range", "no-zero", "no-identity", "wrong-one",
+        "one-is-zero", "no-negative"])
+def test_table_validation_messages(add, mul, one, message):
+    with pytest.raises(ValueError, match=message):
+        construct_ring(TableRing(add, mul, one=one))
+
+
+def test_one_element_ring():
+    ring = construct_ring(TableRing([[0]], [[0]]))
+    assert (ring.size, ring.one, ring.input_index_map) == (1, 0, (0,))
+    assert rings.verify_ring_axioms(ring).ok
+    z4 = construct_ring(IntegersMod(4))
+    q, hom = rings.quotient(z4, rings.two_sided_ideals(z4)[-1])
+    assert q.size == 1 and q.one == 0 and hom.mapping == (0, 0, 0, 0)
+    assert q.add_table().tolist() == q.mul_table().tolist() == [[0]]
+
+
 def test_zero_and_one_pinned_everywhere():
     for desc in SMALL_DESCRIPTORS:
         ring = construct_ring(desc)
@@ -208,6 +238,28 @@ def test_quotient_by_radical_is_semisimple():
     assert q.size == 6
     assert rings.semisimple_decompose(q) == [(1, 2), (1, 3)]
     assert hom.mapping[0] == 0 and hom.mapping[ring.one] == q.one
+
+
+def test_derived_rings_are_pinned():
+    """Every quotient by a proper two-sided ideal, with its surjection, and
+    every prime-power block of the catalogue rings to 32 elements: tables,
+    descriptors and index maps, pinned by one digest."""
+    h = hashlib.sha256()
+    count = 0
+    for desc in solver.structured_catalog(32):
+        ring = construct_ring(desc)
+        derived = [rings.quotient(ring, ideal)
+                   for ideal in rings.two_sided_ideals(ring)
+                   if len(ideal) < ring.size]
+        derived += [(block, None) for block in rings.prime_power_decompose(ring)]
+        for q, hom in derived:
+            h.update(repr((
+                q.descriptor, q.size, q.one, q.unital, q.kind,
+                q.input_index_map, q.add_table().tolist(),
+                q.mul_table().tolist(), q.neg_table().tolist(),
+                hom.mapping if hom else None)).encode())
+            count += 1
+    assert (count, h.hexdigest()[:16]) == (621, "e978b9d4a16cfd1e")
 
 
 # --- homomorphisms against exhaustive map enumeration ----------------------

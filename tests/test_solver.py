@@ -382,6 +382,27 @@ def test_explicit_catalogue_may_list_table_rings():
                                                 "table ring of size 2"]
 
 
+# Z_4's addition with GF(4)'s multiplication: both distributive laws fail,
+# yet is_field() accepts it
+NOT_A_RING = TableRing(
+    [[(a + b) % 4 for b in range(4)] for a in range(4)],
+    [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+
+
+def test_a_table_that_is_not_a_ring_is_never_searched():
+    ring = construct_ring(NOT_A_RING)     # construction stays permissive
+    assert ring.is_field()
+    not_a_ring = "is not a ring: left-distributive fails at elements"
+    for net in (choose_two_network(3), m_network()):
+        for strategy in solver.STRATEGIES:
+            with pytest.raises(ValueError, match=not_a_ring):
+                solve_scalar(net, ring, SearchOptions(strategy=strategy))
+    with pytest.raises(ValueError, match=not_a_ring):
+        solve_vector(choose_two_network(3), ring, 2)
+    with pytest.raises(ValueError, match=not_a_ring):
+        smallest_ring_search(m_network(), catalog=[PrimeField(2), NOT_A_RING])
+
+
 @pytest.mark.parametrize("kwargs", [dict(max_size=1), dict(max_size=0),
                                     dict(max_size=-5), dict(catalog=[])])
 def test_sweep_refuses_degenerate_requests(kwargs):
