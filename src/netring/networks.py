@@ -45,10 +45,11 @@ class Network:
             self._out[v].sort(key=lambda e: (e.head, e.ordinal))
         self._owned = {v: [m for (m, owner) in self.messages if owner == v]
                        for v in self.nodes}
-        # a network is never changed after construction, so the orders and
-        # inputs are computed once; a cycle is not cached and raises again
+        # a network is never changed after construction, so the orders,
+        # inputs and issues are computed once; a cycle is not cached and
+        # raises again
         self._inputs = {}
-        self._topo_nodes = self._topo_edges = None
+        self._topo_nodes = self._topo_edges = self._issues = None
 
     def __repr__(self):
         return (f"Network({len(self.nodes)} nodes, {len(self.edges)} edges, "
@@ -114,6 +115,8 @@ class Network:
 
 def validate_network(net: Network) -> list[str]:
     """List of structural problems; empty means the network is well-formed."""
+    if net._issues is not None:
+        return list(net._issues)
     issues = []
     if len(set(net.nodes)) != len(net.nodes):
         issues.append("duplicate node ids")
@@ -157,6 +160,7 @@ def validate_network(net: Network) -> list[str]:
                 if r not in reach[owner]:
                     issues.append(
                         f"no path from {owner} to {r} for message {m}")
+    net._issues = tuple(issues)
     return issues
 
 

@@ -34,16 +34,19 @@ tensors and the kind's terms, never by sampling products; `Ring.digits` and
 is multiplied by c on the left.  Rings with a table ring among their leaves
 have no digit rule.
 
-Structural queries cover axiom verification, ideal lattices, the radical,
-quotients, homomorphism and isomorphism search, the simple rings of each
-size (`simple_rings`, with `simple_ring` naming M_r(GF(q))), the catalogue
-of semisimple rings of prime-power order, and decomposition into
-prime-power blocks via central idempotents.  One lattice routine, `_lattice`, serves left and
-two-sided ideals and the submodules of `modules`: it takes an additive
-table and action tables (the multiplication table, its transpose, or a
-module's action table), closes each element a whole frontier at a time,
-and joins the closures by sums.  The radical and the two-sided check in
-`quotient` reuse its closure.
+Structural queries cover axiom verification, ideal lattices, quotients,
+homomorphism and isomorphism search, the simple rings of each size
+(`simple_rings`, with `simple_ring` naming M_r(GF(q))) and the catalogue
+of semisimple rings of prime-power order.  Ring structure comes by one
+route, the maximal two-sided ideals M of a unital ring: `simple_quotients`
+names the simple ring M_r(GF(q)) that each R/M is, the radical is the
+intersection of the M, and R/radical is the product of the R/M (Chinese
+remainder theorem), so `semisimple_decompose` lists their blocks.  One
+lattice routine, `_lattice`, serves left and two-sided ideals and the
+submodules of `modules`: it takes an additive table and action tables (the
+multiplication table, its transpose, or a module's action table), closes
+each element a whole frontier at a time, and joins the closures by sums.
+The two-sided check in `quotient` reuses its closure.
 """
 from __future__ import annotations
 
@@ -1025,12 +1028,6 @@ def _ideals(ring: Ring, sided: str) -> list[Ideal]:
     return [Ideal(ring, t, sided) for t in _lattice(ring.add_table(), actions)]
 
 
-def _is_two_sided(ring: Ring, elements) -> bool:
-    """Whether elements, 0 among them, already form a two-sided ideal."""
-    closed = _closure(ring.add_table(), _ideal_actions(ring, True), elements)
-    return int(closed.sum()) == len(set(elements))
-
-
 def left_ideals(ring: Ring) -> list[Ideal]:
     return _ideals(ring, "left")
 
@@ -1056,16 +1053,23 @@ def maximal_proper(ideals: list[Ideal]) -> list[Ideal]:
     return out
 
 
+def _maximal_ideals(ring: Ring) -> list[Ideal]:
+    """The maximal two-sided ideals of a unital ring, in lattice order
+    (none for the one-element ring)."""
+    if not ring.unital:
+        raise ValueError(f"{describe(ring.descriptor)} is a rng; ring "
+                         "structure needs a unital ring")
+    return maximal_proper(two_sided_ideals(ring))
+
+
 def radical(ring: Ring) -> Ideal:
-    """Intersection of the maximal left ideals (a two-sided ideal)."""
-    maximal = maximal_proper(left_ideals(ring))
-    if not maximal:
-        return Ideal(ring, (0,), "two-sided")
-    elements = tuple(sorted(set.intersection(
-        *(set(i.elements) for i in maximal))))
-    if not _is_two_sided(ring, elements):
-        raise AssertionError("radical candidate is not two-sided")
-    return Ideal(ring, elements, "two-sided")
+    """The Jacobson radical of a unital ring: the intersection of its
+    maximal two-sided ideals, as a finite ring's primitive ideals are its
+    maximal ones."""
+    members = set(range(ring.size))
+    for ideal in _maximal_ideals(ring):
+        members &= set(ideal.elements)
+    return Ideal(ring, tuple(sorted(members)), "two-sided")
 
 
 @dataclass
@@ -1107,7 +1111,8 @@ def quotient(ring: Ring, ideal: Ideal) -> tuple[Ring, RingHom]:
     members = np.array(sorted(set(ideal.elements)), dtype=np.int64)
     if 0 not in ideal.elements:
         raise ValueError("an ideal must contain the additive identity")
-    if not _is_two_sided(ring, ideal.elements):
+    closed = _closure(ring.add_table(), _ideal_actions(ring, True), members)
+    if int(closed.sum()) != len(members):
         raise ValueError("quotient needs a two-sided ideal")
     rep = ring.add_table()[:, members].min(axis=1)   # least member of each coset
     reps, coset = np.unique(rep, return_inverse=True)
@@ -1305,58 +1310,43 @@ def _fingerprint(ring: Ring):
 # ---------------------------------------------------------------------------
 # semisimple catalogue and decompositions
 
-def _matrix_profiles(k: int):
-    """Multisets of (r, a) with sum r*r*a = k: one per semisimple ring of
-    order p^k, as matrix blocks M_r(GF(p^a))."""
-    types = []
-    r = 1
-    while r * r <= k:
-        for a in range(1, k // (r * r) + 1):
-            types.append((r, a))
-        r += 1
-
-    profiles = []
-
-    def rec(remaining, start, acc):
-        if remaining == 0:
-            profiles.append(tuple(acc))
-            return
-        for i in range(start, len(types)):
-            rr, aa = types[i]
-            cost = rr * rr * aa
-            if cost <= remaining:
-                acc.append(types[i])
-                rec(remaining - cost, i, acc)
-                acc.pop()
-
-    rec(k, 0, [])
-
-    def profile_key(profile):
-        factors = sorted(profile, key=lambda f: (-(f[0] ** 2 * f[1]), -f[0], -f[1]))
-        return (len(factors), tuple((-(r * r * a), -r, -a) for (r, a) in factors))
-
-    profiles = [tuple(sorted(pr, key=lambda f: (-(f[0] ** 2 * f[1]), -f[0], -f[1])))
-                for pr in profiles]
-    profiles.sort(key=profile_key)
-    return profiles
-
-
-def _profile_descriptor(p: int, profile) -> RingDescriptor:
-    blocks = [simple_ring(r, p ** a) for (r, a) in profile]
-    return blocks[0] if len(blocks) == 1 else Product(tuple(blocks))
+def _block_order(r: int, a: int) -> tuple[int, int, int]:
+    """Catalogue order of the blocks M_r(GF(p^a)) of one prime: larger
+    blocks first, full matrix blocks before field blocks of the same order."""
+    return -r * r * a, -r, -a
 
 
 def semisimple_catalog(p: int, k: int) -> list[RingDescriptor]:
-    """Every semisimple ring of order p^k (k <= 6), one descriptor each.
+    """Every semisimple ring of order p^k (k <= 6), one descriptor each: a
+    product of blocks M_r(GF(p^a)) with the r*r*a summing to k.
 
-    Ordered by ascending number of matrix blocks, then by block profile
-    (larger blocks first, full matrix blocks before field blocks of the same
-    order)."""
+    Ordered by ascending number of blocks, then block by block in
+    `_block_order`, which also orders the blocks within each ring."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= k <= 6:
         raise ValueError("catalogue covers exponents 1..6")
-    return [_profile_descriptor(p, pr) for pr in _matrix_profiles(k)]
+    types = sorted(((r, a) for r in range(1, math.isqrt(k) + 1)
+                    for a in range(1, k // (r * r) + 1)),
+                   key=lambda t: _block_order(*t))
+    profiles = []
+
+    def rec(remaining, start, acc):
+        # block indices never decrease, so each profile comes out in order
+        if remaining == 0:
+            profiles.append(acc)
+        for i in range(start, len(types)):
+            r, a = types[i]
+            if r * r * a <= remaining:
+                rec(remaining - r * r * a, i, acc + [types[i]])
+
+    rec(k, 0, [])
+    profiles.sort(key=lambda pr: (len(pr), [_block_order(*t) for t in pr]))
+    out = []
+    for profile in profiles:
+        blocks = [simple_ring(r, p ** a) for r, a in profile]
+        out.append(blocks[0] if len(blocks) == 1 else Product(blocks))
+    return out
 
 
 def prime_power_decompose(ring: Ring) -> list[Ring]:
@@ -1429,38 +1419,32 @@ def simple_ring(r: int, q: int) -> RingDescriptor:
 
 
 def simple_block(ring: Ring) -> tuple[int, int]:
-    """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring.
-
-    Only the simple rings of the same size are matched; the radical and
-    prime-power splits semisimple_decompose needs do not arise."""
+    """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring;
+    only the simple rings of the same size are matched."""
     for r, q in simple_rings(ring.size):
         if find_isomorphism(ring, construct_ring(simple_ring(r, q))) is not None:
             return r, q
     raise ValueError(f"{describe(ring.descriptor)} is not a simple ring")
 
 
-def semisimple_decompose(ring: Ring) -> list[tuple[int, int]]:
-    """Matrix-block profile [(r_i, q_i)] of ring/radical(ring).
+def simple_quotients(ring: Ring):
+    """(M, (r, q)) for each maximal two-sided ideal M of a unital ring, in
+    lattice order, with ring/M isomorphic to M_r(GF(q)).  Lazy, so a
+    caller that stops early builds no further quotient; M = 0 means the
+    ring itself is simple, and no quotient is built."""
+    for ideal in _maximal_ideals(ring):
+        simple = ring if ideal.elements == (0,) else quotient(ring, ideal)[0]
+        yield ideal, simple_block(simple)
 
-    Each pair means a block of r_i x r_i matrices over the field with q_i
-    elements; blocks are listed prime by prime (ascending), in catalogue
-    order within a prime."""
-    out = []
-    for part in prime_power_decompose(ring):
-        rad = radical(part)
-        q, _ = quotient(part, rad)
-        pp = _prime_power(q.size)
-        if pp is None:
-            raise AssertionError("semisimple quotient has non-prime-power order")
-        p, k = pp
-        for profile in _matrix_profiles(k):
-            cand = construct_ring(_profile_descriptor(p, profile))
-            if find_isomorphism(q, cand) is not None:
-                out.extend((r, p ** a) for (r, a) in profile)
-                break
-        else:
-            raise AssertionError("semisimple quotient matches no catalogue entry")
-    return out
+
+def semisimple_decompose(ring: Ring) -> list[tuple[int, int]]:
+    """Matrix-block profile [(r_i, q_i)] of ring/radical(ring), one block
+    per simple quotient: prime by prime (ascending), then in
+    `_block_order` within a prime."""
+    def key(block):
+        p, a = _prime_power(block[1])
+        return (p,) + _block_order(block[0], a)
+    return sorted((block for _, block in simple_quotients(ring)), key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -944,29 +944,27 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
             blocks.setdefault((r, q), res)
         method = f"direct search as {_block_name(r, q)}"
     else:
-        maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
-        if len(maxi) == 1 and maxi[0].elements == (0,):
-            r, q = _rings.simple_block(ring)
-            res, method = block(r, q), f"direct search as {_block_name(r, q)}"
+        # a simple ring (maximal ideal 0) is searched in canonical form;
+        # otherwise a solution pushes down to every quotient, so one
+        # unsolvable simple quotient settles the ring without searching it
+        quotients = {}
+        for ideal, rq in _rings.simple_quotients(ring):
+            if ideal.elements == (0,):
+                res, method = block(*rq), f"direct search as {_block_name(*rq)}"
+                break
+            if rq not in quotients:
+                res = quotients[rq] = block(*rq)
+                if res.status == "exhausted-unsolvable":
+                    method = f"quotient onto {_block_name(*rq)} is unsolvable"
+                    break
         else:
-            # a solution pushes down to every quotient, so one unsolvable
-            # simple quotient settles the ring without searching it
-            quotients = {}
-            for ideal in maxi:
-                rq = _rings.simple_block(_rings.quotient(ring, ideal)[0])
-                if rq not in quotients:
-                    res = quotients[rq] = block(*rq)
-                    if res.status == "exhausted-unsolvable":
-                        method = f"quotient onto {_block_name(*rq)} is unsolvable"
-                        break
+            stopped = [got for got in quotients.values()
+                       if got.status == "budget-exceeded"]
+            if stopped:
+                res, method = stopped[0], "a quotient search ran out of budget"
             else:
-                stopped = [got for got in quotients.values()
-                           if got.status == "budget-exceeded"]
-                if stopped:
-                    res, method = stopped[0], "a quotient search ran out of budget"
-                else:
-                    res = _solve_table(net, ring, opts, planned)
-                    method = "all simple quotients solvable; searched directly"
+                res = _solve_table(net, ring, opts, planned)
+                method = "all simple quotients solvable; searched directly"
     code = res.code
     if res.solved and code.module.ring is not ring:
         iso = _rings.find_isomorphism(code.module.ring, ring)

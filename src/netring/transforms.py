@@ -144,11 +144,9 @@ def quotient_by_annihilator(code: LinearCode) -> tuple[LinearCode, RingHom]:
 
 def simple_reduction(ring: Ring) -> tuple[Ring, RingHom]:
     """Quotient onto the largest simple image (smallest maximal two-sided
-    ideal, ties broken by element order); the identity when already simple."""
-    maxi = _rings.maximal_proper(_rings.two_sided_ideals(ring))
-    if not maxi:
+    ideal, ties broken by element order); the identity when already simple
+    or of one element."""
+    maxi = _rings._maximal_ideals(ring)
+    if not maxi or maxi[0].elements == (0,):
         return ring, _rings.identity_hom(ring)
-    chosen = maxi[0]
-    if chosen.elements == (0,):
-        return ring, _rings.identity_hom(ring)
-    return _rings.quotient(ring, chosen)
+    return _rings.quotient(ring, maxi[0])

@@ -272,6 +272,29 @@ def test_ring_commands(files, tmp_path, capsys):
     assert homs["count"] == 1 and homs["maps"] == [[0, 1]]
 
 
+def test_ring_structure_of_the_one_element_ring(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"kind": "table", "add": [[0]], "mul": [[0]]}))
+    assert run("ring", "radical", str(zero)) == OK
+    rad = json.loads(capsys.readouterr().out)
+    assert rad["radical"] == [0] and rad["quotient_size"] == 1
+    assert rad["quotient_blocks"] == []
+    assert run("transform", "simple-reduce", str(zero)) == OK
+    red = json.loads(capsys.readouterr().out)
+    assert red["to_size"] == 1 and red["blocks"] == [] and red["map"] == [0]
+
+
+def test_ring_radical_of_a_rng_is_65(tmp_path, capsys):
+    rng = tmp_path / "rng.json"
+    rng.write_text(json.dumps({"kind": "table", "unital": False,
+                               "add": [[0, 1], [1, 0]],
+                               "mul": [[0, 0], [0, 0]]}))
+    assert run("ring", "radical", str(rng)) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "is a rng" in err
+
+
 def test_code_verify_and_entropy(files, tmp_path, capsys):
     out = tmp_path / "solved.json"
     run("solve", "scalar", str(files["c3"]), "--ring", str(files["gf2"]),

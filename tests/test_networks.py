@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netring import networks
+from netring import networks, rings, solver
 from netring.networks import (Network, choose_two_network, dim_n_network,
                               m_network, network_from_json, network_to_json,
                               trivial_network, validate_network)
@@ -179,3 +179,16 @@ def test_a_cycle_raises_on_every_call():
             net.topo_nodes()
         with pytest.raises(ValueError, match="cycle"):
             net.topo_edges()
+
+
+def test_a_json_network_is_validated_once(monkeypatch):
+    net = network_from_json(network_to_json(m_network()))
+
+    def refuse(*args):
+        raise AssertionError("the network was validated again")
+    monkeypatch.setattr(networks, "_reach_set", refuse)
+    res = solver.solve_scalar(net, rings.construct_ring(rings.PrimeField(2)))
+    assert res.status == "exhausted-unsolvable"
+    cyclic = Network(["a", "b"], [("a", "b"), ("b", "a")], [], {})
+    validate_network(cyclic).append("changed by the caller")
+    assert validate_network(cyclic) == ["network contains a cycle"]

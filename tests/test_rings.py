@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netring import networks, rings, solver
+from netring import networks, rings, solver, transforms
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
                            Product, TableRing, UpperTriangular,
                            construct_ring, describe)
@@ -405,6 +405,74 @@ def test_semisimple_decompose_blocks():
         construct_ring(GaloisField(2, 2))) == [(1, 4)]
     assert rings.semisimple_decompose(
         construct_ring(IntegersMod(6))) == [(1, 2), (1, 3)]
+
+
+def test_ring_structure_is_pinned():
+    """radical, semisimple_decompose and simple_reduction of every unital
+    ring in the structured catalogue to 64 elements and the semisimple
+    catalogues of 2^1..2^6 and 3^1..3^3 elements, pinned by one digest."""
+    descs = list(solver.structured_catalog(64))
+    descs += [d for k in range(1, 7) for d in rings.semisimple_catalog(2, k)]
+    descs += [d for k in range(1, 4) for d in rings.semisimple_catalog(3, k)]
+    h = hashlib.sha256()
+    count = 0
+    for desc in descs:
+        ring = construct_ring(desc)
+        if not ring.unital:
+            continue
+        h.update(repr((describe(desc), rings.radical(ring).elements,
+                       rings.semisimple_decompose(ring),
+                       transforms.simple_reduction(ring)[1].mapping)).encode())
+        count += 1
+    assert count == 247
+    assert h.hexdigest() == ("d881e30aba995eff3e2f7c54bdcd5b2b"
+                             "fc73548cb5683ae7a033b78685654dc5")
+
+
+def test_structure_needs_no_prime_power_split_or_left_ideals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ring structure left the maximal ideals")
+    for name in ("prime_power_decompose", "left_ideals"):
+        monkeypatch.setattr(rings, name, refuse)
+    ring = construct_ring(Product((IntegersMod(4),
+                                   UpperTriangular(PrimeField(3), 2))))
+    assert tuple(rings.radical(ring).elements) == _jacobson(ring)
+    assert rings.semisimple_decompose(ring) == [(1, 2), (1, 3), (1, 3)]
+
+
+def test_decompose_past_the_isomorphism_cap():
+    # only the simple quotients, none of them past HOM_CAP, meet the
+    # isomorphism search
+    for desc, blocks in (
+            (Product((MatrixRing(PrimeField(2), 2),) + (PrimeField(2),) * 5),
+             [(2, 2)] + [(1, 2)] * 5),
+            (Product((GaloisField(2, 4), GaloisField(2, 4), PrimeField(2))),
+             [(1, 16), (1, 16), (1, 2)])):
+        ring = construct_ring(desc)
+        assert ring.size > rings.HOM_CAP
+        assert rings.semisimple_decompose(ring) == blocks
+
+
+def test_one_element_ring_has_no_simple_quotient():
+    ring = construct_ring(TableRing([[0]], [[0]]))
+    assert rings.radical(ring).elements == (0,)
+    assert rings.semisimple_decompose(ring) == []
+    same, hom = transforms.simple_reduction(ring)
+    assert same is ring and hom.mapping == (0,)
+
+
+@pytest.mark.parametrize("add, mul", [
+    ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),      # zero multiplication on Z_2
+    ([[(a + b) % 4 for b in range(4)] for a in range(4)],
+     [[2 * a * b % 4 for b in range(4)] for a in range(4)]),   # 2Z/8Z
+], ids=["zero-product", "2Z/8Z"])
+def test_structure_of_a_rng_is_refused(add, mul):
+    # both rngs are nil, so no maximal-ideal argument reaches their radical
+    rng = construct_ring(TableRing(add, mul, unital=False))
+    for query in (rings.radical, rings.semisimple_decompose,
+                  transforms.simple_reduction):
+        with pytest.raises(ValueError, match="rng"):
+            query(rng)
 
 
 def test_table_ring_reindexing():
