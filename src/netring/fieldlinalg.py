@@ -226,11 +226,6 @@ def gaussian_binomial(d: int, r: int, q: int) -> int:
     return num // den
 
 
-def count_subspaces(q: int, d: int, rmax: int) -> int:
-    """Number of subspaces of F_q^d of dimension at most rmax."""
-    return sum(gaussian_binomial(d, r, q) for r in range(min(d, rmax) + 1))
-
-
 def echelon_forms(q: int, d: int, r: int):
     """Yield every reduced echelon form with exactly r rows over F_q^d.
 

@@ -41,7 +41,10 @@ of semisimple rings of prime-power order.  Ring structure comes by one
 route, the maximal two-sided ideals M of a unital ring: `simple_quotients`
 names the simple ring M_r(GF(q)) that each R/M is, the radical is the
 intersection of the M, and R/radical is the product of the R/M (Chinese
-remainder theorem), so `semisimple_decompose` lists their blocks.  One
+remainder theorem), so `semisimple_decompose` lists their blocks.  A field
+or a matrix ring over one (`field_view`) is simple and names its own
+block, with no lattice, isomorphism search or size cap; any other ring
+walks its two-sided lattice and matches each quotient by isomorphism.  One
 lattice routine, `_lattice`, serves left and two-sided ideals and the
 submodules of `modules`: it takes an additive table and action tables (the
 multiplication table, its transpose, or a module's action table), closes
@@ -1055,10 +1058,12 @@ def maximal_proper(ideals: list[Ideal]) -> list[Ideal]:
 
 def _maximal_ideals(ring: Ring) -> list[Ideal]:
     """The maximal two-sided ideals of a unital ring, in lattice order
-    (none for the one-element ring)."""
+    (none for the one-element ring; only 0 for a field_view ring)."""
     if not ring.unital:
         raise ValueError(f"{describe(ring.descriptor)} is a rng; ring "
                          "structure needs a unital ring")
+    if field_view(ring) is not None:
+        return [Ideal(ring, (0,), "two-sided")]
     return maximal_proper(two_sided_ideals(ring))
 
 
@@ -1418,9 +1423,23 @@ def simple_ring(r: int, q: int) -> RingDescriptor:
     return field if r == 1 else MatrixRing(field, r)
 
 
+def field_view(ring: Ring) -> Optional[tuple[Ring, int]]:
+    """(F, k) when the ring is the field F (k = 1) or the matrix ring
+    M_k(F) over a field, else None."""
+    if ring.is_field():
+        return ring, 1
+    if ring.kind == "matrix" and ring.inner.is_field():
+        return ring.inner, ring.k
+    return None
+
+
 def simple_block(ring: Ring) -> tuple[int, int]:
-    """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring;
-    only the simple rings of the same size are matched."""
+    """(r, q) with ring isomorphic to M_r(GF(q)), for a simple ring: read
+    off a field or a matrix ring over one, else matched by isomorphism
+    against the simple rings of the same size."""
+    view = field_view(ring)
+    if view is not None:
+        return view[1], view[0].size
     for r, q in simple_rings(ring.size):
         if find_isomorphism(ring, construct_ring(simple_ring(r, q))) is not None:
             return r, q

@@ -1,7 +1,8 @@
 """Scalar and vector solvability: one decision procedure, two search engines.
 
 _decide answers "is the network scalar-solvable over R?" for solve_scalar's
-auto strategy and for every ring of the smallest-ring sweep.  A ring the
+auto strategy, for every ring of the smallest-ring sweep and for every
+dimension of a vector search.  A ring the
 rank engine accepts is searched directly.  Any other ring is first reduced
 by its maximal two-sided ideals, since a solution pushes down to every
 quotient: a simple ring is searched in canonical M_r(GF(q)) form and the
@@ -16,6 +17,10 @@ quotient M_r(GF(q)) with at most |R| elements, equal only when R is
 simple.  So the default sweep walks the simple rings by size, each one
 rank search, and needs no catalogue, ideals or isomorphisms; an explicit
 catalogue goes through the same loop, ring by ring.
+
+A k-dimensional vector code over GF(q) is a scalar code over M_k(GF(q)).
+solve_vector stacks the codes of two solved smaller dimensions when it
+can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
 
 * the rank engine covers fields and matrix rings over fields.  A code's
   edge carries a subspace (of dimension at most k) of the row space
@@ -287,13 +292,8 @@ class _GenAlg:
         return image
 
 
-def _rank_parts(ring: Ring):
-    """(field, k) view of a ring the rank strategy accepts, else None."""
-    if ring.is_field():
-        return ring, 1
-    if ring.kind == "matrix" and ring.inner.is_field():
-        return ring.inner, ring.k
-    return None
+# the rings the rank strategy accepts, as (field, k)
+_rank_parts = _rings.field_view
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
@@ -392,14 +392,21 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     def candidates(tail):
         """The subspaces of the tail's span an edge may carry: only the
         largest, since a larger one is never worse (module notes), in
-        echelon order."""
+        echelon order.  Listed whole before the first node is tried, so
+        the budgets bound the listing too."""
         got = cand_cache.get(tail)
         if got is None:
             space = spaces[tail]
             d = len(space)
-            forms = sorted(alg.canon([alg.mix(space, c) for c in form])
-                           for form in fl.echelon_forms(q, d, min(d, k)))
-            got = cand_cache[tail] = [intern(s) for s in forms]
+            if fl.gaussian_binomial(d, min(d, k), q) > budget:
+                raise _Budget("edge candidates outnumber the node budget")
+            forms = []
+            for form in fl.echelon_forms(q, d, min(d, k)):
+                forms.append(alg.canon([alg.mix(space, c) for c in form]))
+                if deadline is not None and len(forms) % 1024 == 0 \
+                        and time.perf_counter() > deadline:
+                    raise _Budget("time budget exhausted")
+            got = cand_cache[tail] = [intern(s) for s in sorted(forms)]
         return got
 
     # claimed positions, walked in order: the tail carries messages only,
@@ -1006,54 +1013,29 @@ def solve_vector(net: Network, field: Ring, k: int,
                  options: Optional[SearchOptions] = None) -> SolveResult:
     """Decide k-dimensional vector solvability over a field.
 
-    Searches the matrix-ring form directly when the candidate space fits
-    the node budget; otherwise composes verified lower-dimensional
-    solutions block-diagonally.  The composed route can only report
-    "solved" (a failed split proves nothing), so an oversized direct
-    search with no working split ends in "budget-exceeded"."""
+    Dimension d is solved as soon as two smaller dimensions d1 + d2 = d
+    are: their codes stack block-diagonally (dim_sum), and stats["method"]
+    is "dim-sum d1+d2" with the parts' stats under "parts".  Splits are
+    tried first, d1 ascending, and can only answer "solved".  Otherwise d
+    is decided by _decide over M_d(F) (F itself when d is 1) under the
+    caller's budgets.  Each dimension is decided once per call."""
     _check_axioms(field)
     if not field.is_field():
         raise ValueError("vector codes need a field of scalars")
     if k < 1:
         raise ValueError("dimension must be at least 1")
     opts = _validated(net, options)
-    memo: dict[int, SolveResult] = {}
+    if opts.strategy != "auto":     # _decide picks each route itself
+        raise ValueError(f"a vector search picks each dimension's route; "
+                         f"strategy {opts.strategy!r} is not supported")
 
+    @lru_cache(maxsize=None)
     def attempt(dim: int) -> SolveResult:
-        if dim not in memo:
-            memo[dim] = _attempt_uncached(dim)
-        return memo[dim]
-
-    def direct_estimate(dim: int) -> int:
-        q = field.size
-        width = dim * len(net.message_names)
-        est = 1
-        plan = _Plan(net, opts, joint_cap=lambda edges: len(edges) == 1)
-        for e in plan.outer:
-            d = min(dim * len(net.inputs(e.tail)), width)
-            est *= fl.count_subspaces(q, d, dim)
-            if est > opts.node_budget:
-                break
-        return est
-
-    def _attempt_uncached(dim: int) -> SolveResult:
-        if dim == 1:
-            return solve_scalar(net, field, opts)
-        if direct_estimate(dim) <= opts.node_budget:
-            mat = construct_ring(_rings.MatrixRing(field.descriptor, dim))
-            res = solve_scalar(net, mat, opts)
-            if res.solved:
-                code = _transforms.matrix_scalar_to_vector(res.code)
-                return SolveResult("solved", code, res.stats)
-            return res
-        splits = []
         for k1 in range(1, dim // 2 + 1):
             a = attempt(k1)
             if not a.solved:
-                splits.append((k1, dim - k1, a.status, None))
                 continue
             b = attempt(dim - k1)
-            splits.append((k1, dim - k1, a.status, b.status))
             if b.solved:
                 code = _transforms.dim_sum(a.code, b.code)
                 report = verify_solution(net, code)
@@ -1061,12 +1043,14 @@ def solve_vector(net: Network, field: Ring, k: int,
                     raise RuntimeError("block-diagonal composite failed "
                                        f"verification: {report.failure}")
                 return SolveResult("solved", code, {
-                    "strategy": "dim-sum", "split": (k1, dim - k1),
+                    "method": f"dim-sum {k1}+{dim - k1}",
                     "parts": (a.stats, b.stats)})
-        return SolveResult("budget-exceeded", None, {
-            "strategy": "dim-sum", "reason":
-                "direct search exceeds the node budget and no block "
-                "split composed", "splits": splits})
+        ring = (field if dim == 1 else
+                construct_ring(_rings.MatrixRing(field.descriptor, dim)))
+        res = _decide(net, ring, opts, {})
+        if res.solved and dim > 1:
+            res.code = _transforms.matrix_scalar_to_vector(res.code)
+        return res
 
     return attempt(k)
 

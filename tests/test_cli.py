@@ -102,6 +102,16 @@ def test_sweep_strategy_is_65(files, strategy, capsys):
     assert "strategy" in err
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "rank"])
+def test_vector_strategy_is_65(files, strategy, capsys):
+    # every dimension goes through the one decision procedure
+    assert run("solve", "vector", str(files["c3"]), "--field", "2",
+               "--dim", "2", "--strategy", strategy) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "strategy" in err
+
+
 def test_sweep_to_a_large_size_stops_at_the_first_winner(files, tmp_path):
     # nothing is built up front, so the bound costs nothing once a ring solves
     out = tmp_path / "s.json"
@@ -282,6 +292,14 @@ def test_ring_structure_of_the_one_element_ring(tmp_path, capsys):
     assert run("transform", "simple-reduce", str(zero)) == OK
     red = json.loads(capsys.readouterr().out)
     assert red["to_size"] == 1 and red["blocks"] == [] and red["map"] == [0]
+
+
+def test_ring_radical_of_a_field_past_the_isomorphism_cap(tmp_path, capsys):
+    gf = tmp_path / "gf512.json"
+    gf.write_text(json.dumps({"kind": "galois-field", "p": 2, "k": 9}))
+    assert run("ring", "radical", str(gf)) == OK
+    rad = json.loads(capsys.readouterr().out)
+    assert rad["radical"] == [0] and rad["quotient_blocks"] == [[1, 512]]
 
 
 def test_ring_radical_of_a_rng_is_65(tmp_path, capsys):

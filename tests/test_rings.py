@@ -453,6 +453,23 @@ def test_decompose_past_the_isomorphism_cap():
         assert rings.semisimple_decompose(ring) == blocks
 
 
+def test_named_simple_rings_are_read_off(monkeypatch):
+    # a field or a matrix ring over one is simple and names its own block,
+    # so neither the ideal lattice nor an isomorphism search is needed,
+    # and HOM_CAP stops no decomposition (GF(2^9) and M_2(GF(2^3)) are past it)
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure of a named simple ring was searched")
+    for name in ("two_sided_ideals", "find_isomorphism"):
+        monkeypatch.setattr(rings, name, refuse)
+    for desc, block in ((GaloisField(2, 9), (1, 512)),
+                        (GaloisField(3, 5), (1, 243)),
+                        (MatrixRing(GaloisField(2, 3), 2), (2, 8))):
+        ring = construct_ring(desc)
+        assert rings.radical(ring).elements == (0,)
+        assert rings.semisimple_decompose(ring) == [block]
+        assert rings.simple_block(ring) == block
+
+
 def test_one_element_ring_has_no_simple_quotient():
     ring = construct_ring(TableRing([[0]], [[0]]))
     assert rings.radical(ring).elements == (0,)

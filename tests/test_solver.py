@@ -9,7 +9,8 @@ import bruteforce
 from conftest import (chain2_network, chain_network, pair_network,
                       starve_network, wire2_network)
 from netring import codes, networks, rings, solver
-from netring.networks import choose_two_network, m_network, trivial_network
+from netring.networks import (choose_two_network, dim_n_network, m_network,
+                              trivial_network)
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
                            Product, TableRing, UpperTriangular, construct_ring,
                            describe)
@@ -316,6 +317,49 @@ def test_solve_vector_split_cannot_prove_unsolvable(gf2):
     net = choose_two_network(4)
     res = solve_vector(net, gf2, 2, SearchOptions(node_budget=3))
     assert res.status == "budget-exceeded"
+
+
+def test_solve_vector_searches_what_the_budget_allows(gf2):
+    # choose-two(4) over GF(2)^2 is a 60-node search of M_2(GF(2)); nothing
+    # prices it out before it starts
+    net = choose_two_network(4)
+    res = solve_vector(net, gf2, 2, SearchOptions(node_budget=100))
+    assert res.status == "solved"
+    assert res.stats["method"] == "direct search as M_2(GF(2))"
+    assert res.stats["nodes"] == 60
+    assert codes.semantic_verify(net, res.code).solved
+
+
+@pytest.mark.parametrize("builder,k,method", [
+    (lambda: choose_two_network(3), 2, "dim-sum 1+1"),
+    (m_network, 4, "dim-sum 2+2"),
+    (m_network, 2, "direct search as M_2(GF(2))"),
+], ids=["choose-two(3)/2", "m/4", "m/2"])
+def test_solve_vector_route_is_pinned(gf2, builder, k, method):
+    # splits come first; a dimension no split solves is searched as M_k(F)
+    net = builder()
+    res = solve_vector(net, gf2, k)
+    assert res.status == "solved" and res.stats["method"] == method
+    if method.startswith("dim-sum"):
+        assert all(part["method"] for part in res.stats["parts"])
+    assert res.code.module.vector_dim == k
+    assert codes.verify_solution(net, res.code).solved
+    assert codes.semantic_verify(net, res.code).solved
+
+
+def test_candidate_lists_stay_inside_the_budgets():
+    # an edge's candidates are listed whole before its first node: a list
+    # longer than the node budget stops the search at once, and the time
+    # budget bounds the listing (M_3(GF(2)) lists 788,035 for one edge)
+    net = dim_n_network(3)
+    res = solve_scalar(net, construct_ring(MatrixRing(PrimeField(2), 4)))
+    assert res.status == "budget-exceeded"
+    assert "candidates outnumber the node budget" in res.stats["reason"]
+    t0 = time.perf_counter()
+    res = solve_scalar(net, construct_ring(MatrixRing(PrimeField(2), 3)),
+                       SearchOptions(time_budget=0.2))
+    assert res.status == "budget-exceeded" and res.stats["nodes"] == 0
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_smallest_ring_search_small_net():
