@@ -15,7 +15,7 @@ from .modules import (
     module_to_json, module_from_json,
 )
 from .networks import (
-    Edge, Network, validate_network, m_network, dim_n_network,
+    Edge, Network, validate_network, cut_deficit, m_network, dim_n_network,
     choose_two_network, trivial_network, network_to_json, network_from_json,
     parse_network,
 )

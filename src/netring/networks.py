@@ -6,11 +6,19 @@ its in-edges sorted by (tail id, ordinal) followed by the messages it owns in
 declaration order; every coefficient list in a linear code is aligned with
 that order, so it is fixed here once and used everywhere.  Generator node ids
 zero-pad numeric suffixes so that the string sort agrees with numeric order.
+
+cut_deficit checks the cut-set bound, which no code over any alphabet of
+two or more symbols can beat: a receiver decodes the messages owned in a
+set of nodes O only if every cut between O and the receiver has at least
+that many edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+
+
+_UNSET = object()
 
 
 @dataclass(frozen=True, order=True)
@@ -46,10 +54,11 @@ class Network:
         self._owned = {v: [m for (m, owner) in self.messages if owner == v]
                        for v in self.nodes}
         # a network is never changed after construction, so the orders,
-        # inputs and issues are computed once; a cycle is not cached and
-        # raises again
+        # inputs, issues and cut-set deficit are computed once; a cycle is
+        # not cached and raises again
         self._inputs = {}
         self._topo_nodes = self._topo_edges = self._issues = None
+        self._deficit = _UNSET
 
     def __repr__(self):
         return (f"Network({len(self.nodes)} nodes, {len(self.edges)} edges, "
@@ -175,6 +184,111 @@ def _reach_set(net: Network, src: str) -> set:
                 seen.add(e.head)
                 stack.append(e.head)
     return seen
+
+
+def cut_deficit(net: Network):
+    """None, or the first (receiver, owners, messages, cut edges) that
+    breaks the cut-set bound, on a network validate_network accepts.
+
+    Give a receiver t every message it does not demand for free, and let S
+    be its demands owned in the nodes O.  What t hears is then a function
+    of the edges of any cut between O and t, so t decodes S only if each
+    such cut has at least |S| edges, whatever the code and the alphabet,
+    as long as it has two or more symbols (over one symbol every message
+    is the same).  One unit-capacity max-flow checks every O at once: a
+    super source feeds each owner as many units as t wants from it, and
+    the flow reaches every demand of t exactly when no O is cut short
+    (max-flow min-cut).  Otherwise the nodes that can still reach t in the
+    residual graph give the cut: owners outside them form O, S is t's
+    demands they own, and the edges into them from outside are the cut,
+    fewer than |S|."""
+    if net._deficit is _UNSET:
+        net._deficit = _first_deficit(net)
+    return net._deficit
+
+
+def _first_deficit(net: Network):
+    owner = dict(net.messages)
+    graph = None
+    for r in net.receivers:
+        # a message the receiver owns itself needs no edge
+        wanted = [m for m in dict.fromkeys(net.demands[r]) if owner[m] != r]
+        if len(wanted) < 2:
+            continue    # validation found a path for a lone message
+        if graph is None:
+            graph = _int_graph(net)
+        index = graph[0]
+        spare = {}      # owner -> messages of r it has not sent yet
+        for m in wanted:
+            o = index[owner[m]]
+            spare[o] = spare.get(o, 0) + 1
+        reached = _cut_side(index[r], spare, len(wanted), graph)
+        if reached is not None:
+            tails, into = graph[1], graph[3]
+            cut = [e for u in reached for e in into[u]
+                   if tails[e] not in reached]
+            owners = {net.nodes[o] for o in spare if o not in reached}
+            return (r, tuple(sorted(owners)),
+                    tuple(m for m in wanted if owner[m] in owners),
+                    tuple(sorted(net.edges[e] for e in cut)))
+    return None
+
+
+def _int_graph(net: Network):
+    """Node index, and per edge id its tail and head; per node index the
+    ids of its in- and out-edges."""
+    index = {v: i for i, v in enumerate(net.nodes)}
+    tails = [index[e.tail] for e in net.edges]
+    heads = [index[e.head] for e in net.edges]
+    into = [[] for _ in net.nodes]
+    out_of = [[] for _ in net.nodes]
+    for e, (a, b) in enumerate(zip(tails, heads)):
+        out_of[a].append(e)
+        into[b].append(e)
+    return index, tails, heads, into, out_of
+
+
+def _cut_side(t: int, spare: dict, want: int, graph):
+    """Augment unit flow into t from owners with spare units until want
+    units arrive: None then, else the nodes that can still reach t in the
+    residual graph.  Paths grow backwards from t, so only its ancestors
+    are visited; used marks the edges that carry flow."""
+    _, tails, heads, into, out_of = graph
+    used = bytearray(len(tails))
+    for _ in range(want):
+        via = {t: -1}       # node -> edge of its residual arc towards t
+        src = _residual_path(t, via, spare, used, graph)
+        if src is None:
+            return via
+        spare[src] -= 1
+        w = src
+        while w != t:
+            e = via[w]
+            used[e] ^= 1
+            w = heads[e] if used[e] else tails[e]
+    return None
+
+
+def _residual_path(t: int, via: dict, spare: dict, used, graph):
+    """Breadth-first search backwards from t over residual arcs w -> u (an
+    unused edge w -> u, or a used edge u -> w to cancel), filling via; the
+    first owner met with a spare unit, or None."""
+    _, tails, heads, into, out_of = graph
+    queue = [t]
+    for u in queue:
+        for e in into[u]:
+            w = tails[e]
+            if not used[e] and w not in via:
+                via[w] = e
+                if spare.get(w):
+                    return w
+                queue.append(w)
+        for e in out_of[u]:
+            w = heads[e]
+            if used[e] and w not in via:
+                via[w] = e
+                queue.append(w)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,19 @@
-"""Scalar and vector solvability: one decision procedure, two search engines.
+"""Scalar and vector solvability: a cut-set bound first, then one decision
+procedure and two search engines.
+
+Before any ring work, solve_scalar's auto strategy, solve_vector and the
+default smallest-ring sweep check the cut-set bound (networks.cut_deficit).
+A receiver that demands more messages owned in a set of nodes than some
+cut between those nodes and it has edges can decode them under no code
+over any alphabet of two or more symbols, so the network is unsolvable
+over every ring and every module with two or more elements (over the
+one-element ring every message is zero and every code decodes, so
+solve_scalar checks the bound only for larger rings).  The answer is then
+"exhausted-unsolvable", stats["method"] is "cut-set bound at <receiver>:
+<c> edges for <s> messages" and stats["cut"] holds the receiver, the
+owners, the cut edges and the messages.  The rank and exhaustive
+strategies and a sweep of an explicit catalogue skip the bound and stay
+raw searches, so they can cross-check it.
 
 _decide answers "is the network scalar-solvable over R?" for solve_scalar's
 auto strategy, for every ring of the smallest-ring sweep and for every
@@ -71,7 +86,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass, field as _field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -82,7 +97,7 @@ from . import modules as _modules
 from . import rings as _rings
 from . import transforms as _transforms
 from .codes import LinearCode, verify_solution
-from .networks import Network, validate_network
+from .networks import Network, cut_deficit, validate_network
 from .rings import Ring, RingDescriptor, construct_ring
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -713,7 +728,8 @@ def _combinations(tuples, mulT, addT) -> np.ndarray:
     return acc
 
 
-def _decodable(tuples, mulT, addT, one: int, targets) -> np.ndarray:
+def _decodable(tuples, mulT, addT, one: int, targets,
+               deadline=None) -> np.ndarray:
     """Whether each input tuple (rows X_1..X_t of a (u, t, m) array) lets
     its receiver decode every target message: some d in R^t with
     d_1 X_1 + ... + d_t X_t the target's unit row.
@@ -721,11 +737,14 @@ def _decodable(tuples, mulT, addT, one: int, targets) -> np.ndarray:
     All |R|^t combinations of a tuple are built at once, blocks of tuples
     keeping them within _rings._TABLE_BLOCK entries.  A combination is the
     unit row e_j iff entry j is the identity and its entries sum to the
-    identity, since zero is index 0 and no index is negative."""
+    identity, since zero is index 0 and no index is negative.  The deadline,
+    if any, is checked before each block (_Budget once it has passed)."""
     u, t, m = tuples.shape
     ok = np.empty(u, dtype=bool)
     step = max(1, _rings._TABLE_BLOCK // (len(mulT) ** t * m))
     for b in range(0, u, step):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise _Budget("time budget exhausted")
         acc = _combinations(tuples[b:b + step], mulT, addT)
         weight = acc[..., 0].copy()
         for j in range(1, m):
@@ -849,8 +868,14 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
             # each distinct input tuple is decided once per chunk
             tuples, inv = _distinct_inputs(arr_list, (alive.size, lcount),
                                            size, m)
-            ok = _decodable(tuples, mulT, addT, ring.one,
-                            [mpos[name] for name in net.demands[r]])
+            try:
+                ok = _decodable(tuples, mulT, addT, ring.one,
+                                [mpos[name] for name in net.demands[r]],
+                                deadline)
+            except _Budget as exc:
+                stats["elapsed"] = time.perf_counter() - t0
+                return SolveResult("budget-exceeded", None,
+                                   stats | {"reason": str(exc)})
             stats["receiver_checks"] += len(tuples)
             stats["memo_hits"] += len(inv) - len(tuples)
             # each row's least decodable local choice and the input tuple
@@ -926,6 +951,21 @@ def _table_witness(net, ring, plan, slots, weights, winner, chosen,
 # ---------------------------------------------------------------------------
 # front ends
 
+def _cut_bound(net: Network) -> Optional[SolveResult]:
+    """The cut-set bound's "exhausted-unsolvable", or None when every cut
+    is wide enough (module notes)."""
+    cut = cut_deficit(net)
+    if cut is None:
+        return None
+    r, owners, msgs, edges = cut
+    return SolveResult("exhausted-unsolvable", None, {
+        "method": f"cut-set bound at {r}: {len(edges)} edges for "
+                  f"{len(msgs)} messages",
+        "cut": {"receiver": r, "owners": list(owners),
+                "edges": [[e.tail, e.head, e.ordinal] for e in edges],
+                "messages": list(msgs)}})
+
+
 def _block_name(r: int, q: int) -> str:
     return _rings.describe(_rings.simple_ring(r, q))
 
@@ -983,16 +1023,20 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
 
 def solve_scalar(net: Network, ring: Ring,
                  options: Optional[SearchOptions] = None) -> SolveResult:
-    """Decide scalar solvability over the ring.  auto goes through _decide
-    unless a ring the rank strategy does not accept fits one enumeration
-    block (reducing would cost more than searching) or the search is sharded
-    (a quotient's verdict is not one shard's); rank and exhaustive are raw
-    searches of the ring itself."""
+    """Decide scalar solvability over the ring.  auto answers by the cut-set
+    bound when it fires on a ring of two or more elements, else goes
+    through _decide unless a ring the rank strategy does not accept fits
+    one enumeration block (reducing would cost more than searching) or the
+    search is sharded (a quotient's verdict is not one shard's); rank and
+    exhaustive are raw searches of the ring itself."""
     opts = _validated(net, options)
     _check_axioms(ring)
     strategy = opts.strategy
     planned = None
     if strategy == "auto":
+        bound = _cut_bound(net) if ring.size > 1 else None
+        if bound is not None:
+            return bound
         if _rank_parts(ring) is not None:
             return _decide(net, ring, opts, {})
         if opts.shards == 1 and ring.unital and ring.has_tables():
@@ -1018,7 +1062,10 @@ def solve_vector(net: Network, field: Ring, k: int,
     is "dim-sum d1+d2" with the parts' stats under "parts".  Splits are
     tried first, d1 ascending, and can only answer "solved".  Otherwise d
     is decided by _decide over M_d(F) (F itself when d is 1) under the
-    caller's budgets.  Each dimension is decided once per call."""
+    caller's node budget and the time left of the caller's time budget,
+    which bounds the whole call: a dimension reached with no time left is
+    "budget-exceeded".  Each dimension is decided once per call, and the
+    cut-set bound, which settles every dimension, is checked before any."""
     _check_axioms(field)
     if not field.is_field():
         raise ValueError("vector codes need a field of scalars")
@@ -1028,6 +1075,11 @@ def solve_vector(net: Network, field: Ring, k: int,
     if opts.strategy != "auto":     # _decide picks each route itself
         raise ValueError(f"a vector search picks each dimension's route; "
                          f"strategy {opts.strategy!r} is not supported")
+    bound = _cut_bound(net)
+    if bound is not None:
+        return bound
+    deadline = (None if opts.time_budget is None
+                else time.perf_counter() + opts.time_budget)
 
     @lru_cache(maxsize=None)
     def attempt(dim: int) -> SolveResult:
@@ -1047,7 +1099,16 @@ def solve_vector(net: Network, field: Ring, k: int,
                     "parts": (a.stats, b.stats)})
         ring = (field if dim == 1 else
                 construct_ring(_rings.MatrixRing(field.descriptor, dim)))
-        res = _decide(net, ring, opts, {})
+        run = opts
+        if deadline is not None:
+            left = deadline - time.perf_counter()
+            if left <= 0:
+                return SolveResult("budget-exceeded", None, {
+                    "method": "no time left for "
+                              + _rings.describe(ring.descriptor),
+                    "reason": "time budget exhausted"})
+            run = replace(opts, time_budget=left)
+        res = _decide(net, ring, run, {})
         if res.solved and dim > 1:
             res.code = _transforms.matrix_scalar_to_vector(res.code)
         return res
@@ -1150,8 +1211,11 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     identity: R has a simple quotient with at most |R| elements, equal only
     when R is simple, and a solution over R pushes down to it.  An explicit
     catalogue is walked in the same order by the same loop, whatever
-    max_size says, and answers for the listed rings only.  Each ring goes through
-    _decide, with one memo of canonical simple-ring searches per sweep."""
+    max_size says, and answers for the listed rings only.  Each ring goes
+    through _decide, with one memo of canonical simple-ring searches per
+    sweep.  Without a catalogue the cut-set bound is checked first: when it
+    fires, every simple ring gets its verdict unbuilt and unsearched, and
+    the coverage is every ring and module with two or more elements."""
     t0 = time.perf_counter()
     opts = _validated(net, options)
     if opts.shards > 1:
@@ -1172,6 +1236,7 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     descs = (sorted(catalog, key=_catalog_key) if catalog is not None
              else (_rings.simple_ring(r, q) for n in range(2, max_size + 1)
                    for r, q in _rings.simple_rings(n)))
+    bound = _cut_bound(net) if catalog is None else None
     blocks: dict[tuple[int, int], SolveResult] = {}
     verdicts: list[RingVerdict] = []
     winners: list[RingVerdict] = []
@@ -1180,7 +1245,7 @@ def smallest_ring_search(net: Network, max_size: int = 16,
         size = _rings.descriptor_size(desc)
         if minimal is not None and size > minimal:
             break
-        res = _decide(net, construct_ring(desc), opts, blocks)
+        res = bound or _decide(net, construct_ring(desc), opts, blocks)
         verdict = RingVerdict(desc, _rings.describe(desc), size, res.status,
                               res.stats["method"], res.code)
         verdicts.append(verdict)
@@ -1190,6 +1255,11 @@ def smallest_ring_search(net: Network, max_size: int = 16,
 
     if catalog is not None:
         coverage = f"complete for the {len(catalog)} listed rings only"
+    elif bound is not None:
+        coverage = ("complete for every ring and every module with two or "
+                    f"more elements: {bound.stats['method']}, and no code "
+                    "over an alphabet of two or more symbols beats a "
+                    "cut-set bound")
     else:
         coverage = (f"complete for every finite ring with identity up to "
                     f"{max_size} elements: each has a simple quotient "

@@ -6,7 +6,7 @@ assignments, decode rows, and message assignments — without touching the
 library's transfer-vector propagation or either solver strategy.  Only
 ever pointed at tiny instances.
 """
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -141,6 +141,43 @@ def check_code(net, code):
     return all(np.array_equal(combine(code.decodings[(r, m)],
                                       net.inputs(r)), assignment[m])
                for r in net.receivers for m in net.demands[r])
+
+
+def separates(net, owners, cut, receiver):
+    """Whether no directed path leads from any owner to the receiver once
+    the cut edges are removed."""
+    gone = set(cut)
+    seen, stack = set(owners), list(owners)
+    while stack:
+        v = stack.pop()
+        for e in net.edges:
+            if e.tail == v and e not in gone and e.head not in seen:
+                seen.add(e.head)
+                stack.append(e.head)
+    return receiver not in seen
+
+
+def owned_demands(net, receiver, owners):
+    """The distinct messages the receiver demands that the owners own."""
+    owner = dict(net.messages)
+    return {m for m in net.demands[receiver] if owner[m] in owners}
+
+
+def cut_set_violated(net):
+    """Whether some receiver, set of owners of its demands and set of
+    fewer edges than its demands owned there cut the owners off from it,
+    by trying every such edge set."""
+    owner = dict(net.messages)
+    for r in net.receivers:
+        owners = sorted({owner[m] for m in net.demands[r]} - {r})
+        for n in range(1, len(owners) + 1):
+            for group in combinations(owners, n):
+                most = len(owned_demands(net, r, group))
+                for size in range(most):
+                    if any(separates(net, group, cut, r)
+                           for cut in combinations(net.edges, size)):
+                        return True
+    return False
 
 
 def distribution_entropy(counts, base):

@@ -68,3 +68,40 @@ def chain2_network():
         [("s", "u", 0), ("s", "u", 1), ("u", "t", 0), ("u", "t", 1)],
         [("m1", "s"), ("m2", "s")],
         {"t": ("m1", "m2")})
+
+
+def cut_chain_network(k, chain, decoys=0):
+    """k messages owned by s and demanded by t, which hears s only over a
+    single-edge chain through `chain` relays; decoy receivers each demand
+    one message over one edge off the chain.  Never solvable for k >= 2."""
+    hops = ["s"] + [f"v{i}" for i in range(1, chain + 1)] + ["t"]
+    extra = [f"d{i}" for i in range(1, decoys + 1)]
+    msgs = [f"m{i}" for i in range(1, k + 1)]
+    edges = list(zip(hops, hops[1:]))
+    edges += [(hops[i % (len(hops) - 1)], d) for i, d in enumerate(extra)]
+    demands = {"t": tuple(msgs)}
+    demands.update({d: (msgs[i % k],) for i, d in enumerate(extra)})
+    return networks.Network(hops + extra, edges, [(m, "s") for m in msgs],
+                            demands)
+
+
+def funnel_network():
+    """Three messages through one edge into a relay with three edges to
+    the receiver: t's in-degree suffices, but the cut s->u does not."""
+    return networks.Network(
+        ["s", "u", "t"],
+        [("s", "u", 0), ("u", "t", 0), ("u", "t", 1), ("u", "t", 2)],
+        [("m1", "s"), ("m2", "s"), ("m3", "s")],
+        {"t": ("m1", "m2", "m3")})
+
+
+def two_owner_network():
+    """s1 owns m1 and has two edges to t; s2 owns m2 and m3 but reaches t
+    only through the relay u, over single edges.  t's in-degree suffices
+    for all three messages; the cut of s2's two is u->t alone."""
+    return networks.Network(
+        ["s1", "s2", "u", "t"],
+        [("s1", "t", 0), ("s1", "t", 1), ("s1", "u", 0), ("s2", "u", 0),
+         ("u", "t", 0)],
+        [("m1", "s1"), ("m2", "s2"), ("m3", "s2")],
+        {"t": ("m1", "m2", "m3")})

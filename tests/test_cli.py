@@ -122,6 +122,38 @@ def test_sweep_to_a_large_size_stops_at_the_first_winner(files, tmp_path):
     assert json.loads(out.read_text())["minimal_size"] == 2
 
 
+def test_cut_deficient_network_exits_1_at_once(files, tmp_path):
+    # three messages through a two-relay chain of single edges: the cut-set
+    # bound settles every ring and module, so nothing is searched
+    net = tmp_path / "cut.json"
+    net.write_text(json.dumps({
+        "nodes": ["s", "v1", "v2", "t"],
+        "edges": [["s", "v1", 0], ["v1", "v2", 0], ["v2", "t", 0]],
+        "messages": [["m1", "s"], ["m2", "s"], ["m3", "s"]],
+        "demands": {"t": ["m1", "m2", "m3"]}}))
+    out = tmp_path / "out.json"
+    method = "cut-set bound at t: 1 edges for 3 messages"
+    t0 = time.perf_counter()
+    assert run("solve", "smallest", str(net), "--max-size", "256",
+               "-o", str(out)) == FAIL
+    assert time.perf_counter() - t0 < 2.0
+    rep = json.loads(out.read_text())
+    assert len(rep["verdicts"]) == 73
+    assert {v["method"] for v in rep["verdicts"]} == {method}
+    assert run("solve", "vector", str(net), "--field", "2", "--dim", "3",
+               "-o", str(out)) == FAIL
+    assert json.loads(out.read_text())["stats"]["cut"]["edges"] == [
+        ["v2", "t", 0]]
+    assert run("solve", "scalar", str(net), "--ring", str(files["z4"]),
+               "-o", str(out)) == FAIL
+    assert json.loads(out.read_text())["stats"]["method"] == method
+    # over the one-element ring every message is zero: solved
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"kind": "table", "add": [[0]], "mul": [[0]]}))
+    assert run("solve", "scalar", str(net), "--ring", str(zero),
+               "-o", str(out)) == OK
+
+
 def test_net_gen_and_validate(files, capsys):
     assert run("net", "validate", str(files["m"])) == OK
     out = json.loads(capsys.readouterr().out)

@@ -20,16 +20,22 @@ first source owns two messages and checks the rank search against
 exhaustive enumeration over GF(4), GF(5) and M_2(GF(2)), with slots capped
 so that the enumeration fits one block.
 
-The default smallest-ring sweep looks only at simple rings; the last test
+The default smallest-ring sweep looks only at simple rings; a test
 checks it against a sweep of the whole structured catalogue, which
 decides every other ring by its quotients.
+
+The cut-set bound must fire exactly when some set of fewer edges than a
+receiver's demands from some owners cuts those owners off, as a search over
+every such edge set finds; whenever it fires, enumeration over GF(2) and
+GF(3) must find no code either.
 """
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from netring.networks import (Network, choose_two_network, dim_n_network,
-                              m_network, validate_network)
+from conftest import cut_chain_network, funnel_network, two_owner_network
+from netring.networks import (Network, choose_two_network, cut_deficit,
+                              dim_n_network, m_network, validate_network)
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
                            Product, UpperTriangular, construct_ring, describe)
 from netring.solver import (CHUNK, SearchOptions, smallest_ring_search,
@@ -217,3 +223,25 @@ def test_simple_ring_sweep_agrees_with_the_catalogue(net):
     assert simple.minimal_size == listed.minimal_size
     assert ([v.descriptor for v in simple.winners]
             == [v.descriptor for v in listed.winners])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands
+                         and _slots(net) <= MAX_SLOTS))
+@example(cut_chain_network(3, 1, 1))
+@example(funnel_network())
+@example(two_owner_network())
+def test_cut_bound_fires_exactly_on_a_narrow_cut(net):
+    cut = cut_deficit(net)
+    event(f"bound fires: {cut is not None}")
+    assert (cut is not None) == bruteforce.cut_set_violated(net)
+    if cut is None:
+        return
+    r, owners, msgs, edges = cut
+    assert bruteforce.separates(net, owners, edges, r)
+    assert set(msgs) == bruteforce.owned_demands(net, r, owners)
+    assert len(edges) < len(msgs)
+    for ring in RINGS:
+        assert bruteforce.solve(net, ring)[0] == "exhausted-unsolvable"

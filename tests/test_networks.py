@@ -3,10 +3,14 @@ import math
 
 import pytest
 
+import bruteforce
+from conftest import (chain2_network, cut_chain_network, funnel_network,
+                      pair_network, two_owner_network, wire2_network)
 from netring import networks, rings, solver
-from netring.networks import (Network, choose_two_network, dim_n_network,
-                              m_network, network_from_json, network_to_json,
-                              trivial_network, validate_network)
+from netring.networks import (Network, choose_two_network, cut_deficit,
+                              dim_n_network, m_network, network_from_json,
+                              network_to_json, trivial_network,
+                              validate_network)
 
 
 def test_m_network_shape():
@@ -192,3 +196,71 @@ def test_a_json_network_is_validated_once(monkeypatch):
     cyclic = Network(["a", "b"], [("a", "b"), ("b", "a")], [], {})
     validate_network(cyclic).append("changed by the caller")
     assert validate_network(cyclic) == ["network contains a cycle"]
+
+
+CUT_DEFICIENT = ([cut_chain_network(k, chain, decoys) for k in (2, 3)
+                  for chain in (0, 1, 2) for decoys in (0, 2)]
+                 + [wire2_network(), funnel_network(), two_owner_network()])
+
+
+@pytest.mark.parametrize("net", CUT_DEFICIENT)
+def test_every_reported_cut_is_rechecked_by_search(net):
+    # an independent walk over the edge list: the cut must separate the
+    # owners from the receiver and be narrower than their messages
+    r, owners, msgs, cut = cut_deficit(net)
+    assert set(cut) <= set(net.edges)
+    assert bruteforce.separates(net, owners, cut, r)
+    assert set(msgs) == bruteforce.owned_demands(net, r, owners)
+    assert len(cut) < len(msgs)
+    assert bruteforce.cut_set_violated(net)
+
+
+def test_the_cut_lies_where_the_flow_stops():
+    assert cut_deficit(cut_chain_network(3, 2)) == (
+        "t", ("s",), ("m1", "m2", "m3"), (networks.Edge("v2", "t"),))
+    # t's in-degree would carry three messages; the flow finds s->u
+    assert cut_deficit(funnel_network()) == (
+        "t", ("s",), ("m1", "m2", "m3"), (networks.Edge("s", "u"),))
+    # every message has a path and all three fit t's in-edges together,
+    # but s2's two share u->t
+    assert cut_deficit(two_owner_network()) == (
+        "t", ("s2",), ("m2", "m3"), (networks.Edge("u", "t"),))
+
+
+@pytest.mark.parametrize("net", [m_network(), dim_n_network(2),
+                                 dim_n_network(3), pair_network(),
+                                 chain2_network(), trivial_network()]
+                         + [choose_two_network(n) for n in range(3, 8)])
+def test_the_bound_never_fires_on_solvable_families(net):
+    assert cut_deficit(net) is None
+
+
+def test_flow_cancels_a_path_to_make_room():
+    # the first path s1->a->t blocks s2 until it is rerouted over s1->b
+    net = Network(["s1", "s2", "a", "b", "t"],
+                  [("s1", "a"), ("s1", "b"), ("s2", "a"), ("a", "t"),
+                   ("b", "t")],
+                  [("x", "s1"), ("y", "s2")], {"t": ("x", "y")})
+    assert cut_deficit(net) is None
+    assert not bruteforce.cut_set_violated(net)
+
+
+def test_a_lone_demand_or_one_owned_by_the_receiver_is_skipped():
+    # a receiver that owns its demands needs no edge at all
+    own = Network(["t"], [], [("x", "t"), ("y", "t")], {"t": ("x", "y")})
+    assert validate_network(own) == [] and cut_deficit(own) is None
+    # a message demanded twice is one message
+    lone = Network(["s", "t"], [("s", "t")], [("x", "s")], {"t": ("x", "x")})
+    assert validate_network(lone) == [] and cut_deficit(lone) is None
+
+
+def test_the_deficit_is_computed_once(monkeypatch):
+    net = cut_chain_network(3, 1)
+    first = cut_deficit(net)
+    monkeypatch.setattr(networks, "_first_deficit", lambda net: 1 / 0)
+    assert cut_deficit(net) is first
+    solvable = m_network()
+    monkeypatch.undo()
+    assert cut_deficit(solvable) is None
+    monkeypatch.setattr(networks, "_first_deficit", lambda net: 1 / 0)
+    assert cut_deficit(solvable) is None

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import bruteforce
-from conftest import (chain2_network, chain_network, pair_network,
-                      starve_network, wire2_network)
+from conftest import (chain2_network, chain_network, cut_chain_network,
+                      funnel_network, pair_network, starve_network,
+                      two_owner_network, wire2_network)
 from netring import codes, networks, rings, solver
 from netring.networks import (choose_two_network, dim_n_network, m_network,
                               trivial_network)
@@ -599,3 +600,125 @@ def test_decodable_matches_a_loop_over_decode_tuples(desc):
                                 ring.one, targets)
         assert got.tolist() == [_loop_decodable(ring, x, targets)
                                 for x in tuples.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the cut-set bound
+
+CUT_NETS = ([cut_chain_network(k, chain, decoys) for k in (2, 3)
+             for chain in (0, 1, 2) for decoys in (0, 2)]
+            + [funnel_network(), two_owner_network()])
+BOUND_RINGS = [PrimeField(2), PrimeField(3), MatrixRing(PrimeField(2), 2)]
+
+
+def _cut_method(net):
+    r, owners, _, cut = networks.cut_deficit(net)
+    want = bruteforce.owned_demands(net, r, owners)
+    return f"cut-set bound at {r}: {len(cut)} edges for {len(want)} messages"
+
+
+@pytest.mark.parametrize("desc", BOUND_RINGS, ids=describe)
+def test_the_bound_agrees_with_the_rank_search_it_replaces(desc, monkeypatch):
+    ring = construct_ring(desc)
+    bound = [solve_scalar(net, ring) for net in CUT_NETS]
+    for net, res in zip(CUT_NETS, bound):
+        assert res.status == "exhausted-unsolvable" and res.code is None
+        assert res.stats["method"] == _cut_method(net)
+        cut = res.stats["cut"]
+        edges = [networks.Edge(*e) for e in cut["edges"]]
+        assert bruteforce.separates(net, cut["owners"], edges,
+                                    cut["receiver"])
+        assert len(edges) < len(cut["messages"])
+        raw = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+        assert raw.status == res.status
+        assert raw.stats["method"] == f"direct search as {describe(desc)}"
+    monkeypatch.setattr(solver, "cut_deficit", lambda net: None)
+    for net, res in zip(CUT_NETS, bound):
+        searched = solve_scalar(net, ring)
+        assert searched.status == res.status
+        assert "nodes" in searched.stats
+
+
+def test_explicit_strategies_skip_the_bound(gf2, z4):
+    net = wire2_network()
+    for ring, strategy in ((gf2, "rank"), (gf2, "exhaustive"),
+                           (z4, "exhaustive")):
+        res = solve_scalar(net, ring, SearchOptions(strategy=strategy))
+        assert res.status == "exhausted-unsolvable"
+        assert res.stats["method"] == \
+            f"direct search as {describe(ring.descriptor)}"
+    verdict = smallest_ring_search(net, catalog=[PrimeField(2)]).verdicts[0]
+    assert verdict.method == "direct search as GF(2)"
+
+
+def test_sweep_to_256_answers_by_the_bound_without_building_a_ring(
+        monkeypatch):
+    net = cut_chain_network(3, 2)
+
+    def refuse(*args):
+        raise AssertionError("a ring was built")
+    monkeypatch.setattr(solver, "construct_ring", refuse)
+    t0 = time.perf_counter()
+    report = smallest_ring_search(net, 256)
+    assert time.perf_counter() - t0 < 2.0
+    want = [describe(rings.simple_ring(r, q)) for n in range(2, 257)
+            for r, q in rings.simple_rings(n)]
+    assert len(want) == 73
+    assert [v.name for v in report.verdicts] == want
+    assert report.minimal_size is None and report.winners == []
+    method = "cut-set bound at t: 1 edges for 3 messages"
+    assert all(v.status == "exhausted-unsolvable" and v.method == method
+               and v.code is None for v in report.verdicts)
+    assert report.coverage.startswith(
+        "complete for every ring and every module with two or more "
+        "elements: " + method)
+
+
+def test_the_one_element_ring_solves_past_the_bound():
+    # over one symbol every message is zero, so every receiver decodes
+    ring = construct_ring(TableRing([[0]], [[0]]))
+    for net in (cut_chain_network(3, 2), funnel_network()):
+        assert networks.cut_deficit(net) is not None
+        res = solve_scalar(net, ring)
+        assert res.status == "solved"
+        assert codes.verify_solution(net, res.code).solved
+
+
+def test_vector_search_answers_by_the_bound_once(monkeypatch, gf2):
+    net = funnel_network()
+    monkeypatch.setattr(solver, "_decide", lambda *args: 1 / 0)
+    for k in (1, 2, 3):
+        res = solve_vector(net, gf2, k)
+        assert res.status == "exhausted-unsolvable"
+        assert res.stats["method"] == "cut-set bound at t: 1 edges for " \
+            "3 messages"
+        assert res.stats["cut"] == {"receiver": "t", "owners": ["s"],
+                                    "edges": [["s", "u", 0]],
+                                    "messages": ["m1", "m2", "m3"]}
+
+
+def test_vector_time_budget_bounds_the_whole_call(gf2):
+    # dim 2 first searches dim 1 over GF(2), then M_2(GF(2)); each used
+    # to get the whole budget
+    t0 = time.perf_counter()
+    res = solve_vector(dim_n_network(3), gf2, 2,
+                       SearchOptions(time_budget=0.3))
+    assert time.perf_counter() - t0 < 0.45
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "time budget exhausted"
+
+
+def test_time_budget_stops_the_exhaustive_search_within_a_chunk():
+    # the relay network of test_exhaustive_witness_is_built_from_the_tables
+    # decides 1,024 distinct input tuples, one block each, in one chunk
+    net = networks.Network(
+        ["s1", "s2", "s3", "s4", "s5", "u", "t"],
+        [("s1", "t"), ("s2", "t"), ("s3", "u"), ("s4", "u"), ("u", "t")],
+        [(f"x{i}", f"s{i}") for i in range(1, 6)], {"t": ("x3",)})
+    ring = construct_ring(GaloisField(2, 5))
+    t0 = time.perf_counter()
+    res = solve_scalar(net, ring, SearchOptions(strategy="exhaustive",
+                                                time_budget=0.05))
+    assert time.perf_counter() - t0 < 0.3
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "time budget exhausted"
