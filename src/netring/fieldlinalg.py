@@ -10,7 +10,9 @@ Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
 first operand's basis, which is already reduced, and eliminate only the
 second operand's rows against it; ``canon_space``/``rref2`` are the same
 routine started from the zero space.  ``rref`` also tracks the combination of
-input rows behind each basis row; only ``solve_row`` and ``rank`` pay for it.
+input rows behind each basis row; only ``solve_row`` and ``rank`` pay for it,
+and ``solve_row`` takes it precomputed so that one elimination serves every
+target over the same rows.
 """
 from __future__ import annotations
 
@@ -157,9 +159,11 @@ def space_sum(ops: FieldOps, a, b):
     return tuple(basis)
 
 
-def solve_row(ops: FieldOps, rows, target):
-    """Coefficients expressing target as a combination of rows, or None."""
-    basis, transform, pivots = rref(ops, rows)
+def solve_row(ops: FieldOps, rows, target, reduced=None):
+    """Coefficients expressing target as a combination of rows, or None.
+    reduced is rref(ops, rows) when the caller has it, so that several
+    targets over one stack share one elimination."""
+    basis, transform, pivots = reduced or rref(ops, rows)
     combo = tuple(0 for _ in rows)
     for b, t, p in zip(basis, transform, pivots):
         c = target[p]

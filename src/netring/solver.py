@@ -43,7 +43,7 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
   in topological order, pruning each receiver once its inputs are
   settled.  Inputs are resolved once through forwarding chains, and each
   subspace (a reduced echelon basis, bit-packed over GF(2)) is interned as
-  an int id.  Two arguments shrink the walk without losing a solution:
+  an int id.  Three arguments shrink the walk without losing a solution:
   - dominance: an edge tries only subspaces of dimension min(dim tail, k).
     Enlarging an edge's subspace only enlarges the spans downstream, and
     a receiver check only gets easier as its spans grow, so every solution
@@ -63,6 +63,22 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
     coordinate).  Generators of a subgroup give finer orbits, so this
     stays sound for any drawn from G_B, never for one outside it (such as
     a swap of two messages).
+  - position symmetry: two unclaimed positions are twins when their tails
+    resolve to the same sources, every other position's tail reads both
+    or neither, and swapping them maps the multiset of receiver checks
+    onto itself (choose-two's relay edges, the parallel edges of a
+    bundle).  The swap then maps solutions to solutions, and so does
+    every permutation of a class of twins, since the swaps with its first
+    member generate them all.  So every solution sorts, class by class,
+    into one whose twins hold non-decreasing candidates, and a twin's
+    candidates start at its previous twin's value.  The walk finds the
+    lex-least solution, which is already sorted (a twin pair out of order
+    would swap into a smaller one), so the verdict and the witness do not
+    change.  Claimed positions are left out: then sorting moves no
+    claimed value, so a solution moved by G onto orbit leaders stays on
+    them, whereas a swap through a claimed position could put a value
+    that leads no orbit there.  stats["twins"] counts the positions with
+    an earlier twin.
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -75,17 +91,18 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
 
 The exhaustive engine reports "exhausted-unsolvable" only after a
 complete enumeration, the rank engine only after a walk that is complete
-up to dominance and message symmetry; budget ceilings (NETRING_BUDGET)
-end a search early with an explicit "budget-exceeded" instead.  Edges out
-of single-input nodes are pinned to plain forwarding by default, which
-never changes the verdict (a forwarded input spans at least whatever any
-coefficient could keep) and can be switched off for cross-checks against
-raw enumeration.
+up to dominance, message symmetry and position symmetry; budget ceilings
+(NETRING_BUDGET) end a search early with an explicit "budget-exceeded"
+instead.  Edges out of single-input nodes are pinned to plain forwarding
+by default, which never changes the verdict (a forwarded input spans at
+least whatever any coefficient could keep) and can be switched off for
+cross-checks against raw enumeration.
 """
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field as _field, replace
 from functools import lru_cache
 from typing import Optional
@@ -311,6 +328,65 @@ class _GenAlg:
 _rank_parts = _rings.field_view
 
 
+def _twins(tails, checks, claimed):
+    """Each searched position with an earlier twin, mapped to the one
+    before it in its class (module notes).  Positions a and b are twins
+    when neither is claimed, tails[a] == tails[b], every other position's
+    tail reads both or neither, and swapping them maps the multiset of
+    receiver checks (fixed sources, free sources, demand) onto itself.  A
+    position joins the first class whose first member it twins; swaps
+    with one member generate every permutation of the class.  Only
+    positions that agree on the tail, its readers and the checks they take
+    part in, each seen from the position, are ever tested."""
+    readers = {}
+    for i, (_, at) in enumerate(tails):
+        for p in at:
+            readers.setdefault(p, []).append(i)
+    touching = {}
+    for j, (fixed, free, _) in enumerate(checks):
+        for p in set(fixed[1] + (free[1] if free else ())):
+            touching.setdefault(p, []).append(j)
+
+    def role(p):
+        """What a swap of p with a twin keeps: its readers and, per check
+        it takes part in, the check's shape and where p sits in it."""
+        seen = []
+        for j in touching.get(p, ()):
+            (c, at), free, u = checks[j]
+            f, f_at = free or (-1, ())
+            seen.append((c, len(at), p in at, f, len(f_at), p in f_at, u))
+        return tuple(readers.get(p, ())), tuple(sorted(seen))
+
+    def swap(src, a, b):
+        if src is None:
+            return None
+        const, at = src
+        return const, tuple(sorted(b if p == a else a if p == b else p
+                                   for p in at))
+
+    def interchangeable(a, b):
+        js = set(touching.get(a, ())) | set(touching.get(b, ()))
+        before = Counter(checks[j] for j in js)
+        after = Counter((swap(fixed, a, b), swap(free, a, b), u)
+                        for fixed, free, u in (checks[j] for j in js))
+        return before == after
+
+    classes = {}       # (tail, role) -> classes, each a list of positions
+    earlier = {}
+    for i, tail in enumerate(tails):
+        if i in claimed:
+            continue
+        group = classes.setdefault((tail, role(i)), [])
+        for members in group:
+            if interchangeable(members[0], i):
+                earlier[i] = members[-1]
+                members.append(i)
+                break
+        else:
+            group.append([i])
+    return earlier
+
+
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     t0 = time.perf_counter()
     field, k = _rank_parts(ring)
@@ -472,15 +548,19 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             else:
                 stats["orbit_skips"] += 1
 
+    # interchangeable positions: each twin starts at its class's previous
+    # member's value, so a class is walked in non-decreasing order
+    twin_of = _twins(tails, checks, claims)
+
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
-             "searched_edges": len(outer)}
+             "searched_edges": len(outer), "twins": len(twin_of)}
 
-    def receiver_ok(j):
-        fixed, free, u = checks[j]
-        w0 = span(fixed)
-        f = -1 if free is None else span(free)
+    def receiver_ok(j, w0, f):
+        """Receiver j decodes, given the span w0 of its fixed inputs and
+        the span f of its free edge's tail (-1 without a free edge)."""
+        u = checks[j][2]
         key = (j, w0, f)
         got = recv_memo.get(key)
         if got is not None:
@@ -502,20 +582,41 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
     budget = opts.node_budget
 
+    def without(src, i):
+        """The span of src's sources but position i, and whether src
+        reads position i."""
+        acc, at = src
+        for p in at:
+            if p != i:
+                acc = plus(acc, cur[p])
+        return acc, i in at
+
     def dfs():
         # a loop, not a call per depth: recursion would hit the interpreter's
         # limit, and its speed would hang on the caller's stack depth
         todo = []      # per depth entered: the candidates not tried yet
+        bases = []     # per depth entered: its receivers' spans without it
         i = 0
         while i < len(outer):
             if i == len(todo):
                 cands = candidates(span(tails[i]))
                 if i == 0 and opts.shards > 1:
                     cands = cands[opts.shard_index::opts.shards]
+                p = twin_of.get(i)
+                if p is not None:
+                    # the same list as at p, whose tail is the same
+                    cands = cands[cands.index(cur[p]):]
                 gens = claims.get(i)
                 todo.append(iter(cands) if gens is None
                             else orbit_leaders(cands, gens))
-            here = ready.get(i, ())
+                here = []
+                for j in ready.get(i, ()):
+                    fixed, free, _ = checks[j]
+                    here.append((j, *without(fixed, i),
+                                 *((-1, False) if free is None
+                                   else without(free, i))))
+                bases.append(here)
+            here = bases[i]
             for s in todo[i]:
                 nodes = stats["nodes"] = stats["nodes"] + 1
                 if nodes > budget:
@@ -524,21 +625,27 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
                         and time.perf_counter() > deadline:
                     raise _Budget("time budget exhausted")
                 cur[i] = s
-                for j in here:
-                    if not receiver_ok(j):
+                for j, w, w_reads, f, f_reads in here:
+                    if not receiver_ok(j, plus(w, s) if w_reads else w,
+                                       plus(f, s) if f_reads else f):
                         break
                 else:
                     i += 1
                     break
             else:
                 todo.pop()
+                bases.pop()
                 i -= 1
                 if i < 0:
                     return False
         return True
 
+    def settled(j):
+        fixed, free, _ = checks[j]
+        return receiver_ok(j, span(fixed), -1 if free is None else span(free))
+
     try:
-        found = all(receiver_ok(j) for j in ready.get(-1, ())) and dfs()
+        found = all(settled(j) for j in ready.get(-1, ())) and dfs()
     except _Budget as exc:
         stats["elapsed"] = time.perf_counter() - t0
         return SolveResult("budget-exceeded", None, stats | {"reason": str(exc)})
@@ -610,8 +717,9 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
         parts = []
         base = len(fixed_rows)
         stack = fixed_rows + tail_rows
+        reduced = fl.rref(ops, stack)
         for u in reps:
-            combo = fl.solve_row(ops, stack, u)
+            combo = fl.solve_row(ops, stack, u, reduced)
             if combo is None:
                 raise RuntimeError("free-edge lift failed for a checked receiver")
             part = zero
@@ -622,14 +730,24 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
             parts.append(part)
         rows_map[free_edge] = pad(fl.canon_space(ops, parts))
 
-    def coeff_blocks(stack, targets, arity):
-        """Ring elements per input expressing each target row over the stack."""
-        per_input = [[[0] * k for _ in range(k)] for _ in range(arity)]
+    stacks = {}        # node -> its input rows and their elimination
+
+    def coeff_blocks(node, targets):
+        """Ring elements per input of the node expressing each target row
+        over the node's input rows; the rows are eliminated once per node,
+        for its out-edges and its demands alike."""
+        ins = net.inputs(node)
+        got = stacks.get(node)
+        if got is None:
+            stack = [row for inp in ins for row in input_rows(inp)]
+            got = stacks[node] = (stack, fl.rref(ops, stack))
+        stack, reduced = got
+        per_input = [[[0] * k for _ in range(k)] for _ in range(len(ins))]
         for a, target in enumerate(targets):
-            combo = fl.solve_row(ops, stack, target)
+            combo = fl.solve_row(ops, stack, target, reduced)
             if combo is None:
                 raise RuntimeError("witness row left its input span")
-            for i in range(arity):
+            for i in range(len(ins)):
                 for b in range(k):
                     per_input[i][a][b] = combo[i * k + b]
         if k == 1:
@@ -641,17 +759,13 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
         if e in plan.normalized:
             edge_coeffs[e] = (ring.one,)
             continue
-        ins = net.inputs(e.tail)
-        stack = [row for inp in ins for row in input_rows(inp)]
-        edge_coeffs[e] = coeff_blocks(stack, edge_rows(e), len(ins))
+        edge_coeffs[e] = coeff_blocks(e.tail, edge_rows(e))
 
     decodings = {}
     for r in net.receivers:
-        ins = net.inputs(r)
-        stack = [row for inp in ins for row in input_rows(inp)]
         for m in net.demands[r]:
             targets = [unit_coord(mpos[m] * k + a) for a in range(k)]
-            decodings[(r, m)] = coeff_blocks(stack, targets, len(ins))
+            decodings[(r, m)] = coeff_blocks(r, targets)
 
     return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
 
@@ -1061,11 +1175,13 @@ def solve_vector(net: Network, field: Ring, k: int,
     are: their codes stack block-diagonally (dim_sum), and stats["method"]
     is "dim-sum d1+d2" with the parts' stats under "parts".  Splits are
     tried first, d1 ascending, and can only answer "solved".  Otherwise d
-    is decided by _decide over M_d(F) (F itself when d is 1) under the
-    caller's node budget and the time left of the caller's time budget,
-    which bounds the whole call: a dimension reached with no time left is
-    "budget-exceeded".  Each dimension is decided once per call, and the
-    cut-set bound, which settles every dimension, is checked before any."""
+    is decided by _decide over M_d(F) (F itself when d is 1) under what
+    is left of the caller's node and time budgets, which bound the whole
+    call: a dimension reached with no nodes or no time left is
+    "budget-exceeded", and stats["total_nodes"] counts the nodes searched
+    over every dimension.  Each dimension is decided once per call, and
+    the cut-set bound, which settles every dimension, is checked before
+    any."""
     _check_axioms(field)
     if not field.is_field():
         raise ValueError("vector codes need a field of scalars")
@@ -1080,9 +1196,11 @@ def solve_vector(net: Network, field: Ring, k: int,
         return bound
     deadline = (None if opts.time_budget is None
                 else time.perf_counter() + opts.time_budget)
+    spent = 0          # nodes searched so far, over every dimension
 
     @lru_cache(maxsize=None)
     def attempt(dim: int) -> SolveResult:
+        nonlocal spent
         for k1 in range(1, dim // 2 + 1):
             a = attempt(k1)
             if not a.solved:
@@ -1099,21 +1217,24 @@ def solve_vector(net: Network, field: Ring, k: int,
                     "parts": (a.stats, b.stats)})
         ring = (field if dim == 1 else
                 construct_ring(_rings.MatrixRing(field.descriptor, dim)))
-        run = opts
-        if deadline is not None:
-            left = deadline - time.perf_counter()
-            if left <= 0:
-                return SolveResult("budget-exceeded", None, {
-                    "method": "no time left for "
-                              + _rings.describe(ring.descriptor),
-                    "reason": "time budget exhausted"})
-            run = replace(opts, time_budget=left)
-        res = _decide(net, ring, run, {})
+        nodes = opts.node_budget - spent
+        left = None if deadline is None else deadline - time.perf_counter()
+        if nodes < 1 or (left is not None and left <= 0):
+            what = "node budget" if nodes < 1 else "time budget"
+            return SolveResult("budget-exceeded", None, {
+                "method": f"no {what} left for "
+                          + _rings.describe(ring.descriptor),
+                "reason": f"{what} exhausted"})
+        res = _decide(net, ring, replace(opts, node_budget=nodes,
+                                         time_budget=left), {})
+        spent += res.stats["nodes"]
         if res.solved and dim > 1:
             res.code = _transforms.matrix_scalar_to_vector(res.code)
         return res
 
-    return attempt(k)
+    res = attempt(k)
+    return SolveResult(res.status, res.code,
+                       res.stats | {"total_nodes": spent})
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,19 @@ def test_parser_is_built_once_and_reused(files, tmp_path, capsys):
                str(files["z4"]), "--shards", "0") == DATA
 
 
+def test_vector_search_below_the_threshold_is_exhausted(tmp_path):
+    # choose-two(6) needs 2^k >= 5: dims 1 and 2 over GF(2) are both
+    # searched to the end within one shared budget of 20,000 nodes
+    net = tmp_path / "c2-6.json"
+    assert run("net", "gen", "choose-two", "6", "-o", str(net)) == OK
+    out = tmp_path / "res.json"
+    assert run("solve", "vector", str(net), "--field", "2", "--dim", "2",
+               "--budget", "20000", "-o", str(out)) == FAIL
+    res = json.loads(out.read_text())
+    assert res["status"] == "exhausted-unsolvable"
+    assert res["stats"]["total_nodes"] <= 20000
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "netring.cli", "--version"],
                           capture_output=True, text=True)

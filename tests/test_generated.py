@@ -20,6 +20,12 @@ first source owns two messages and checks the rank search against
 exhaustive enumeration over GF(4), GF(5) and M_2(GF(2)), with slots capped
 so that the enumeration fits one block.
 
+The rank search walks interchangeable positions (twins) in
+non-decreasing order.  A test adds a parallel copy of one edge, out of a
+node with two or more inputs where there is one, to each drawn network and
+checks the rank search against enumeration, and its witness against the
+search that walks every order.
+
 The default smallest-ring sweep looks only at simple rings; a test
 checks it against a sweep of the whole structured catalogue, which
 decides every other ring by its quotients.
@@ -29,11 +35,14 @@ receiver's demands from some owners cuts those owners off, as a search over
 every such edge set finds; whenever it fires, enumeration over GF(2) and
 GF(3) must find no code either.
 """
+from unittest import mock
+
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from conftest import cut_chain_network, funnel_network, two_owner_network
+from netring import codes, solver
 from netring.networks import (Network, choose_two_network, cut_deficit,
                               dim_n_network, m_network, validate_network)
 from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
@@ -124,6 +133,40 @@ def test_every_route_agrees_with_enumeration(net):
                     assert bruteforce.check_code(net, res.code), where
                 else:
                     assert res.code is None, where
+
+
+@st.composite
+def bundled_networks(draw):
+    """A drawn network whose first source owns two messages, with one more
+    copy of one edge, out of a node with two or more inputs if any."""
+    net = draw(networks(shared_source=True))
+    busy = [e for e in net.edges if len(net.inputs(e.tail)) > 1]
+    e = draw(st.sampled_from(busy or list(net.edges)))
+    ordinal = 1 + max(f.ordinal for f in net.edges
+                      if (f.tail, f.head) == (e.tail, e.head))
+    edges = list(net.edges) + [(e.tail, e.head, ordinal)]
+    return Network(net.nodes, edges, net.messages, net.demands)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(bundled_networks().filter(lambda net: net.demands
+                                 and _slots(net) <= MAX_SLOTS))
+def test_rank_with_twins_agrees_with_enumeration(net):
+    for ring in RINGS:
+        want, _, _ = bruteforce.solve(net, ring)
+        res = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+        event(f"GF({ring.size}) {want}, twins: {res.stats['twins'] > 0}")
+        assert res.status == want, ring.size
+        with mock.patch.object(solver, "_twins", lambda *args: {}):
+            full = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+        assert full.status == want and \
+            res.stats["nodes"] <= full.stats["nodes"]
+        if res.solved:
+            assert bruteforce.check_code(net, res.code)
+            assert codes.code_to_json(res.code) == \
+                codes.code_to_json(full.code)
 
 
 def _decoy_network(wanted: str, full_receiver: bool) -> Network:

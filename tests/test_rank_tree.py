@@ -116,17 +116,17 @@ CASES = [
      "exhausted-unsolvable", 399, 550, 0, None),
     ("choose-two(4)/GF(3)",
      lambda: solve_scalar(choose_two_network(4), construct_ring(GF3)),
-     "solved", 10, 12, 4, CHOOSE_TWO_4_GF3),
+     "solved", 7, 9, 3, CHOOSE_TWO_4_GF3),
     ("choose-two(5)/GF(4)",
      lambda: solve_scalar(choose_two_network(5), construct_ring(GF4)),
-     "solved", 15, 20, 10, CHOOSE_TWO_5_GF4),
+     "solved", 9, 14, 6, CHOOSE_TWO_5_GF4),
     ("dim-n(2)/GF(2)",
      lambda: solve_scalar(dim_n_network(2), construct_ring(GF2)),
      "exhausted-unsolvable", 120, 136, 0, None),
     ("vector choose-two(3)/GF(2)^2",
      lambda: _as_vector(solve_scalar(choose_two_network(3),
                                      construct_ring(MatrixRing(GF2, 2)))),
-     "solved", 33, 13, 22, VECTOR_CHOOSE_TWO_3_GF2),
+     "solved", 20, 10, 12, VECTOR_CHOOSE_TWO_3_GF2),
 ]
 
 

@@ -321,13 +321,13 @@ def test_solve_vector_split_cannot_prove_unsolvable(gf2):
 
 
 def test_solve_vector_searches_what_the_budget_allows(gf2):
-    # choose-two(4) over GF(2)^2 is a 60-node search of M_2(GF(2)); nothing
+    # choose-two(4) over GF(2)^2 is a 30-node search of M_2(GF(2)); nothing
     # prices it out before it starts
     net = choose_two_network(4)
     res = solve_vector(net, gf2, 2, SearchOptions(node_budget=100))
     assert res.status == "solved"
     assert res.stats["method"] == "direct search as M_2(GF(2))"
-    assert res.stats["nodes"] == 60
+    assert res.stats["nodes"] == 30
     assert codes.semantic_verify(net, res.code).solved
 
 
@@ -706,6 +706,22 @@ def test_vector_time_budget_bounds_the_whole_call(gf2):
     assert time.perf_counter() - t0 < 0.45
     assert res.status == "budget-exceeded"
     assert res.stats["reason"] == "time budget exhausted"
+
+
+def test_vector_node_budget_bounds_the_whole_call(gf2):
+    # dim 2 first searches dim 1 over GF(2), then M_2(GF(2)); each used to
+    # get the whole node budget, 20,001 + 20,001 nodes
+    res = solve_vector(dim_n_network(3), gf2, 2,
+                       SearchOptions(node_budget=20000))
+    assert res.status == "budget-exceeded"
+    assert res.stats["total_nodes"] <= 20001
+    assert res.stats["method"] == "no node budget left for M_2(GF(2))"
+    assert res.stats["reason"] == "node budget exhausted"
+    # with budget to spare, both dimensions are searched and counted
+    res = solve_vector(choose_two_network(6), gf2, 2,
+                       SearchOptions(node_budget=20000))
+    assert res.status == "exhausted-unsolvable"
+    assert res.stats["total_nodes"] > res.stats["nodes"]
 
 
 def test_time_budget_stops_the_exhaustive_search_within_a_chunk():
