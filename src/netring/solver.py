@@ -43,11 +43,17 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
   in topological order, pruning each receiver once its inputs are
   settled.  Inputs are resolved once through forwarding chains, and each
   subspace (a reduced echelon basis, bit-packed over GF(2)) is interned as
-  an int id.  Three arguments shrink the walk without losing a solution:
-  - dominance: an edge tries only subspaces of dimension min(dim tail, k).
-    Enlarging an edge's subspace only enlarges the spans downstream, and
-    a receiver check only gets easier as its spans grow, so every solution
-    enlarges, edge by edge in topological order, to one of these.
+  an int id.  A position is a bundle: the c parallel searched edges from
+  one tail to one head.  Downstream sees only the sum of their subspaces,
+  and every subspace of dimension at most c k is such a sum, so the
+  bundle is one variable with cap c k, and the witness splits its echelon
+  basis into c pieces of at most k rows.  Three arguments shrink the walk
+  without losing a solution:
+  - dominance: a position tries only subspaces of dimension
+    min(dim tail, cap).  Enlarging a subspace only enlarges the spans
+    downstream, and a receiver check only gets easier as its spans grow,
+    so every solution enlarges, position by position in topological
+    order, to one of these.
   - message symmetry: G = prod over messages of GL(k, q), acting
     block-diagonally on the message coordinates, maps solutions to
     solutions of the same dimensions, since every demand is a sum of
@@ -64,12 +70,12 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
     stays sound for any drawn from G_B, never for one outside it (such as
     a swap of two messages).
   - position symmetry: two unclaimed positions are twins when their tails
-    resolve to the same sources, every other position's tail reads both
-    or neither, and swapping them maps the multiset of receiver checks
-    onto itself (choose-two's relay edges, the parallel edges of a
-    bundle).  The swap then maps solutions to solutions, and so does
-    every permutation of a class of twins, since the swaps with its first
-    member generate them all.  So every solution sorts, class by class,
+    resolve to the same sources, their caps agree, every other position's
+    tail reads both or neither, and swapping them maps the multiset of
+    receiver checks onto itself (choose-two's relay edges).  The swap
+    then maps solutions to solutions, and so does every permutation of a
+    class of twins, since the swaps with its first member generate them
+    all.  So every solution sorts, class by class,
     into one whose twins hold non-decreasing candidates, and a twin's
     candidates start at its previous twin's value.  The walk finds the
     lex-least solution, which is already sorted (a twin pair out of order
@@ -79,6 +85,33 @@ can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
     them, whereas a swap through a claimed position could put a value
     that leads no orbit there.  stats["twins"] counts the positions with
     an earlier twin.
+  A receiver with no out-edges and one unforwarded in-edge takes that
+  edge as free, chosen while the receiver is checked, and is checked
+  exactly: with w0 the span of its fixed inputs, u that of its demands
+  and f that of the free edge's tail, some subspace of f of dimension at
+  most k completes w0 to u exactly when dim((w0 + u)/w0) <= k (the
+  dimension test, which reads the fixed inputs only) and u lies in
+  w0 + f (the reach test).  The full check runs after the last position
+  it reads; the dimension test also runs after the last fixed one when
+  that comes earlier.
+  The walk learns from failure by conflict-directed backjumping (Prosser
+  1993).  Each depth keeps the set of earlier positions its dead ends
+  depend on: those its tail reads (they fix its candidate list), its
+  previous twin (whose value starts the list), and, for each candidate
+  that fails a test, the positions that test reads (the fixed ones for
+  the dimension test, fixed and free for the reach test).  Each is a
+  nogood: while those positions keep their values, no candidate here
+  leads to a solution.  So when a depth runs out, the walk jumps to the
+  deepest position in its set, merges the set into that position's, and
+  drops everything in between; an empty set ends the search.  Orbit
+  leaders and shards restrict a position's list whatever the other
+  positions hold, so they add nothing to the set.  The twin restriction
+  depends on the previous twin alone, which must be in it: a larger value
+  there only shortens the list, but a jump past it would drop the reasons
+  its own smaller values failed.  A jump skips only subtrees that hold
+  no solution of the restricted walk, so the lex-least solution is still
+  the first one found and the witness does not change.
+  stats["backjumps"] counts the jumps that skip at least one position.
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -93,10 +126,16 @@ The exhaustive engine reports "exhausted-unsolvable" only after a
 complete enumeration, the rank engine only after a walk that is complete
 up to dominance, message symmetry and position symmetry; budget ceilings
 (NETRING_BUDGET) end a search early with an explicit "budget-exceeded"
-instead.  Edges out of single-input nodes are pinned to plain forwarding
-by default, which never changes the verdict (a forwarded input spans at
-least whatever any coefficient could keep) and can be switched off for
-cross-checks against raw enumeration.
+instead.  Both engines pin capacity forwarding by default: a bundle of c
+parallel edges out of a node v with at most c inputs forwards them, its
+i-th edge v's i-th input (cycling when c is larger), with coefficient one
+there and zero elsewhere.  This never changes the verdict, over any ring:
+the head then receives every input of v itself, so whatever combination
+sum_j a_ij x_j an old code sent on the bundle's edge i, the head rebuilds
+by left-multiplying the inputs it now holds, and each coefficient b_i it
+applied to that edge becomes sum_i b_i a_ij on input j.  Edges out of a
+single-input node are the case c >= 1.  The pinning can be switched off
+for cross-checks against raw enumeration.
 """
 from __future__ import annotations
 
@@ -205,7 +244,10 @@ class _Budget(Exception):
 class _Plan:
     """Edges split into forwarding, receiver-free and searched groups.
 
-    normalized: edge -> the single input of its tail that it forwards.
+    normalized: edge -> the input of its tail that it forwards (module
+                notes: a bundle of c parallel edges out of a node with at
+                most c inputs forwards them, its i-th edge the i-th input,
+                cycling when c is larger).
     local_of:   receiver -> edges whose value only that receiver sees and
                 that can therefore be chosen while checking it.
     outer:      everything else, in topological order; these carry the
@@ -217,11 +259,23 @@ class _Plan:
         self.normalized = {}
         candidates = {}
         outer = []
+        parallel = {}      # tail of 2+ inputs -> head -> edges, by ordinal
         for e in net.topo_edges():
             ins = net.inputs(e.tail)
             if opts.normalize_forwarding and len(ins) == 1:
                 self.normalized[e] = ins[0]
-            elif e.head in receivers and not net.out_edges(e.head):
+                continue
+            if opts.normalize_forwarding and ins:
+                if e.tail not in parallel:
+                    # out-edges come sorted by head, then ordinal
+                    by_head = parallel[e.tail] = {}
+                    for f in net.out_edges(e.tail):
+                        by_head.setdefault(f.head, []).append(f)
+                bundle = parallel[e.tail][e.head]
+                if len(ins) <= len(bundle):
+                    self.normalized[e] = ins[bundle.index(e) % len(ins)]
+                    continue
+            if e.head in receivers and not net.out_edges(e.head):
                 candidates.setdefault(e.head, []).append(e)
             else:
                 outer.append(e)
@@ -237,6 +291,16 @@ class _Plan:
             outer = [e for e in net.topo_edges() if e in keep]
         self.outer = outer
         self.local_edges = {e for edges in self.local_of.values() for e in edges}
+
+    def forwarding(self, net: Network, one) -> dict:
+        """Each forwarding edge's coefficients: one at the input it
+        forwards, zero (index 0 in every ring) elsewhere."""
+        coeffs = {}
+        for e, fwd in self.normalized.items():
+            ins = net.inputs(e.tail)
+            coeffs[e] = ((one,) if len(ins) == 1 else
+                         tuple(one if inp == fwd else 0 for inp in ins))
+        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +392,17 @@ class _GenAlg:
 _rank_parts = _rings.field_view
 
 
-def _twins(tails, checks, claimed):
+def _twins(tails, caps, checks, claimed):
     """Each searched position with an earlier twin, mapped to the one
     before it in its class (module notes).  Positions a and b are twins
-    when neither is claimed, tails[a] == tails[b], every other position's
-    tail reads both or neither, and swapping them maps the multiset of
-    receiver checks (fixed sources, free sources, demand) onto itself.  A
-    position joins the first class whose first member it twins; swaps
-    with one member generate every permutation of the class.  Only
-    positions that agree on the tail, its readers and the checks they take
-    part in, each seen from the position, are ever tested."""
+    when neither is claimed, tails[a] == tails[b], caps[a] == caps[b],
+    every other position's tail reads both or neither, and swapping them
+    maps the multiset of receiver checks (fixed sources, free sources,
+    demand) onto itself.  A position joins the first class whose first
+    member it twins; swaps with one member generate every permutation of
+    the class.  Only positions that agree on the tail, its readers and
+    the checks they take part in, each seen from the position, are ever
+    tested."""
     readers = {}
     for i, (_, at) in enumerate(tails):
         for p in at:
@@ -371,12 +436,12 @@ def _twins(tails, checks, claimed):
                         for fixed, free, u in (checks[j] for j in js))
         return before == after
 
-    classes = {}       # (tail, role) -> classes, each a list of positions
+    classes = {}       # (tail, cap, role) -> classes, lists of positions
     earlier = {}
     for i, tail in enumerate(tails):
         if i in claimed:
             continue
-        group = classes.setdefault((tail, role(i)), [])
+        group = classes.setdefault((tail, caps[i], role(i)), [])
         for members in group:
             if interchangeable(members[0], i):
                 earlier[i] = members[-1]
@@ -434,8 +499,16 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     # the rank receiver check below handles one free edge exactly; several
     # free edges at one receiver go back into the searched set instead
     plan = _Plan(net, opts, joint_cap=lambda edges: len(edges) == 1)
-    outer = plan.outer
-    pos = {e: i for i, e in enumerate(outer)}
+    # a bundle of c parallel searched edges is one position: downstream
+    # sees only the sum of its edges, a subspace of dimension at most c k.
+    # Bundles keep their edges in ordinal order and come in the order of
+    # their first edges, which is topological
+    grouped = {}
+    for e in plan.outer:
+        grouped.setdefault((e.tail, e.head), []).append(e)
+    bundles = list(grouped.values())
+    pos = {e: i for i, bundle in enumerate(bundles) for e in bundle}
+    caps = [len(bundle) * k for bundle in bundles]
     local_one = {r: edges[0] for r, edges in plan.local_of.items()}
 
     def sources(inputs):
@@ -451,7 +524,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
                 at.add(pos[val])
         return const, tuple(sorted(at))
 
-    cur = [zero] * len(outer)    # id assigned to each searched position
+    cur = [zero] * len(bundles)  # id assigned to each searched position
 
     def span(src):
         acc, at = src
@@ -459,45 +532,62 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             acc = plus(acc, cur[p])
         return acc
 
-    tails = [sources(net.inputs(e.tail)) for e in outer]
+    tails = [sources(net.inputs(bundle[0].tail)) for bundle in bundles]
+
+    def mask(at):
+        bits = 0
+        for p in at:
+            bits |= 1 << p
+        return bits
+
+    tail_reads = [mask(at) for _, at in tails]
 
     # per receiver: fixed sources, the free edge's tail sources (or None),
-    # demand id; it is checked right after the last position it reads
+    # demand id, and the positions each of its tests reads (module notes).
+    # It is checked right after the last position it reads, and with a
+    # free edge its dimension test also right after the last fixed one.
     checks = []
-    ready = {}
+    reads = []         # per check: (positions of fixed, of fixed and free)
+    ready = {}         # depth -> (check, whether the dimension test only)
     for r in net.receivers:
         free_edge = local_one.get(r)
         fixed = sources(inp for inp in net.inputs(r)
                         if inp != ("edge", free_edge))
         free = (None if free_edge is None
                 else sources(net.inputs(free_edge.tail)))
-        depth = max(fixed[1] + (free[1] if free else ()), default=-1)
+        fixed_reads = mask(fixed[1])
+        all_reads = fixed_reads | (mask(free[1]) if free else 0)
         demand = zero
         for m in net.demands[r]:
             demand = plus(demand, unit_ids[m])
-        ready.setdefault(depth, []).append(len(checks))
+        # the deepest position read, -1 for none
+        depth, first = all_reads.bit_length() - 1, fixed_reads.bit_length() - 1
+        ready.setdefault(depth, []).append((len(checks), False))
+        if first < depth:
+            ready.setdefault(first, []).append((len(checks), True))
         checks.append((fixed, free, demand))
+        reads.append((fixed_reads, all_reads))
 
     cand_cache = {}
 
-    def candidates(tail):
-        """The subspaces of the tail's span an edge may carry: only the
-        largest, since a larger one is never worse (module notes), in
-        echelon order.  Listed whole before the first node is tried, so
-        the budgets bound the listing too."""
-        got = cand_cache.get(tail)
+    def candidates(tail, cap):
+        """The subspaces of the tail's span a position of that cap may
+        carry: only the largest, since a larger one is never worse (module
+        notes), in echelon order.  Listed whole before the first node is
+        tried, so the budgets bound the listing too."""
+        got = cand_cache.get((tail, cap))
         if got is None:
             space = spaces[tail]
             d = len(space)
-            if fl.gaussian_binomial(d, min(d, k), q) > budget:
+            if fl.gaussian_binomial(d, min(d, cap), q) > budget:
                 raise _Budget("edge candidates outnumber the node budget")
             forms = []
-            for form in fl.echelon_forms(q, d, min(d, k)):
+            for form in fl.echelon_forms(q, d, min(d, cap)):
                 forms.append(alg.canon([alg.mix(space, c) for c in form]))
                 if deadline is not None and len(forms) % 1024 == 0 \
                         and time.perf_counter() > deadline:
                     raise _Budget("time budget exhausted")
-            got = cand_cache[tail] = [intern(s) for s in sorted(forms)]
+            got = cand_cache[(tail, cap)] = [intern(s) for s in sorted(forms)]
         return got
 
     # claimed positions, walked in order: the tail carries messages only,
@@ -550,34 +640,36 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
 
     # interchangeable positions: each twin starts at its class's previous
     # member's value, so a class is walked in non-decreasing order
-    twin_of = _twins(tails, checks, claims)
+    twin_of = _twins(tails, caps, checks, claims)
 
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
-             "searched_edges": len(outer), "twins": len(twin_of)}
+             "backjumps": 0, "searched_edges": len(plan.outer),
+             "positions": len(bundles), "twins": len(twin_of)}
 
-    def receiver_ok(j, w0, f):
-        """Receiver j decodes, given the span w0 of its fixed inputs and
-        the span f of its free edge's tail (-1 without a free edge)."""
-        u = checks[j][2]
-        key = (j, w0, f)
-        got = recv_memo.get(key)
-        if got is not None:
-            stats["memo_hits"] += 1
-            return got
+    def failed(key):
+        """Which test of receiver j fails, for key (j, w0, f) with w0 the
+        span of its fixed inputs and f that of its free edge's tail (-1
+        without a free edge, -2 for the dimension test alone): 0 for none,
+        1 for the dimension test, which reads the fixed inputs only, 2 for
+        the reach test, which also reads the free edge's tail.  Kept in
+        recv_memo, which the search reads first."""
         stats["receiver_checks"] += 1
-        # u lies in w exactly when w + u == w, so containment is cached
-        # on (space id, demand id) by the sum cache
-        if f < 0:
-            ok = plus(w0, u) == w0
-        else:
-            # the free edge adds at most k dimensions, all from its tail
+        j, w0, f = key
+        # the demand u must fit in w0 plus what a free edge adds: at most k
+        # dimensions, all from its tail.  u lies in w exactly when
+        # w + u == w, so containment is cached on ids by the sum cache
+        u = checks[j][2]
+        got = 0
+        if dims[plus(w0, u)] - dims[w0] > (0 if f == -1 else k):
+            got = 1
+        elif f >= 0:
             reach = plus(w0, f)
-            ok = (dims[plus(w0, u)] - dims[w0] <= k
-                  and plus(reach, u) == reach)
-        recv_memo[key] = ok
-        return ok
+            if plus(reach, u) != reach:
+                got = 2
+        recv_memo[key] = got
+        return got
 
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
     budget = opts.node_budget
@@ -596,25 +688,32 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
         # limit, and its speed would hang on the caller's stack depth
         todo = []      # per depth entered: the candidates not tried yet
         bases = []     # per depth entered: its receivers' spans without it
+        conflict = []  # per depth entered: the positions its failures read
         i = 0
-        while i < len(outer):
+        while i < len(bundles):
             if i == len(todo):
-                cands = candidates(span(tails[i]))
+                cands = candidates(span(tails[i]), caps[i])
                 if i == 0 and opts.shards > 1:
                     cands = cands[opts.shard_index::opts.shards]
+                # a dead end here depends on the tail, which fixes the
+                # list, and on a twin's previous twin, which starts it;
+                # orbit leaders and shards depend on no other position
+                conflict.append(tail_reads[i])
                 p = twin_of.get(i)
                 if p is not None:
                     # the same list as at p, whose tail is the same
                     cands = cands[cands.index(cur[p]):]
+                    conflict[i] |= 1 << p
                 gens = claims.get(i)
                 todo.append(iter(cands) if gens is None
                             else orbit_leaders(cands, gens))
                 here = []
-                for j in ready.get(i, ()):
+                for j, dim_only in ready.get(i, ()):
                     fixed, free, _ = checks[j]
                     here.append((j, *without(fixed, i),
-                                 *((-1, False) if free is None
-                                   else without(free, i))))
+                                 *((-1, False) if free is None else
+                                   (-2, False) if dim_only else
+                                   without(free, i)), reads[j]))
                 bases.append(here)
             here = bases[i]
             for s in todo[i]:
@@ -625,27 +724,43 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
                         and time.perf_counter() > deadline:
                     raise _Budget("time budget exhausted")
                 cur[i] = s
-                for j, w, w_reads, f, f_reads in here:
-                    if not receiver_ok(j, plus(w, s) if w_reads else w,
-                                       plus(f, s) if f_reads else f):
+                for j, w, w_reads, f, f_reads, masks in here:
+                    key = (j, plus(w, s) if w_reads else w,
+                           plus(f, s) if f_reads else f)
+                    why = recv_memo.get(key)
+                    if why is None:
+                        why = failed(key)
+                    else:
+                        stats["memo_hits"] += 1
+                    if why:
+                        conflict[i] |= masks[why - 1]
                         break
                 else:
                     i += 1
                     break
             else:
+                # no candidate here works while the positions in the
+                # conflict set keep their values: back to the deepest one
                 todo.pop()
                 bases.pop()
-                i -= 1
-                if i < 0:
+                cause = conflict.pop() & ~(1 << i)
+                if not cause:
                     return False
+                back = cause.bit_length() - 1
+                if back < i - 1:
+                    stats["backjumps"] += 1
+                    del todo[back + 1:], bases[back + 1:], conflict[back + 1:]
+                conflict[back] |= cause
+                i = back
         return True
 
-    def settled(j):
+    def settled(j, dim_only):
         fixed, free, _ = checks[j]
-        return receiver_ok(j, span(fixed), -1 if free is None else span(free))
+        return not failed((j, span(fixed), -1 if free is None else
+                           -2 if dim_only else span(free)))
 
     try:
-        found = all(settled(j) for j in ready.get(-1, ())) and dfs()
+        found = all(settled(*c) for c in ready.get(-1, ())) and dfs()
     except _Budget as exc:
         stats["elapsed"] = time.perf_counter() - t0
         return SolveResult("budget-exceeded", None, stats | {"reason": str(exc)})
@@ -656,7 +771,10 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
             stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
         return SolveResult("exhausted-unsolvable", None, stats)
 
-    assign = {e: spaces[cur[i]] for i, e in enumerate(outer)}
+    # a bundle's basis, at most c k rows, split k rows to an edge
+    assign = {e: spaces[cur[i]][a * k:(a + 1) * k]
+              for i, bundle in enumerate(bundles)
+              for a, e in enumerate(bundle)}
     code = _rank_witness(net, ring, field, k, ops, alg, plan, local_one,
                          assign, unit_spaces, mpos)
     report = verify_solution(net, code)
@@ -685,17 +803,17 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
         kind, val = inp
         if kind == "message":
             return [unit_coord(mpos[val] * k + a) for a in range(k)]
-        return edge_rows(val)
+        return rows_map[val]
 
-    def edge_rows(e):
-        got = rows_map.get(e)
-        if got is None:
-            if e in plan.normalized:
-                got = input_rows(plan.normalized[e])
-            else:
-                got = pad([alg.to_coords(r) for r in assign[e]])
-            rows_map[e] = got
-        return got
+    # in topological order, so a forwarded input is built before the edges
+    # forwarding it, however long the chain; free edges are read by their
+    # receivers only, so they come last
+    for e in net.topo_edges():
+        fwd = plan.normalized.get(e)
+        if fwd is not None:
+            rows_map[e] = input_rows(fwd)
+        elif e in assign:
+            rows_map[e] = pad([alg.to_coords(r) for r in assign[e]])
 
     # pick what each receiver's free edge carries: lifts into the free
     # edge's tail of a basis of the demands modulo the fixed inputs
@@ -754,12 +872,10 @@ def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
             return tuple(block[0][0] for block in per_input)
         return tuple(ring.mat_from_entries(block) for block in per_input)
 
-    edge_coeffs = {}
+    edge_coeffs = plan.forwarding(net, ring.one)
     for e in net.edges:
-        if e in plan.normalized:
-            edge_coeffs[e] = (ring.one,)
-            continue
-        edge_coeffs[e] = coeff_blocks(e.tail, edge_rows(e))
+        if e not in edge_coeffs:
+            edge_coeffs[e] = coeff_blocks(e.tail, rows_map[e])
 
     decodings = {}
     for r in net.receivers:
@@ -1035,11 +1151,9 @@ def _table_witness(net, ring, plan, slots, weights, winner, chosen,
     built at once from the ring tables."""
     size = ring.size
     coeff = {key: winner // w % size for key, w in zip(slots, weights)}
-    edge_coeffs = {}
+    edge_coeffs = plan.forwarding(net, ring.one)
     for e in net.topo_edges():
-        if e in plan.normalized:
-            edge_coeffs[e] = (ring.one,)
-        elif e not in plan.local_edges:
+        if e not in edge_coeffs and e not in plan.local_edges:
             edge_coeffs[e] = tuple(coeff[(e, j)]
                                    for j in range(len(net.inputs(e.tail))))
 

@@ -8,6 +8,12 @@ tests/bruteforce.py can enumerate every code over GF(3); over the rings
 that are not fields, the oracle's codes times message assignments are
 capped instead, which keeps it to at most 4^6 codes.
 
+Forwarding normalization pins every bundle of parallel edges that has at
+least as many edges as its tail has inputs; the drawn networks reach that
+with two or more inputs only now and then (an event counts them), so
+explicit examples add a wide relay, a bundle wider than its tail's
+inputs and a bundle out of a node that merges two sources.
+
 Drawn networks are mostly solvable in many ways, so a search that skipped
 most of its space would still find a code.  The explicit examples of the
 reduction test have few solutions: a decoy receiver behind a relay demands
@@ -35,13 +41,15 @@ receiver's demands from some owners cuts those owners off, as a search over
 every such edge set finds; whenever it fires, enumeration over GF(2) and
 GF(3) must find no code either.
 """
+from collections import Counter
 from unittest import mock
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from conftest import cut_chain_network, funnel_network, two_owner_network
+from conftest import (chain2_network, cut_chain_network, funnel_network,
+                      two_owner_network)
 from netring import codes, solver
 from netring.networks import (Network, choose_two_network, cut_deficit,
                               dim_n_network, m_network, validate_network)
@@ -67,6 +75,14 @@ SYMMETRIC = [(construct_ring(GaloisField(2, 2)), 6),
 
 def _slots(net):
     return sum(len(net.inputs(e.tail)) for e in net.edges)
+
+
+def _capacity_forwarded(net):
+    """Whether some bundle of parallel edges forwards a node with two or
+    more inputs: it has at least as many edges as the node has inputs."""
+    width = Counter((e.tail, e.head) for e in net.edges)
+    return any(2 <= len(net.inputs(tail)) <= c
+               for (tail, _), c in width.items())
 
 
 @st.composite
@@ -118,7 +134,15 @@ def networks(draw, shared_source=False):
                                  HealthCheck.too_slow])
 @given(networks().filter(lambda net: net.demands
                          and _slots(net) <= MAX_SLOTS))
+@example(chain2_network())
+@example(Network(["s", "t"], [("s", "t", 0), ("s", "t", 1), ("s", "t", 2)],
+                 [("m0", "s"), ("m1", "s")], {"t": ("m0", "m1")}))
+@example(Network(["s0", "s1", "u", "t"],
+                 [("s0", "u", 0), ("s1", "u", 0), ("u", "t", 0),
+                  ("u", "t", 1)],
+                 [("m0", "s0"), ("m1", "s1")], {"t": ("m0", "m1")}))
 def test_every_route_agrees_with_enumeration(net):
+    event(f"capacity forwarding: {_capacity_forwarded(net)}")
     for ring in RINGS:
         want, _, _ = bruteforce.solve(net, ring)
         event(f"GF({ring.size}) {want}")

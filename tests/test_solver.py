@@ -291,14 +291,30 @@ def test_explicit_strategies_stay_raw_searches(z4):
     assert res.stats["method"] == "direct search as Z_4"
 
 
+def _hops(n: int) -> networks.Network:
+    """One message from s over n + 1 single edges through u0 .. u(n-1)."""
+    nodes = ["s"] + [f"u{i}" for i in range(n)] + ["t"]
+    return networks.Network(nodes, list(zip(nodes, nodes[1:])),
+                            [("m", "s")], {"t": ("m",)})
+
+
 def test_rank_search_depth_is_not_bounded_by_recursion(gf2):
-    # one message over 600 hops of two parallel edges: 1,200 searched edges,
-    # past the interpreter's default recursion limit
-    nodes = ["s"] + [f"u{i}" for i in range(600)] + ["t"]
-    edges = [(a, b, k) for a, b in zip(nodes, nodes[1:]) for k in (0, 1)]
-    net = networks.Network(nodes, edges, [("m", "s")], {"t": ("m",)})
-    res = solve_scalar(net, gf2)
-    assert res.solved and res.stats["searched_edges"] == 1200
+    # unforwarded, 1,200 hops are 1,200 searched positions (the last edge
+    # is free), past the interpreter's default recursion limit
+    net = _hops(1200)
+    res = solve_scalar(net, gf2, SearchOptions(normalize_forwarding=False))
+    assert res.solved and res.stats["positions"] == 1200
+    assert codes.verify_solution(net, res.code).solved
+
+
+@pytest.mark.parametrize("desc", [PrimeField(2), IntegersMod(4)],
+                         ids=describe)
+def test_witness_depth_is_not_bounded_by_recursion(desc):
+    # forwarded, 600 hops search nothing, and the rank witness builds the
+    # chain's rows in topological order, not by a call per hop
+    net = _hops(600)
+    res = solve_scalar(net, construct_ring(desc))
+    assert res.solved
     assert codes.verify_solution(net, res.code).solved
 
 
@@ -711,10 +727,11 @@ def test_vector_time_budget_bounds_the_whole_call(gf2):
 def test_vector_node_budget_bounds_the_whole_call(gf2):
     # dim 2 first searches dim 1 over GF(2), then M_2(GF(2)); each used to
     # get the whole node budget, 20,001 + 20,001 nodes
+    # (dimension 1 is settled in 455 nodes, so the budget stops it first)
     res = solve_vector(dim_n_network(3), gf2, 2,
-                       SearchOptions(node_budget=20000))
+                       SearchOptions(node_budget=300))
     assert res.status == "budget-exceeded"
-    assert res.stats["total_nodes"] <= 20001
+    assert res.stats["total_nodes"] <= 301
     assert res.stats["method"] == "no node budget left for M_2(GF(2))"
     assert res.stats["reason"] == "node budget exhausted"
     # with budget to spare, both dimensions are searched and counted

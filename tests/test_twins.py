@@ -1,8 +1,8 @@
 """Position symmetry in the rank search.
 
-Twin positions (interchangeable searched edges: same tail, read by the
-same edges, and a swap that maps the receiver checks onto themselves) are
-walked in non-decreasing candidate order.  The search must reach the same
+Twin positions (interchangeable searched edges or bundles: same tail and
+cap, read by the same edges, and a swap that maps the receiver checks onto
+themselves) are walked in non-decreasing candidate order.  The search must reach the same
 verdict and the same witness, byte for byte, as the search that walks every
 order, since the lex-least solution is already sorted; only the node counts
 may fall.
@@ -66,13 +66,51 @@ def test_vector_choose_two_threshold_with_twins(monkeypatch, n):
     _same_search(res, _without_twins(monkeypatch, net, ring))
 
 
-def test_bundles_are_twins():
-    # dim-n(3): each pair of parallel edges a_i -> b_i and b_i -> r is one
-    # twin; the edges a_i -> z and z -> r have none
-    res = solve_scalar(dim_n_network(3), construct_ring(PrimeField(2)),
-                       SearchOptions(node_budget=100))
-    assert res.stats["searched_edges"] == 198
-    assert res.stats["twins"] == 3 + 27 * 3
+def test_bundles_are_one_position():
+    # dim-n(3): the parallel edges a_i -> b_i, once twins, are one position
+    # of cap 2 each, which shares its tail with a_i -> z (cap 1) but not its
+    # cap; the b_i -> r bundles forward and each z -> r is free
+    net, ring = dim_n_network(3), construct_ring(PrimeField(2))
+    res = solve_scalar(net, ring, RANK)
+    assert (res.stats["searched_edges"], res.stats["positions"],
+            res.stats["twins"]) == (9, 6, 0)
+    # without forwarding, each b_i -> r bundle is one position too, and
+    # each receiver's edges are all searched (it has more than one)
+    raw = solve_scalar(net, ring, SearchOptions(strategy="rank",
+                                                normalize_forwarding=False,
+                                                node_budget=100))
+    assert (raw.stats["searched_edges"], raw.stats["positions"]) == \
+        (2 * 3 + 3 + 27 * (2 * 3 + 1), 3 + 3 + 27 * (3 + 1))
+
+
+def _bundled_choose_two(n: int) -> Network:
+    """choose-two(n) with three messages at s, two parallel edges from s
+    to each relay and from each relay to each of its receivers, which
+    demand all three."""
+    base = choose_two_network(n)
+    edges = [(e.tail, e.head, o) for e in base.edges for o in (0, 1)]
+    messages = base.messages + (("m3", "s"),)
+    demands = {r: ("m1", "m2", "m3") for r in base.demands}
+    return Network(base.nodes, edges, messages, demands)
+
+
+@pytest.mark.parametrize("desc", FIELDS[:2], ids=describe)
+def test_bundles_of_one_cap_are_twins(monkeypatch, desc):
+    # each relay's bundle is one position of cap 2 in a 3-dimensional
+    # tail, the relays' bundles forward, and every receiver needs two
+    # different planes: solvable while there are enough planes, 7 over
+    # GF(2); every bundle but a claimed first one is a twin of the one
+    # before
+    for n in (4, 8):
+        net, ring = _bundled_choose_two(n), construct_ring(desc)
+        res = solve_scalar(net, ring, RANK)
+        assert res.stats["positions"] == n and res.stats["twins"] >= n - 2
+        planes = ring.size ** 2 + ring.size + 1
+        assert res.status == ("solved" if n <= planes
+                              else "exhausted-unsolvable")
+        _same_search(res, _without_twins(monkeypatch, net, ring))
+        if res.solved:
+            assert codes.verify_solution(net, res.code).solved
 
 
 def _crossed_network(first: str, second: str) -> Network:
