@@ -73,7 +73,13 @@ def _file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _emit(args, subcommand: str, inputs: list[str], result, t0: float) -> None:
+def _subcommand(args) -> str:
+    """The subcommand as typed: "ring verify", "module", "repro dim-n"."""
+    return " ".join(getattr(args, key) for key in
+                    ("command", "action", "mode", "suite") if hasattr(args, key))
+
+
+def _emit(args, inputs: list[str], result, t0: float) -> None:
     text = json.dumps(result, indent=2, sort_keys=True)
     out = getattr(args, "output", None)
     if out:
@@ -86,7 +92,7 @@ def _emit(args, subcommand: str, inputs: list[str], result, t0: float) -> None:
         options = {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func", "manifest") and v is not None}
         manifest = {
-            "subcommand": subcommand,
+            "subcommand": _subcommand(args),
             "inputs": {p: _file_digest(p) for p in inputs},
             "options": options,
             "version": __version__,
@@ -135,16 +141,14 @@ def _field_arg(spec: str) -> _rings.Ring:
 # ---------------------------------------------------------------------------
 # ring subcommand
 
-def _cmd_ring(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_ring(args):
     if args.action == "verify":
         ring = _ring_arg(args.ring)
         report = _rings.verify_ring_axioms(ring)
         result = {"ring": _rings.describe(ring.descriptor), "ok": report.ok,
                   "axioms": report.axioms,
                   "witnesses": {k: list(v) for k, v in report.witnesses.items()}}
-        _emit(args, "ring verify", [args.ring], result, t0)
-        return EXIT_OK if report.ok else EXIT_FAIL
+        return [args.ring], result, EXIT_OK if report.ok else EXIT_FAIL
     if args.action == "radical":
         ring = _ring_arg(args.ring)
         rad = _rings.radical(ring)
@@ -154,16 +158,14 @@ def _cmd_ring(args) -> int:
                   "quotient_size": ring.size // len(rad.elements),
                   "quotient_blocks": [[r, q_] for (r, q_)
                                       in _rings.semisimple_decompose(ring)]}
-        _emit(args, "ring radical", [args.ring], result, t0)
-        return EXIT_OK
+        return [args.ring], result, EXIT_OK
     if args.action == "catalog":
         entries = _rings.semisimple_catalog(args.p, args.k)
         result = {"p": args.p, "k": args.k, "count": len(entries),
                   "entries": [{"name": _rings.describe(d),
                                "descriptor": _rings.descriptor_to_json(d)}
                               for d in entries]}
-        _emit(args, "ring catalog", [], result, t0)
-        return EXIT_OK
+        return [], result, EXIT_OK
     if args.action == "homs":
         src = _ring_arg(args.source)
         dst = _ring_arg(args.target)
@@ -172,16 +174,14 @@ def _cmd_ring(args) -> int:
                   "to": _rings.describe(dst.descriptor),
                   "count": len(homs),
                   "maps": [list(h.mapping) for h in homs]}
-        _emit(args, "ring homs", [args.source, args.target], result, t0)
-        return EXIT_OK
+        return [args.source, args.target], result, EXIT_OK
     raise AssertionError(args.action)
 
 
 # ---------------------------------------------------------------------------
 # module subcommand
 
-def _cmd_module(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_module(args):
     mod = _decode(args.module, "module", _modules.module_from_json)
     result = {"label": mod.label, "ring_size": mod.ring.size,
               "group_size": mod.group.size}
@@ -200,8 +200,7 @@ def _cmd_module(args) -> int:
         subs = _modules.submodules(mod)
         result["submodules"] = {"count": len(subs),
                                 "sizes": sorted(len(s) for s in subs)}
-    _emit(args, "module", [args.module], result, t0)
-    return EXIT_OK if ok else EXIT_FAIL
+    return [args.module], result, EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +214,17 @@ _GENERATORS = {
 }
 
 
-def _cmd_net(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_net(args):
     if args.action == "gen":
         if args.family in ("dim-n", "choose-two") and args.size is None:
             raise _DataError(f"family {args.family} needs a size argument")
         net = _GENERATORS[args.family](args.size)
-        result = _networks.network_to_json(net)
-        _emit(args, "net gen", [], result, t0)
-        return EXIT_OK
+        return [], _networks.network_to_json(net), EXIT_OK
     if args.action == "validate":
         net = _decode(args.network, "network", _networks.parse_network)
         issues = _networks.validate_network(net)
         result = {"ok": not issues, "issues": issues}
-        _emit(args, "net validate", [args.network], result, t0)
-        return EXIT_OK if not issues else EXIT_FAIL
+        return [args.network], result, EXIT_OK if not issues else EXIT_FAIL
     raise AssertionError(args.action)
 
 
@@ -258,8 +253,7 @@ def _code_arg(path: str) -> _codes.LinearCode:
     return _decode(path, "code", decode)
 
 
-def _cmd_code(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_code(args):
     net = _net_arg(args.network)
     code = _code_arg(args.code)
     if args.action == "verify":
@@ -273,8 +267,8 @@ def _cmd_code(args) -> int:
             result["semantic"] = {"solved": sem.solved,
                                   "failure": sem.failure}
             result["solved"] = result["solved"] and sem.solved
-        _emit(args, "code verify", [args.network, args.code], result, t0)
-        return EXIT_OK if result["solved"] else EXIT_FAIL
+        return ([args.network, args.code], result,
+                EXIT_OK if result["solved"] else EXIT_FAIL)
     if args.action == "entropy":
         variables = []
         for token in args.vars.split(","):
@@ -287,30 +281,25 @@ def _cmd_code(args) -> int:
         result = {"variables": list(rep.variables), "rank": rep.rank,
                   "field_size": rep.field_size, "dimension": rep.dimension,
                   "value_log_units": rep.value}
-        _emit(args, "code entropy", [args.network, args.code], result, t0)
-        return EXIT_OK
+        return [args.network, args.code], result, EXIT_OK
     raise AssertionError(args.action)
 
 
 # ---------------------------------------------------------------------------
 # transform subcommand
 
-def _cmd_transform(args) -> int:
-    t0 = time.perf_counter()
-    inputs = []
+def _cmd_transform(args):
     if args.action == "simple-reduce":
         ring = _ring_arg(args.ring)
-        inputs.append(args.ring)
         simple, hom = _transforms.simple_reduction(ring)
         result = {"from": _rings.describe(ring.descriptor),
                   "to_size": simple.size,
                   "blocks": [[r, q] for (r, q)
                              in _rings.semisimple_decompose(simple)],
                   "map": list(hom.mapping)}
-        _emit(args, "transform simple-reduce", inputs, result, t0)
-        return EXIT_OK
+        return [args.ring], result, EXIT_OK
     code = _code_arg(args.code)
-    inputs.append(args.code)
+    inputs = [args.code]
     if args.action == "mat2vec":
         out = _transforms.matrix_scalar_to_vector(code)
     elif args.action == "vec2mat":
@@ -331,15 +320,13 @@ def _cmd_transform(args) -> int:
         homs = _rings.find_homomorphisms(code.module.ring, target)
         if not homs:
             print("no ring homomorphism onto the target", file=sys.stderr)
-            return EXIT_FAIL
+            return inputs, None, EXIT_FAIL
         hom = homs[args.hom_index]
         out = _transforms.hom_lift(code, hom,
                                    _modules.scalar_module(target))
     else:
         raise AssertionError(args.action)
-    _emit(args, f"transform {args.action}", inputs,
-          _codes.code_to_json(out), t0)
-    return EXIT_OK
+    return inputs, _codes.code_to_json(out), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +357,18 @@ def _result_json(res: _solver.SolveResult):
             "code": _codes.code_to_json(res.code) if res.code else None}
 
 
-def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_solve(args):
     net = _net_arg(args.network)
     opts = _options_from(args)
     if args.mode == "scalar":
         ring = _ring_arg(args.ring)
         res = _solver.solve_scalar(net, ring, opts)
-        _emit(args, "solve scalar", [args.network, args.ring],
-              _result_json(res), t0)
-        return _solve_exit(res.status)
+        return ([args.network, args.ring], _result_json(res),
+                _solve_exit(res.status))
     if args.mode == "vector":
         field = _field_arg(args.field)
         res = _solver.solve_vector(net, field, args.dim, opts)
-        _emit(args, "solve vector", [args.network], _result_json(res), t0)
-        return _solve_exit(res.status)
+        return [args.network], _result_json(res), _solve_exit(res.status)
     if args.mode == "smallest":
         catalog = None
         if args.catalog:
@@ -401,10 +385,11 @@ def _cmd_solve(args) -> int:
             "coverage": report.coverage,
             "elapsed": report.elapsed,
         }
-        _emit(args, "solve smallest",
-              [args.network] + ([args.catalog] if args.catalog else []),
-              result, t0)
-        return EXIT_OK if report.minimal_size is not None else EXIT_FAIL
+        stopped = any(v.status == "budget-exceeded" for v in report.verdicts)
+        code = (EXIT_OK if report.minimal_size is not None else
+                EXIT_BUDGET if stopped else EXIT_FAIL)
+        return ([args.network] + ([args.catalog] if args.catalog else []),
+                result, code)
     raise AssertionError(args.mode)
 
 
@@ -547,15 +532,13 @@ _SUITES = {
 }
 
 
-def _cmd_repro(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_repro(args):
     checks = _SUITES[args.suite]()
     ok = all(c[1] for c in checks)
     result = {"suite": args.suite, "ok": ok,
               "checks": [{"name": n, "ok": o, "detail": d}
                          for (n, o, d) in checks]}
-    _emit(args, f"repro {args.suite}", [], result, t0)
-    return EXIT_OK if ok else EXIT_FAIL
+    return [], result, EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +675,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  Each handler returns the input files it read,
+    its result (None when it has none to write) and the exit code; the
+    result and the manifest are written here, timed from the start of the
+    handler."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except _DataError as exc:
-        print(f"netring: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+        inputs, result, code = args.func(args)
+        if result is not None:
+            _emit(args, inputs, result, t0)
+        return code
+    except (_DataError, ValueError, KeyError) as exc:
         print(f"netring: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -206,28 +206,30 @@ def verify_solution(net: Network, code: LinearCode) -> Verdict:
     return Verdict(all(checks.values()), checks, failure, "coefficient")
 
 
-SEMANTIC_CAP = 1 << 24
+SEMANTIC_CAP = 1 << 24     # message assignments semantic_verify takes
+SEMANTIC_CHUNK = 1 << 15   # assignments evaluated at once
 
 
-def semantic_verify(net: Network, code: LinearCode, cap: int = SEMANTIC_CAP,
-                    chunk: int = 1 << 15) -> Verdict:
-    """Ground-truth check: evaluate the code on every message assignment."""
+def semantic_verify(net: Network, code: LinearCode) -> Verdict:
+    """Ground-truth check: evaluate the code on every message assignment,
+    SEMANTIC_CHUNK at a time; ValueError past SEMANTIC_CAP assignments."""
     check_shape(net, code)
     module = code.module
     G = module.group.size
     msgs = net.message_names
     m = len(msgs)
     total = G ** m
-    if total > cap:
-        raise ValueError(f"{total} assignments exceed the semantic cap {cap}")
+    if total > SEMANTIC_CAP:
+        raise ValueError(f"{total} assignments exceed the semantic cap "
+                         f"{SEMANTIC_CAP}")
     act = module.act_table()
     gadd = module.group.add_table()
     weights = [G ** (m - 1 - i) for i in range(m)]
     topo = net.topo_edges()
     checks = {}
     failure = None
-    for base in range(0, total, chunk):
-        count = min(chunk, total - base)
+    for base in range(0, total, SEMANTIC_CHUNK):
+        count = min(SEMANTIC_CHUNK, total - base)
         idx = np.arange(base, base + count, dtype=np.int64)
         val = {name: (idx // weights[i]) % G for i, name in enumerate(msgs)}
         rows = {}
@@ -299,15 +301,14 @@ def explicit_m_network_code():
     return net, LinearCode(module, edge_coeffs, decodings)
 
 
-def routing_code_dim_n(n: int, field, net: Optional[Network] = None):
-    """Component-routing vector solution of the dimension-n family.
+def routing_code_dim_n(n: int, field):
+    """The dimension-n network and its component-routing vector solution.
 
     Each source spreads the j-th components of its n messages over its j-th
     outgoing edge; the bottleneck forwards, per receiver, the component each
     demanded message still misses."""
     from .networks import dim_n_network
-    if net is None:
-        net = dim_n_network(n)
+    net = dim_n_network(n)
     module = _modules.vector_module(field, n)
     mat = module.ring
     E = {(r, c): mat.matrix_unit(r, c) for r in range(n) for c in range(n)}

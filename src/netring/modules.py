@@ -2,10 +2,11 @@
 
 Group elements are integers 0..size-1 with 0 the identity.  Groups built as
 direct sums use a most-significant-first mixed-radix encoding over their
-components, so component access is positional and deterministic.  A module
-pairs a group with a ring action; the four module axioms can be verified
-exhaustively, and the structured constructors (a ring acting on itself, the
-column space R^k under k x k matrices) carry their axioms by construction.
+components (the rings' `_radix_split`/`_radix_join`), so component access is
+positional and deterministic.  A module pairs a group with a ring action;
+the four module axioms can be verified exhaustively, and the structured
+constructors (a ring acting on itself, the column space R^k under k x k
+matrices) carry their axioms by construction.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ class AbelianGroup:
         # tables() -> (add table, neg table) when they exist elsewhere
         self._tables = tables
         self.components = tuple(components) if components is not None else None
+        self._radices = tuple(g.size for g in self.components or ())
         self.label = label
         self._add_table = None
         self._neg_table = None
@@ -76,19 +78,12 @@ class AbelianGroup:
         """Component values of idx (an int, or an array of them)."""
         if self.components is None:
             raise TypeError("group is not a direct sum")
-        out = []
-        for g in reversed(self.components):
-            idx, v = divmod(idx, g.size)
-            out.append(v)
-        return tuple(reversed(out))
+        return _rings._radix_split(idx, self._radices)
 
     def from_parts(self, parts):
         if self.components is None:
             raise TypeError("group is not a direct sum")
-        acc = 0
-        for g, v in zip(self.components, parts):
-            acc = acc * g.size + v
-        return acc
+        return _rings._radix_join(parts, self._radices)
 
 
 def cyclic(n: int) -> AbelianGroup:
@@ -194,8 +189,7 @@ class Module:
         return self.annihilator() == (0,)
 
 
-def construct_module(ring: Ring, group: AbelianGroup, action, *,
-                     check: bool = True) -> Module:
+def construct_module(ring: Ring, group: AbelianGroup, action) -> Module:
     """Build a module from an explicit action, verifying the axioms.
 
     The check enumerates every instance of all four axioms (identity is
@@ -211,8 +205,7 @@ def construct_module(ring: Ring, group: AbelianGroup, action, *,
             raise ValueError("action table must be |R| x |G|")
         mod = Module(ring, group, lambda r, g: int(table[r, g]),
                      table=lambda: table)
-    if check:
-        verify_module_axioms(mod)
+    verify_module_axioms(mod)
     return mod
 
 

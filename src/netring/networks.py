@@ -147,6 +147,9 @@ def validate_network(net: Network) -> list[str]:
             issues.append(f"message {m} owned by unknown node {owner}")
         elif net.in_edges(owner):
             issues.append(f"message {m} owned by non-source node {owner}")
+    for v in dict.fromkeys(net.nodes):
+        if net._out[v] and not (net._in[v] or net._owned[v]):
+            issues.append(f"node {v} sends on edges but has no inputs")
     try:
         net.topo_nodes()
         acyclic = True

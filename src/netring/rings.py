@@ -15,14 +15,16 @@ significant first: k copies of GF(p) for GF(p^k) (digits are the polynomial
 coefficients, highest degree first), one copy of the entry ring per matrix
 slot (row-major; only the slots r <= c for upper-triangular rings), and the
 factors of a product.  The digits read as a mixed-radix number give an
-element's natural code; the codec `Ring.coords`/`Ring.from_coords` is the
-one place that converts, moving the identity's code to index 1 and shifting
-the codes below it up by one.  Addition and negation act digit by digit for
-every compound kind; each kind supplies only its multiplication, as a list
-of terms per output digit (the polynomial product reduced by the modulus,
-the row-by-column sum, or the componentwise product).  The scalar
-operations and `Ring._build_tables` evaluate the same rules, the latter on
-whole rows of the lazily built coordinate array, a block of rows at a time.
+element's natural code (`_radix_split`/`_radix_join`, which the direct sums
+of `modules` use as they are); the codec `Ring.coords`/`Ring.from_coords`
+is the one place that converts, moving the identity's code to index 1 and
+shifting the codes below it up by one.  Addition and negation act digit
+by digit for every compound kind; each kind supplies only its
+multiplication, as a list of terms per output digit (the polynomial
+product reduced by the modulus, the row-by-column sum, or the
+componentwise product).  The scalar operations and `Ring._build_tables`
+evaluate the same rules, the latter on whole rows of the lazily built
+coordinate array, a block of rows at a time.
 
 The same rules also read as one integer rule on the ring's flat digits, the
 residue digits at the leaves of its coordinate tree (M_2(GF(4)) has eight,
@@ -62,9 +64,9 @@ from typing import Optional, Union
 import numpy as np
 
 TABLE_CAP = 4096      # largest size for which dense operation tables are built
-AXIOM_CAP = 4096      # default bound for exhaustive axiom verification
+AXIOM_CAP = 4096      # largest size whose axioms are verified exhaustively
 IDEAL_CAP = 4096      # largest size for which ideal lattices are enumerated
-HOM_CAP = 256         # default bound on the domain of homomorphism searches
+HOM_CAP = 256         # largest size of either ring in a homomorphism search
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,24 @@ _DIGIT_CAP = 1 << 20     # largest residue modulus with a digit rule, so that
                          # sums of digit products stay far inside int64
 
 
+def _radix_split(nat, radices):
+    """Digits of the mixed-radix number nat (an int, or an array of them),
+    most significant first: a tuple of ints, or of arrays."""
+    out = []
+    for s in reversed(radices):
+        nat, d = divmod(nat, s)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def _radix_join(digits, radices):
+    """Inverse of _radix_split; also joins a list of digit arrays."""
+    nat = 0
+    for s, d in zip(radices, digits):
+        nat = nat * s + d
+    return nat
+
+
 def _pin(nat, one_nat: int):
     """Element index of natural code nat (an int or an array of them): 0
     stays 0, the identity's code moves to 1, the codes below it shift up."""
@@ -359,9 +379,7 @@ class Ring:
         self.one = (1 if size > 1 else 0) if unital else None
         self.coord_rings: tuple[Ring, ...] = tuple(coord_rings)
         self._radices = tuple(r.size for r in self.coord_rings)
-        self._one_nat = 0
-        for s, d in zip(self._radices, one_coords):
-            self._one_nat = self._one_nat * s + d
+        self._one_nat = _radix_join(one_coords, self._radices)
         self._mul_terms = mul_terms
         # coordinates that are residues already are the flat digits
         self._flat = all(r.kind in _RESIDUE_KINDS for r in self.coord_rings)
@@ -387,14 +405,10 @@ class Ring:
         for an array of indices, an array with one more axis of digits."""
         if not self.coord_rings:
             raise TypeError(f"a {self.kind} ring has no coordinates")
-        nat = _unpin(idx, self._one_nat)
-        out = []
-        for s in reversed(self._radices):
-            nat, d = divmod(nat, s)
-            out.append(d)
+        out = _radix_split(_unpin(idx, self._one_nat), self._radices)
         if isinstance(idx, np.ndarray):
-            return np.stack(out[::-1], axis=-1)
-        return tuple(reversed(out))
+            return np.stack(out, axis=-1)
+        return out
 
     def from_coords(self, digits):
         """Inverse of coords(); also encodes a list of digit arrays."""
@@ -403,10 +417,7 @@ class Ring:
         if len(digits) != len(self._radices):
             raise ValueError(f"expected {len(self._radices)} digits, "
                              f"got {len(digits)}")
-        nat = 0
-        for s, d in zip(self._radices, digits):
-            nat = nat * s + d
-        return _pin(nat, self._one_nat)
+        return _pin(_radix_join(digits, self._radices), self._one_nat)
 
     def _coords_of_all(self) -> np.ndarray:
         """size x digits array: row idx holds coords(idx) (built on first use)."""
@@ -592,17 +603,9 @@ class Ring:
                     x = self.add(x, self.one)
                     c += 1
                 self._char = c
-            elif self.size == 1:
-                self._char = 1
             else:
-                c = 1
-                for a in range(self.size):
-                    order, x = 1, a
-                    while x != 0:
-                        x = self.add(x, a)
-                        order += 1
-                    c = math.lcm(c, order)
-                self._char = c
+                # one element, or a rng: the lcm of the additive orders
+                self._char = math.lcm(*_additive_orders(self).tolist())
         return self._char
 
     def is_commutative(self) -> bool:
@@ -658,11 +661,11 @@ class Ring:
             raise ValueError("entry below the diagonal must be zero")
         return self.from_coords([rows[r][c] for r, c in self.slots])
 
-    def matrix_unit(self, r: int, c: int, scale: int = 1) -> int:
-        """The matrix with `scale` at (r, c) and zeros elsewhere."""
+    def matrix_unit(self, r: int, c: int) -> int:
+        """The matrix with 1 at (r, c) and zeros elsewhere."""
         k = self.k
         rows = [[0] * k for _ in range(k)]
-        rows[r][c] = scale
+        rows[r][c] = 1
         return self.mat_from_entries(rows)
 
     def prod_parts(self, idx: int) -> tuple[int, ...]:
@@ -874,11 +877,13 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def verify_ring_axioms(ring: Ring, bound: int = AXIOM_CAP) -> AxiomReport:
-    """Exhaustively check the ring axioms (all triples; size bounded)."""
+def verify_ring_axioms(ring: Ring) -> AxiomReport:
+    """Exhaustively check the ring axioms (all triples); ValueError past
+    AXIOM_CAP elements."""
     n = ring.size
-    if n > bound:
-        raise ValueError(f"ring size {n} exceeds the verification bound {bound}")
+    if n > AXIOM_CAP:
+        raise ValueError(f"ring size {n} exceeds the verification bound "
+                         f"{AXIOM_CAP}")
     add = ring.add_table()
     mul = ring.mul_table()
     idx = np.arange(n)
@@ -1083,7 +1088,6 @@ class RingHom:
     domain: Ring
     codomain: Ring
     mapping: tuple[int, ...]
-    surjective: bool = False
 
     def __post_init__(self):
         self.mapping = tuple(int(x) for x in self.mapping)
@@ -1101,7 +1105,6 @@ class RingHom:
             raise ValueError("mapping does not respect multiplication")
         if r.unital and s.unital and self.mapping[r.one] != s.one:
             raise ValueError("mapping does not send identity to identity")
-        self.surjective = len(set(self.mapping)) == s.size
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -1165,12 +1168,12 @@ def _additive_levels(ring: Ring):
     return levels
 
 
-def _hom_search(r: Ring, s: Ring, *, injective: bool, surjective_only: bool,
-                bound: int, limit: Optional[int] = None):
-    if r.size > bound or s.size > bound:
-        raise ValueError(f"homomorphism search capped at size {bound}")
-    if injective and r.size != s.size:
-        return []
+def _hom_search(r: Ring, s: Ring, *, injective: bool):
+    """The mapping tables of the homomorphisms r -> s, sorted; with
+    injective set, only the first injective one the walk meets (an
+    isomorphism, as the caller has checked that the sizes agree)."""
+    if r.size > HOM_CAP or s.size > HOM_CAP:
+        raise ValueError(f"homomorphism search capped at size {HOM_CAP}")
     add_s = s.add_table()
     mul_r = r.mul_table()
     mul_s = s.mul_table()
@@ -1182,7 +1185,6 @@ def _hom_search(r: Ring, s: Ring, *, injective: bool, surjective_only: bool,
 
     def multiples(m):
         if m not in multiple_cache:
-            arr = np.zeros(sn, dtype=np.int64)
             base = np.arange(sn, dtype=np.int64)
             cur = np.zeros(sn, dtype=np.int64)
             for _ in range(m):
@@ -1216,16 +1218,11 @@ def _hom_search(r: Ring, s: Ring, *, injective: bool, surjective_only: bool,
             products[max(level_of[gi], level_of[gj], level_of[gg])].append(
                 (gi, gj, gg))
 
-    def finalize():
-        if surjective_only and len(set(phi.tolist())) != sn:
-            return
-        results.append(tuple(int(v) for v in phi))
-
     def assign(level_idx):
-        if limit is not None and len(results) >= limit:
+        if injective and results:
             return
         if level_idx == len(levels):
-            finalize()
+            results.append(tuple(int(v) for v in phi))
             return
         g, m, anchor, pairs = levels[level_idx]
         target = int(phi[anchor])
@@ -1280,24 +1277,22 @@ def _additive_orders(ring: Ring) -> np.ndarray:
     return orders
 
 
-def find_homomorphisms(r: Ring, s: Ring, *, surjective_only: bool = False,
-                       bound: int = HOM_CAP, limit: Optional[int] = None) -> list[RingHom]:
-    """All unital homomorphisms r -> s, sorted by mapping table."""
+def find_homomorphisms(r: Ring, s: Ring) -> list[RingHom]:
+    """All unital homomorphisms r -> s, sorted by mapping table; ValueError
+    past HOM_CAP elements."""
     if not (r.unital and s.unital):
         raise ValueError("homomorphism search expects unital rings")
-    maps = _hom_search(r, s, injective=False, surjective_only=surjective_only,
-                       bound=bound, limit=limit)
-    return [RingHom(r, s, m) for m in maps]
+    return [RingHom(r, s, m) for m in _hom_search(r, s, injective=False)]
 
 
-def find_isomorphism(r: Ring, s: Ring, bound: int = HOM_CAP) -> Optional[RingHom]:
-    """An isomorphism r -> s if one exists, else None (deterministic pick)."""
+def find_isomorphism(r: Ring, s: Ring) -> Optional[RingHom]:
+    """An isomorphism r -> s if one exists, else None (deterministic pick);
+    ValueError past HOM_CAP elements."""
     if r.size != s.size:
         return None
     if _fingerprint(r) != _fingerprint(s):
         return None
-    maps = _hom_search(r, s, injective=True, surjective_only=False,
-                       bound=bound, limit=1)
+    maps = _hom_search(r, s, injective=True)
     return RingHom(r, s, maps[0]) if maps else None
 
 

@@ -35,7 +35,12 @@ catalogue goes through the same loop, ring by ring.
 
 A k-dimensional vector code over GF(q) is a scalar code over M_k(GF(q)).
 solve_vector stacks the codes of two solved smaller dimensions when it
-can, and otherwise runs _decide over M_k(GF(q)) under the caller's budgets.
+can, and otherwise runs _decide over M_k(GF(q)).
+
+The node and time budgets bound each front-door call as a whole: one
+_Allowance per call hands every engine run the nodes left and the
+call's deadline, and charges it what it searched.  A ring or dimension
+reached with nothing left is "budget-exceeded" without a search.
 
 * the rank engine covers fields and matrix rings over fields.  A code's
   edge carries a subspace (of dimension at most k) of the row space
@@ -142,7 +147,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field as _field, replace
+from dataclasses import dataclass, field as _field
 from functools import lru_cache
 from typing import Optional
 
@@ -236,6 +241,40 @@ class SolveResult:
 
 class _Budget(Exception):
     pass
+
+
+class _Allowance:
+    """What one front-door call may still search: nodes (assignments, for
+    the exhaustive engine) and time up to an absolute deadline.  Every
+    engine call goes through search(), which hands the engine the nodes
+    left and the deadline and charges it what it searched on the way out,
+    so the budgets bound the whole call and a memoized verdict is never
+    charged twice."""
+
+    def __init__(self, opts: SearchOptions):
+        self.budget = opts.node_budget
+        self.spent = 0
+        self.deadline = (None if opts.time_budget is None
+                         else time.perf_counter() + opts.time_budget)
+
+    def search(self, engine, net: Network, ring: Ring, opts: SearchOptions,
+               *planned) -> SolveResult:
+        res = engine(net, ring, opts, self.budget - self.spent, self.deadline,
+                     *planned)
+        self.spent += res.stats.get("nodes", res.stats.get("assignments", 0))
+        return res
+
+    def used_up(self, name: str) -> Optional[SolveResult]:
+        """A "budget-exceeded" result for the ring called name when no
+        nodes or no time are left to search it, else None."""
+        what = ("node budget" if self.spent >= self.budget else
+                "time budget" if self.deadline is not None
+                and time.perf_counter() >= self.deadline else None)
+        if what is None:
+            return None
+        return SolveResult("budget-exceeded", None, {
+            "method": f"no {what} left for {name}",
+            "reason": f"{what} exhausted"})
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +491,9 @@ def _twins(tails, caps, checks, claimed):
     return earlier
 
 
-def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
+def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
+                deadline: Optional[float]) -> SolveResult:
+    """Rank search of at most budget nodes, stopped at the deadline."""
     t0 = time.perf_counter()
     field, k = _rank_parts(ring)
     ops = fl.FieldOps(field)
@@ -671,9 +712,6 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
         recv_memo[key] = got
         return got
 
-    deadline = None if opts.time_budget is None else t0 + opts.time_budget
-    budget = opts.node_budget
-
     def without(src, i):
         """The span of src's sources but position i, and whether src
         reads position i."""
@@ -775,8 +813,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     assign = {e: spaces[cur[i]][a * k:(a + 1) * k]
               for i, bundle in enumerate(bundles)
               for a, e in enumerate(bundle)}
-    code = _rank_witness(net, ring, field, k, ops, alg, plan, local_one,
-                         assign, unit_spaces, mpos)
+    code = _rank_witness(net, ring, k, ops, alg, plan, local_one, assign,
+                         unit_spaces, mpos)
     report = verify_solution(net, code)
     if not report.solved:
         raise RuntimeError(f"reconstructed code failed verification: "
@@ -784,7 +822,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions) -> SolveResult:
     return SolveResult("solved", code, stats)
 
 
-def _rank_witness(net, ring, field, k, ops, alg, plan, local_one, assign,
+def _rank_witness(net, ring, k, ops, alg, plan, local_one, assign,
                   unit_spaces, mpos):
     """Turn a passing subspace assignment into explicit coefficients."""
     width = alg.width
@@ -993,10 +1031,11 @@ def _local_slots(net: Network, plan, r: str):
             for j in range(len(net.inputs(e.tail)))]
 
 
-def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
-                 planned=None) -> SolveResult:
-    """Enumerate the coefficient space; planned is _table_slots' result when
-    the caller has already built it."""
+def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
+                 deadline: Optional[float], planned=None) -> SolveResult:
+    """Enumerate at most budget assignments of the coefficient space,
+    stopping at the deadline; planned is _table_slots' result when the
+    caller has already built it."""
     t0 = time.perf_counter()
     if not ring.unital:
         raise ValueError("the coefficient search requires a unital ring")
@@ -1031,7 +1070,6 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
     stats = {"strategy": "exhaustive", "ring_size": size,
              "slots": nslots, "space": total, "assignments": 0,
              "receiver_checks": 0, "memo_hits": 0}
-    deadline = None if opts.time_budget is None else t0 + opts.time_budget
 
     topo = net.topo_edges()
     receivers = [r for r in net.receivers if net.demands[r]]
@@ -1039,7 +1077,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions,
     c0 = lo
     while c0 < hi:
         n = min(CHUNK, hi - c0)
-        stop = ("node" if stats["assignments"] + n > opts.node_budget else
+        stop = ("node" if stats["assignments"] + n > budget else
                 "time" if deadline is not None
                 and time.perf_counter() > deadline else None)
         if stop:
@@ -1199,22 +1237,24 @@ def _block_name(r: int, q: int) -> str:
 
 
 def _decide(net: Network, ring: Ring, opts: SearchOptions,
-            blocks: dict, planned=None) -> SolveResult:
+            allow: _Allowance, blocks: dict, planned=None) -> SolveResult:
     """Scalar solvability over the ring, by the route in the module notes.
 
-    blocks memoizes the canonical simple-ring searches by (r, q) across
-    calls; those run with the caller's options, so a caller that reduces
-    must not shard them.  planned is passed on to the direct search."""
+    Every search it runs, quotients included, spends from allow.  blocks
+    memoizes the canonical simple-ring searches by (r, q) across calls;
+    those run with the caller's options, so a caller that reduces must not
+    shard them.  planned is passed on to the direct search."""
     def block(r, q):
         if (r, q) not in blocks:
-            blocks[(r, q)] = _solve_rank(
-                net, construct_ring(_rings.simple_ring(r, q)), opts)
+            blocks[(r, q)] = allow.search(
+                _solve_rank, net, construct_ring(_rings.simple_ring(r, q)),
+                opts)
         return blocks[(r, q)]
 
     parts = _rank_parts(ring)
     if parts is not None:
         r, q = parts[1], parts[0].size
-        res = _solve_rank(net, ring, opts)
+        res = allow.search(_solve_rank, net, ring, opts)
         if ring.descriptor == _rings.simple_ring(r, q):
             blocks.setdefault((r, q), res)
         method = f"direct search as {_block_name(r, q)}"
@@ -1238,7 +1278,7 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
             if stopped:
                 res, method = stopped[0], "a quotient search ran out of budget"
             else:
-                res = _solve_table(net, ring, opts, planned)
+                res = allow.search(_solve_table, net, ring, opts, planned)
                 method = "all simple quotients solvable; searched directly"
     code = res.code
     if res.solved and code.module.ring is not ring:
@@ -1256,9 +1296,11 @@ def solve_scalar(net: Network, ring: Ring,
     through _decide unless a ring the rank strategy does not accept fits
     one enumeration block (reducing would cost more than searching) or the
     search is sharded (a quotient's verdict is not one shard's); rank and
-    exhaustive are raw searches of the ring itself."""
+    exhaustive are raw searches of the ring itself.  The node and time
+    budgets bound the whole call, quotient searches included."""
     opts = _validated(net, options)
     _check_axioms(ring)
+    allow = _Allowance(opts)
     strategy = opts.strategy
     planned = None
     if strategy == "auto":
@@ -1266,17 +1308,17 @@ def solve_scalar(net: Network, ring: Ring,
         if bound is not None:
             return bound
         if _rank_parts(ring) is not None:
-            return _decide(net, ring, opts, {})
+            return _decide(net, ring, opts, allow, {})
         if opts.shards == 1 and ring.unital and ring.has_tables():
             planned = _table_slots(net, ring.size, opts)
             if ring.size ** len(planned[1]) > CHUNK:
-                return _decide(net, ring, opts, {}, planned)
+                return _decide(net, ring, opts, allow, {}, planned)
         strategy = "exhaustive"
     if strategy == "rank" and _rank_parts(ring) is None:
         raise ValueError("the rank strategy needs a field or a matrix "
                          "ring over a field")
-    res = (_solve_rank(net, ring, opts) if strategy == "rank"
-           else _solve_table(net, ring, opts, planned))
+    res = (allow.search(_solve_rank, net, ring, opts) if strategy == "rank"
+           else allow.search(_solve_table, net, ring, opts, planned))
     res.stats["method"] = f"direct search as {_rings.describe(ring.descriptor)}"
     return res
 
@@ -1289,13 +1331,13 @@ def solve_vector(net: Network, field: Ring, k: int,
     are: their codes stack block-diagonally (dim_sum), and stats["method"]
     is "dim-sum d1+d2" with the parts' stats under "parts".  Splits are
     tried first, d1 ascending, and can only answer "solved".  Otherwise d
-    is decided by _decide over M_d(F) (F itself when d is 1) under what
-    is left of the caller's node and time budgets, which bound the whole
-    call: a dimension reached with no nodes or no time left is
-    "budget-exceeded", and stats["total_nodes"] counts the nodes searched
-    over every dimension.  Each dimension is decided once per call, and
-    the cut-set bound, which settles every dimension, is checked before
-    any."""
+    is decided by _decide over M_d(F) (F itself when d is 1).  The node
+    and time budgets bound the whole call: a dimension reached with no
+    nodes or no time left is "budget-exceeded" with method "no node
+    budget left for <ring>" (or time budget), and stats["total_nodes"]
+    counts the nodes searched over every dimension.  Each dimension is
+    decided once per call, and the cut-set bound, which settles every
+    dimension, is checked before any."""
     _check_axioms(field)
     if not field.is_field():
         raise ValueError("vector codes need a field of scalars")
@@ -1308,13 +1350,10 @@ def solve_vector(net: Network, field: Ring, k: int,
     bound = _cut_bound(net)
     if bound is not None:
         return bound
-    deadline = (None if opts.time_budget is None
-                else time.perf_counter() + opts.time_budget)
-    spent = 0          # nodes searched so far, over every dimension
+    allow = _Allowance(opts)
 
     @lru_cache(maxsize=None)
     def attempt(dim: int) -> SolveResult:
-        nonlocal spent
         for k1 in range(1, dim // 2 + 1):
             a = attempt(k1)
             if not a.solved:
@@ -1331,24 +1370,15 @@ def solve_vector(net: Network, field: Ring, k: int,
                     "parts": (a.stats, b.stats)})
         ring = (field if dim == 1 else
                 construct_ring(_rings.MatrixRing(field.descriptor, dim)))
-        nodes = opts.node_budget - spent
-        left = None if deadline is None else deadline - time.perf_counter()
-        if nodes < 1 or (left is not None and left <= 0):
-            what = "node budget" if nodes < 1 else "time budget"
-            return SolveResult("budget-exceeded", None, {
-                "method": f"no {what} left for "
-                          + _rings.describe(ring.descriptor),
-                "reason": f"{what} exhausted"})
-        res = _decide(net, ring, replace(opts, node_budget=nodes,
-                                         time_budget=left), {})
-        spent += res.stats["nodes"]
+        res = (allow.used_up(_rings.describe(ring.descriptor))
+               or _decide(net, ring, opts, allow, {}))
         if res.solved and dim > 1:
             res.code = _transforms.matrix_scalar_to_vector(res.code)
         return res
 
     res = attempt(k)
     return SolveResult(res.status, res.code,
-                       res.stats | {"total_nodes": spent})
+                       res.stats | {"total_nodes": allow.spent})
 
 
 # ---------------------------------------------------------------------------
@@ -1450,7 +1480,12 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     through _decide, with one memo of canonical simple-ring searches per
     sweep.  Without a catalogue the cut-set bound is checked first: when it
     fires, every simple ring gets its verdict unbuilt and unsearched, and
-    the coverage is every ring and module with two or more elements."""
+    the coverage is every ring and module with two or more elements.
+
+    The node and time budgets bound the whole sweep, not each ring: a ring
+    reached with no nodes or no time left is "budget-exceeded", unbuilt
+    and unsearched, with method "no node budget left for <ring>" (or time
+    budget), and the coverage names every ring the budget stopped."""
     t0 = time.perf_counter()
     opts = _validated(net, options)
     if opts.shards > 1:
@@ -1476,12 +1511,15 @@ def smallest_ring_search(net: Network, max_size: int = 16,
     verdicts: list[RingVerdict] = []
     winners: list[RingVerdict] = []
     minimal: Optional[int] = None
+    allow = _Allowance(opts)
     for desc in descs:
         size = _rings.descriptor_size(desc)
         if minimal is not None and size > minimal:
             break
-        res = bound or _decide(net, construct_ring(desc), opts, blocks)
-        verdict = RingVerdict(desc, _rings.describe(desc), size, res.status,
+        name = _rings.describe(desc)
+        res = (bound or allow.used_up(name)
+               or _decide(net, construct_ring(desc), opts, allow, blocks))
+        verdict = RingVerdict(desc, name, size, res.status,
                               res.stats["method"], res.code)
         verdicts.append(verdict)
         if verdict.status == "solved":

@@ -438,3 +438,117 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_sweep_stopped_by_its_budget_exits_2(files, tmp_path):
+    # every ring is stopped, so no size is settled: not "unsolvable"
+    out = tmp_path / "s.json"
+    assert run("solve", "smallest", str(files["m"]), "--max-size", "16",
+               "--budget", "50", "-o", str(out)) == BUDGET
+    rep = json.loads(out.read_text())
+    assert rep["minimal_size"] is None and len(rep["verdicts"]) == 11
+    assert {v["status"] for v in rep["verdicts"]} == {"budget-exceeded"}
+    # the time budget bounds the whole sweep, not each ring
+    d3 = tmp_path / "d3.json"
+    assert run("net", "gen", "dim-n", "3", "-o", str(d3)) == OK
+    t0 = time.perf_counter()
+    assert run("solve", "smallest", str(d3), "--max-size", "64",
+               "--time-budget", "0.5", "-o", str(out)) == BUDGET
+    assert time.perf_counter() - t0 < 2.0
+    # a sweep whose every ring is settled unsolvable still exits 1
+    assert run("solve", "smallest", str(files["m"]), "--max-size", "4",
+               "-o", str(out)) == FAIL
+
+
+@pytest.mark.parametrize("flags", [(), ("--strategy", "exhaustive")])
+def test_a_node_without_inputs_is_65(files, flags, capsys):
+    net = files["dir"] / "inputless.json"
+    net.write_text(json.dumps({
+        "nodes": ["s", "u", "t"], "edges": [["s", "t", 0], ["u", "t", 0]],
+        "messages": [["m", "s"]], "demands": {"t": ["m"]}}))
+    assert run("net", "validate", str(net)) == FAIL
+    assert json.loads(capsys.readouterr().out)["issues"] == [
+        "node u sends on edges but has no inputs"]
+    assert run("solve", "scalar", str(net), "--ring", str(files["gf2"]),
+               *flags) == DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "node u sends on edges but has no inputs" in err
+
+
+def test_module_checks(files, tmp_path, capsys):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"kind": "vector", "dim": 2, "ring":
+                               rings.descriptor_to_json(rings.PrimeField(2))}))
+    assert run("module", str(mod), "--check", "--faithful",
+               "--submodules") == OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["axioms"] == "all hold" and rep["faithful"] is True
+    assert rep["annihilator"] == [0]
+    # GF(2)^2 under M_2(GF(2)) is simple: 0 and the whole space
+    assert rep["submodules"] == {"count": 2, "sizes": [1, 4]}
+
+
+def _solved_code(files, tmp_path, name, *solve_args):
+    out = tmp_path / f"code-{name}.json"
+    assert run("solve", *solve_args, "-o", str(out)) == OK
+    assert run("code", "verify", str(files["c3"]), str(out)) == OK
+    return out
+
+
+def test_transforms_give_codes_that_verify(files, tmp_path, capsys):
+    c3 = str(files["c3"])
+    gf2 = _solved_code(files, tmp_path, "gf2", "scalar", c3, "--ring",
+                       str(files["gf2"]))
+    gf3 = tmp_path / "gf3.json"
+    gf3.write_text(json.dumps(rings.descriptor_to_json(rings.PrimeField(3))))
+    gf3_code = _solved_code(files, tmp_path, "gf3", "scalar", c3, "--ring",
+                            str(gf3))
+    for action, *rest in (("ann-quotient",), ("dim-sum", str(gf2)),
+                          ("product", str(gf3_code)),
+                          ("hom-lift", str(files["gf4"]))):
+        out = tmp_path / f"{action}.json"
+        assert run("transform", action, str(gf2), *rest, "-o",
+                   str(out)) == OK
+        assert run("code", "verify", c3, str(out), "--semantic") == OK
+    capsys.readouterr()
+    # no homomorphism GF(2^2) -> GF(2): exit 1 and nothing written
+    gf4_code = _solved_code(files, tmp_path, "gf4", "scalar", c3, "--ring",
+                            str(files["gf4"]))
+    out, man = tmp_path / "none.json", tmp_path / "none-manifest.json"
+    assert run("transform", "hom-lift", str(gf4_code), str(files["gf2"]),
+               "-o", str(out), "--manifest", str(man)) == FAIL
+    assert not out.exists() and not man.exists()
+    assert capsys.readouterr().err == "no ring homomorphism onto the target\n"
+
+
+def test_solve_routes_give_codes_that_verify(files, tmp_path):
+    c3 = str(files["c3"])
+    _solved_code(files, tmp_path, "v4", "vector", c3, "--field", "2^2",
+                 "--dim", "2")
+    _solved_code(files, tmp_path, "raw", "scalar", c3, "--ring",
+                 str(files["gf2"]), "--no-normalize")
+
+
+@pytest.mark.parametrize("argv, subcommand", [
+    (("ring", "verify", "{z4}"), "ring verify"),
+    (("ring", "catalog", "2", "2"), "ring catalog"),
+    (("module", "{mod}"), "module"),
+    (("net", "gen", "m"), "net gen"),
+    (("net", "validate", "{m}"), "net validate"),
+    (("transform", "simple-reduce", "{z4}"), "transform simple-reduce"),
+    (("solve", "smallest", "{c3}", "--max-size", "4"), "solve smallest"),
+    (("repro", "catalog"), "repro catalog"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_manifest_names_the_subcommand(files, tmp_path, argv, subcommand):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"kind": "scalar", "ring":
+                               rings.descriptor_to_json(rings.PrimeField(2))}))
+    paths = {key: str(val) for key, val in files.items()} | {"mod": str(mod)}
+    man = tmp_path / "manifest.json"
+    assert run(*(a.format(**paths) for a in argv), "-o",
+               str(tmp_path / "out.json"), "--manifest", str(man)) == OK
+    data = json.loads(man.read_text())
+    assert data["subcommand"] == subcommand
+    assert data["result_digest"] == cli._digest(
+        json.loads((tmp_path / "out.json").read_text()))

@@ -120,6 +120,16 @@ def test_validate_flags_problems():
     assert any("self-loop" in i for i in validate_network(loop))
 
 
+def test_validate_reports_a_node_that_sends_without_inputs():
+    # u has neither in-edges nor messages, so u->t would carry nothing
+    net = Network(["s", "u", "t"], [("s", "t"), ("u", "t")], [("m", "s")],
+                  {"t": ("m",)})
+    assert validate_network(net) == ["node u sends on edges but has no inputs"]
+    # one that sends nothing is harmless
+    idle = Network(["s", "u", "t"], [("s", "t")], [("m", "s")], {"t": ("m",)})
+    assert validate_network(idle) == []
+
+
 def test_validate_lists_each_unreachable_demand_in_order():
     # s2 feeds only t2, so t1 cannot get y or z, and t2 cannot get x
     net = Network(["s1", "s2", "t1", "t2"],
@@ -140,6 +150,7 @@ def test_validate_reports_an_unknown_owner_without_crashing():
     net = Network(["a", "b"], [("a", "b")], [("x", "ghost")], {"b": ("x",)})
     assert validate_network(net) == [
         "message x owned by unknown node ghost",
+        "node a sends on edges but has no inputs",
         "no path from ghost to b for message x",
     ]
 

@@ -755,3 +755,77 @@ def test_time_budget_stops_the_exhaustive_search_within_a_chunk():
     assert time.perf_counter() - t0 < 0.3
     assert res.status == "budget-exceeded"
     assert res.stats["reason"] == "time budget exhausted"
+
+
+def test_sweep_time_budget_bounds_the_whole_sweep():
+    # each ring used to get the whole time budget (5 s for this sweep)
+    t0 = time.perf_counter()
+    report = smallest_ring_search(dim_n_network(3), 64,
+                                  options=SearchOptions(time_budget=0.3))
+    assert time.perf_counter() - t0 < 1.0
+    statuses = [v.status for v in report.verdicts]
+    first = statuses.index("budget-exceeded")
+    assert set(statuses[first:]) == {"budget-exceeded"}
+    assert report.verdicts[-1].method == "no time budget left for GF(2^6)"
+    assert "not settled" in report.coverage
+
+
+def test_sweep_node_budget_bounds_the_whole_sweep(monkeypatch):
+    # a ring reached with no nodes left is neither built nor searched
+    searched = []
+    engine = solver._solve_rank
+
+    def counted(net, ring, opts, budget, *rest):
+        searched.append(budget)
+        return engine(net, ring, opts, budget, *rest)
+    monkeypatch.setattr(solver, "_solve_rank", counted)
+    report = smallest_ring_search(dim_n_network(3), 64,
+                                  options=SearchOptions(node_budget=3000))
+    stopped = [v for v in report.verdicts if v.status == "budget-exceeded"]
+    assert stopped[0].method.startswith("direct search as ")
+    assert all(v.method == f"no node budget left for {v.name}"
+               for v in stopped[1:])
+    assert len(searched) == len(report.verdicts) - len(stopped) + 1
+    assert searched[0] == 3000 and searched == sorted(searched, reverse=True)
+
+
+def test_a_quotient_search_shares_the_budget(z4):
+    res = solve_scalar(m_network(), z4, SearchOptions(node_budget=1))
+    assert res.status == "budget-exceeded"
+    assert res.stats["method"] == "a quotient search ran out of budget"
+
+
+@pytest.mark.parametrize("ring", [
+    _table_copy(MatrixRing(PrimeField(2), 2)),
+    construct_ring(Product((MatrixRing(PrimeField(2), 2),)))],
+    ids=["table", "product"])
+def test_a_simple_ring_in_another_form_is_searched_canonically(ring):
+    # the witness over M_2(GF(2)) comes back through an isomorphism
+    net = m_network()
+    res = solve_scalar(net, ring)
+    assert res.solved
+    assert res.stats["method"] == "direct search as M_2(GF(2))"
+    assert res.code.module.ring is ring
+    assert codes.verify_solution(net, res.code).solved
+    assert codes.semantic_verify(net, res.code).solved
+    assert bruteforce.check_code(net, res.code)
+
+
+def test_a_receiver_past_the_decode_budget_is_refused(z4):
+    # 4^8 decode tuples for the receiver's 8 in-edges
+    net = networks.Network(["s", "u", "t"],
+                           [("s", "u")] + [("u", "t", i) for i in range(8)],
+                           [("m", "s")], {"t": ("m",)})
+    res = solve_scalar(net, z4, SearchOptions(strategy="exhaustive"))
+    assert res.status == "budget-exceeded" and res.code is None
+    assert "exceeds DECODE_BUDGET" in res.stats["reason"]
+
+
+@pytest.mark.parametrize("strategy", solver.STRATEGIES)
+def test_a_node_without_inputs_is_refused(gf2, strategy):
+    # u sends to t but has nothing to send; both engines used to crash
+    net = networks.Network(["s", "u", "t"], [("s", "t"), ("u", "t")],
+                           [("m", "s")], {"t": ("m",)})
+    with pytest.raises(ValueError, match="node u sends on edges but has "
+                                         "no inputs"):
+        solve_scalar(net, gf2, SearchOptions(strategy=strategy))
