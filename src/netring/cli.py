@@ -31,7 +31,8 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-_VOLATILE = {"elapsed", "wall_clock"}
+# timings, left out of the result digest so that a rerun reproduces it
+_VOLATILE = {"elapsed", "phase_seconds", "wall_clock"}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,6 +27,19 @@ class Edge:
     head: str
     ordinal: int = 0
 
+    # edges key most of the searches' dicts, so the hash is computed once
+    # (the same value the generated one gives, so set orders stay put);
+    # a pickled edge is rebuilt, since string hashes differ by process
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.tail, self.head, self.ordinal)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Edge, (self.tail, self.head, self.ordinal)
+
     def __str__(self):
         tag = f"#{self.ordinal}" if self.ordinal else ""
         return f"{self.tail}->{self.head}{tag}"
@@ -54,11 +67,13 @@ class Network:
         self._owned = {v: [m for (m, owner) in self.messages if owner == v]
                        for v in self.nodes}
         # a network is never changed after construction, so the orders,
-        # inputs, issues and cut-set deficit are computed once; a cycle is
-        # not cached and raises again
+        # inputs, issues, cut-set deficit and the rank search's compiled
+        # shapes (solver._Shape, one per forwarding setting) are computed
+        # once; a cycle is not cached and raises again
         self._inputs = {}
         self._topo_nodes = self._topo_edges = self._issues = None
         self._deficit = _UNSET
+        self._shapes = {}
 
     def __repr__(self):
         return (f"Network({len(self.nodes)} nodes, {len(self.edges)} edges, "

@@ -117,6 +117,31 @@ reached with nothing left is "budget-exceeded" without a search.
   no solution of the restricted walk, so the lex-least solution is still
   the first one found and the witness does not change.
   stats["backjumps"] counts the jumps that skip at least one position.
+  Half of this depends on the network alone, and a sweep, a vector search
+  or a quotient route searches one network over field after field.  So
+  that half is compiled once per network and forwarding setting into a
+  _Shape kept on the Network: the plan, the bundles and their edge
+  counts, each tail and receiver check as (message set, positions) with
+  message sets as bitmasks, the demands, the schedule of checks and the
+  masks they read, the claimable positions with their messages, and the
+  twin maps.  Each search over M_k(GF(q)) then only maps every message set
+  to the id of its span, sets the caps (c k) and the generators of G_B,
+  and walks.  The span of a message set is a coordinate subspace, so
+  equal ids are equal sets, and the walk, its counts and its witness are
+  those of a search that compiled the network afresh.  The field enters
+  the claims only through whether G_B is trivial (GF(2) with k = 1, where
+  nothing is claimed), so the shape keeps two twin maps: the one _twins
+  gives with nothing claimed, and the one with every claimable position
+  claimed, derived from the first by taking the claimed positions out of
+  their classes and chaining the rest again.  That derivation is exact
+  because being twins is an equivalence relation on the positions that
+  share a tail, a cap and a role: if a twins b and a twins c, the swap
+  (b c) = (a b)(a c)(a b) maps the receiver checks onto themselves too, so
+  the classes _twins builds greedily are the equivalence classes, and
+  with some positions claimed they are the same classes without them.
+  stats["shape"] says whether the search "built" its shape or "reused"
+  it, and stats["phase_seconds"] times the compile (0.0 when reused), the
+  search, the witness and its verification.
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -146,7 +171,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field as _field
 from functools import lru_cache
 from typing import Optional
@@ -441,15 +465,28 @@ def _twins(tails, caps, checks, claimed):
     member it twins; swaps with one member generate every permutation of
     the class.  Only positions that agree on the tail, its readers and
     the checks they take part in, each seen from the position, are ever
-    tested."""
+    tested, and a test compares only the checks the swap moves."""
+    shared = {}        # (tail, cap) -> unclaimed positions
+    for i, tail in enumerate(tails):
+        if i not in claimed:
+            shared.setdefault((tail, caps[i]), []).append(i)
+    shared = [group for group in shared.values() if len(group) > 1]
+    if not shared:
+        return {}
     readers = {}
     for i, (_, at) in enumerate(tails):
         for p in at:
             readers.setdefault(p, []).append(i)
+    # each check as one flat tuple of ints: fixed messages and positions,
+    # free messages (-1 without a free edge) and positions, demand; the
+    # positions as bitmasks, so a swap flips two bits
+    keys = []
     touching = {}
-    for j, (fixed, free, _) in enumerate(checks):
-        for p in set(fixed[1] + (free[1] if free else ())):
-            touching.setdefault(p, []).append(j)
+    for j, ((c, at), free, u) in enumerate(checks):
+        f, f_at = free or (-1, ())
+        keys.append((c, _mask(at), f, _mask(f_at), u))
+        for p in set(at + f_at):
+            touching.setdefault(p, set()).add(j)
 
     def role(p):
         """What a swap of p with a twin keeps: its readers and, per check
@@ -461,47 +498,180 @@ def _twins(tails, caps, checks, claimed):
             seen.append((c, len(at), p in at, f, len(f_at), p in f_at, u))
         return tuple(readers.get(p, ())), tuple(sorted(seen))
 
-    def swap(src, a, b):
-        if src is None:
-            return None
-        const, at = src
-        return const, tuple(sorted(b if p == a else a if p == b else p
-                                   for p in at))
-
     def interchangeable(a, b):
-        js = set(touching.get(a, ())) | set(touching.get(b, ()))
-        before = Counter(checks[j] for j in js)
-        after = Counter((swap(fixed, a, b), swap(free, a, b), u)
-                        for fixed, free, u in (checks[j] for j in js))
-        return before == after
+        """Whether swapping a and b maps the checks it moves onto
+        themselves; a check that reads both or neither of them, among its
+        fixed and among its free sources alike, stays as it is."""
+        ab = 1 << a | 1 << b
+        moved, image = [], []
+        for j in touching.get(a, set()) | touching.get(b, set()):
+            c, at, f, f_at, u = key = keys[j]
+            flip, f_flip = (at & ab) not in (0, ab), (f_at & ab) not in (0, ab)
+            if flip or f_flip:
+                moved.append(key)
+                image.append((c, at ^ ab if flip else at, f,
+                              f_at ^ ab if f_flip else f_at, u))
+        return sorted(moved) == sorted(image)
 
-    classes = {}       # (tail, cap, role) -> classes, lists of positions
     earlier = {}
-    for i, tail in enumerate(tails):
+    for group in shared:
+        classes = {}   # role -> classes, lists of positions
+        for i in group:
+            same = classes.setdefault(role(i), [])
+            for members in same:
+                if interchangeable(members[0], i):
+                    earlier[i] = members[-1]
+                    members.append(i)
+                    break
+            else:
+                same.append([i])
+    return earlier
+
+
+def _without_claimed(earlier, claimed, n: int) -> dict:
+    """The twin map _twins gives with the positions in claimed claimed,
+    from the one it gives with none (module notes): claimed positions
+    leave their classes and the rest of each class is chained again."""
+    first = {}         # position -> the first member of its class
+    last = {}          # first member -> the class's last unclaimed one so far
+    out = {}
+    for i in range(n):
+        p = earlier.get(i)
+        head = first[i] = i if p is None else first[p]
         if i in claimed:
             continue
-        group = classes.setdefault((tail, caps[i], role(i)), [])
-        for members in group:
-            if interchangeable(members[0], i):
-                earlier[i] = members[-1]
-                members.append(i)
-                break
-        else:
-            group.append([i])
-    return earlier
+        if head in last:
+            out[i] = last[head]
+        last[head] = i
+    return out
+
+
+def _mask(at) -> int:
+    bits = 0
+    for p in at:
+        bits |= 1 << p
+    return bits
+
+
+class _Shape:
+    """The part of a rank search that depends on the network alone, built
+    once per forwarding setting and kept on the Network (module notes).
+    Message sets are bitmasks over net.message_names; positions are
+    indices into bundles.
+
+    plan, bundles:  the rank _Plan and its searched bundles, each an edge
+                    list in ordinal order, in the order of their first
+                    edges (topological); a bundle of c edges has cap c k.
+    sizes:          each bundle's edge count c.
+    local_one:      receiver -> its one free edge.
+    tails:          per position, its tail's sources (messages, positions).
+    tail_reads:     per position, the positions its tail reads, as a mask.
+    checks:         per receiver, its fixed sources, its free edge's tail
+                    sources (None without one) and its demanded messages.
+    reads:          per check, the positions its fixed inputs read and
+                    those its fixed and free inputs read, as masks.
+    ready:          depth -> (check, whether the dimension test only).
+    claimable:      (position, message indices) of each position whose
+                    tail carries messages only, none of an earlier one's.
+    twins:          the twin map with no position claimed, and
+    claimed_twins:  with every claimable position claimed.
+    message_sets:   every nonzero message set above, for a search to map
+                    to the ids of their spans.
+    """
+
+    def __init__(self, net: Network, opts: SearchOptions):
+        self.msgs = net.message_names
+        mpos = self.mpos = {m: i for i, m in enumerate(self.msgs)}
+        # the rank receiver check handles one free edge exactly; several
+        # free edges at one receiver go back into the searched set instead
+        plan = self.plan = _Plan(net, opts,
+                                 joint_cap=lambda edges: len(edges) == 1)
+        # a bundle of c parallel searched edges is one position: downstream
+        # sees only the sum of its edges, a subspace of dimension at most c k
+        grouped = {}
+        for e in plan.outer:
+            grouped.setdefault((e.tail, e.head), []).append(e)
+        bundles = self.bundles = list(grouped.values())
+        pos = {e: i for i, bundle in enumerate(bundles) for e in bundle}
+        self.sizes = [len(bundle) for bundle in bundles]
+        self.local_one = {r: edges[0] for r, edges in plan.local_of.items()}
+
+        sets = self.message_sets = set()
+
+        def sources(inputs):
+            """Inputs resolved through forwarding chains: the messages
+            among them and the searched positions."""
+            const, at = 0, set()
+            for kind, val in inputs:
+                while kind == "edge" and val not in pos:
+                    kind, val = plan.normalized[val]
+                if kind == "message":
+                    const |= 1 << mpos[val]
+                else:
+                    at.add(pos[val])
+            sets.add(const)
+            return const, tuple(sorted(at))
+
+        tails = self.tails = [sources(net.inputs(bundle[0].tail))
+                              for bundle in bundles]
+        self.tail_reads = [_mask(at) for _, at in tails]
+
+        # a receiver is checked right after the last position it reads,
+        # and with a free edge its dimension test also right after the
+        # last fixed one
+        checks, reads, ready = self.checks, self.reads, self.ready = [], [], {}
+        for r in net.receivers:
+            free_edge = self.local_one.get(r)
+            fixed = sources(inp for inp in net.inputs(r)
+                            if inp != ("edge", free_edge))
+            free = (None if free_edge is None
+                    else sources(net.inputs(free_edge.tail)))
+            fixed_reads = _mask(fixed[1])
+            all_reads = fixed_reads | (_mask(free[1]) if free else 0)
+            demand = 0
+            for m in net.demands[r]:
+                demand |= 1 << mpos[m]
+            sets.add(demand)
+            # the deepest position read, -1 for none
+            depth, first = (all_reads.bit_length() - 1,
+                            fixed_reads.bit_length() - 1)
+            ready.setdefault(depth, []).append((len(checks), False))
+            if first < depth:
+                ready.setdefault(first, []).append((len(checks), True))
+            checks.append((fixed, free, demand))
+            reads.append((fixed_reads, all_reads))
+        sets.discard(0)
+
+        self.claimable = []
+        taken = 0
+        for i, (const, at) in enumerate(tails):
+            if at or not const or const & taken:
+                continue
+            taken |= const
+            self.claimable.append((i, [m for m in range(len(self.msgs))
+                                       if const >> m & 1]))
+        self.twins = _twins(tails, self.sizes, checks, ())
+        self.claimed_twins = _without_claimed(
+            self.twins, {i for i, _ in self.claimable}, len(bundles))
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 deadline: Optional[float]) -> SolveResult:
-    """Rank search of at most budget nodes, stopped at the deadline."""
+    """Rank search of at most budget nodes, stopped at the deadline: the
+    network's compiled shape, built on first use, searched over the
+    ring's field."""
     t0 = time.perf_counter()
+    shape = net._shapes.get(opts.normalize_forwarding)
+    built = shape is None
+    if built:
+        shape = net._shapes[opts.normalize_forwarding] = _Shape(net, opts)
+    t1 = time.perf_counter()
     field, k = _rank_parts(ring)
     ops = fl.FieldOps(field)
     q = field.size
-    msgs = net.message_names
+    msgs, mpos = shape.msgs, shape.mpos
     width = k * len(msgs)
     alg = _Gf2Alg(width) if q == 2 else _GenAlg(ops, width)
-    mpos = {m: i for i, m in enumerate(msgs)}
 
     # every distinct subspace gets an int id the first time it is seen;
     # the caches and the search state below hold ids, not echelon tuples
@@ -535,36 +705,23 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
 
     unit_spaces = {m: alg.canon([alg.unit(mpos[m] * k + a) for a in range(k)])
                    for m in msgs}
-    unit_ids = {m: intern(space) for m, space in unit_spaces.items()}
-
-    # the rank receiver check below handles one free edge exactly; several
-    # free edges at one receiver go back into the searched set instead
-    plan = _Plan(net, opts, joint_cap=lambda edges: len(edges) == 1)
-    # a bundle of c parallel searched edges is one position: downstream
-    # sees only the sum of its edges, a subspace of dimension at most c k.
-    # Bundles keep their edges in ordinal order and come in the order of
-    # their first edges, which is topological
-    grouped = {}
-    for e in plan.outer:
-        grouped.setdefault((e.tail, e.head), []).append(e)
-    bundles = list(grouped.values())
-    pos = {e: i for i, bundle in enumerate(bundles) for e in bundle}
-    caps = [len(bundle) * k for bundle in bundles]
-    local_one = {r: edges[0] for r, edges in plan.local_of.items()}
-
-    def sources(inputs):
-        """Inputs resolved through forwarding chains once: the id of the
-        span of the messages among them, and the searched positions."""
-        const, at = zero, set()
-        for kind, val in inputs:
-            while kind == "edge" and val not in pos:
-                kind, val = plan.normalized[val]
-            if kind == "message":
-                const = plus(const, unit_ids[val])
-            else:
-                at.add(pos[val])
-        return const, tuple(sorted(at))
-
+    unit_ids = [intern(unit_spaces[m]) for m in msgs]
+    # the shape's message sets become the ids of their spans: the span of
+    # a message set is a coordinate subspace, so equal ids are equal sets
+    span_of = {0: zero}
+    for bits in shape.message_sets:
+        got = zero
+        for m, unit in enumerate(unit_ids):
+            if bits >> m & 1:
+                got = plus(got, unit)
+        span_of[bits] = got
+    bundles, ready, reads = shape.bundles, shape.ready, shape.reads
+    tail_reads = shape.tail_reads
+    caps = [c * k for c in shape.sizes]
+    tails = [(span_of[const], at) for const, at in shape.tails]
+    checks = [((span_of[fixed[0]], fixed[1]),
+               None if free is None else (span_of[free[0]], free[1]),
+               span_of[demand]) for fixed, free, demand in shape.checks]
     cur = [zero] * len(bundles)  # id assigned to each searched position
 
     def span(src):
@@ -572,42 +729,6 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
         for p in at:
             acc = plus(acc, cur[p])
         return acc
-
-    tails = [sources(net.inputs(bundle[0].tail)) for bundle in bundles]
-
-    def mask(at):
-        bits = 0
-        for p in at:
-            bits |= 1 << p
-        return bits
-
-    tail_reads = [mask(at) for _, at in tails]
-
-    # per receiver: fixed sources, the free edge's tail sources (or None),
-    # demand id, and the positions each of its tests reads (module notes).
-    # It is checked right after the last position it reads, and with a
-    # free edge its dimension test also right after the last fixed one.
-    checks = []
-    reads = []         # per check: (positions of fixed, of fixed and free)
-    ready = {}         # depth -> (check, whether the dimension test only)
-    for r in net.receivers:
-        free_edge = local_one.get(r)
-        fixed = sources(inp for inp in net.inputs(r)
-                        if inp != ("edge", free_edge))
-        free = (None if free_edge is None
-                else sources(net.inputs(free_edge.tail)))
-        fixed_reads = mask(fixed[1])
-        all_reads = fixed_reads | (mask(free[1]) if free else 0)
-        demand = zero
-        for m in net.demands[r]:
-            demand = plus(demand, unit_ids[m])
-        # the deepest position read, -1 for none
-        depth, first = all_reads.bit_length() - 1, fixed_reads.bit_length() - 1
-        ready.setdefault(depth, []).append((len(checks), False))
-        if first < depth:
-            ready.setdefault(first, []).append((len(checks), True))
-        checks.append((fixed, free, demand))
-        reads.append((fixed_reads, all_reads))
 
     cand_cache = {}
 
@@ -631,21 +752,15 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             got = cand_cache[(tail, cap)] = [intern(s) for s in sorted(forms)]
         return got
 
-    # claimed positions, walked in order: the tail carries messages only,
-    # and none that an earlier claimed position carries
+    # claimed positions and the generators of their messages' G_B: none
+    # exactly when G_B is trivial (GF(2), k = 1), and then no position is
+    # claimed
     alpha = fl.primitive_element(ops)
     claims = {}        # position -> generators of its messages' G_B
-    taken = set()
-    for i, (const, at) in enumerate(tails):
-        if at:
-            continue
-        own = [m for m in msgs if plus(const, unit_ids[m]) == const]
-        if not own or taken.intersection(own):
-            continue
-        taken.update(own)
+    for i, own in shape.claimable:
         gens = []
         for m in own:
-            base = mpos[m] * k
+            base = m * k
             gens += [alg.transvection(base + a, base + b)
                      for a in range(k) for b in range(k) if a != b]
             if alpha != 1:
@@ -681,13 +796,14 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
 
     # interchangeable positions: each twin starts at its class's previous
     # member's value, so a class is walked in non-decreasing order
-    twin_of = _twins(tails, caps, checks, claims)
+    twin_of = shape.claimed_twins if claims else shape.twins
 
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
-             "backjumps": 0, "searched_edges": len(plan.outer),
-             "positions": len(bundles), "twins": len(twin_of)}
+             "backjumps": 0, "searched_edges": len(shape.plan.outer),
+             "positions": len(bundles), "twins": len(twin_of),
+             "shape": "built" if built else "reused"}
 
     def failed(key):
         """Which test of receiver j fails, for key (j, w0, f) with w0 the
@@ -799,11 +915,17 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
 
     try:
         found = all(settled(*c) for c in ready.get(-1, ())) and dfs()
+        stopped = None
     except _Budget as exc:
-        stats["elapsed"] = time.perf_counter() - t0
-        return SolveResult("budget-exceeded", None, stats | {"reason": str(exc)})
-
-    stats["elapsed"] = time.perf_counter() - t0
+        found, stopped = False, str(exc)
+    t2 = time.perf_counter()
+    stats["elapsed"] = t2 - t0
+    phases = stats["phase_seconds"] = {
+        "compile": t1 - t0 if built else 0.0, "search": t2 - t1,
+        "witness": 0.0, "verify": 0.0}
+    if stopped is not None:
+        return SolveResult("budget-exceeded", None,
+                           stats | {"reason": stopped})
     if not found:
         if opts.shards > 1:
             stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
@@ -813,9 +935,11 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     assign = {e: spaces[cur[i]][a * k:(a + 1) * k]
               for i, bundle in enumerate(bundles)
               for a, e in enumerate(bundle)}
-    code = _rank_witness(net, ring, k, ops, alg, plan, local_one, assign,
-                         unit_spaces, mpos)
+    code = _rank_witness(net, ring, k, ops, alg, shape.plan, shape.local_one,
+                         assign, unit_spaces, mpos)
+    t3 = time.perf_counter()
     report = verify_solution(net, code)
+    phases["witness"], phases["verify"] = t3 - t2, time.perf_counter() - t3
     if not report.solved:
         raise RuntimeError(f"reconstructed code failed verification: "
                            f"{report.failure}")

@@ -246,6 +246,25 @@ def test_env_budget(files, tmp_path, monkeypatch):
                str(files["gf2"]), "-o", str(tmp_path / "o.json")) == BUDGET
 
 
+def test_phase_timings_stay_out_of_the_result_digest(tmp_path):
+    # a rank search reports how long each phase took; the digest must not
+    # move with those timings
+    c6, gf5 = tmp_path / "c2-6.json", tmp_path / "gf5.json"
+    run("net", "gen", "choose-two", "6", "-o", str(c6))
+    gf5.write_text(json.dumps(rings.descriptor_to_json(rings.PrimeField(5))))
+    digests = []
+    for i in range(2):
+        out, man = tmp_path / f"res{i}.json", tmp_path / f"man{i}.json"
+        assert run("solve", "scalar", str(c6), "--ring", str(gf5),
+                   "-o", str(out), "--manifest", str(man)) == OK
+        stats = json.loads(out.read_text())["stats"]
+        assert set(stats["phase_seconds"]) == {"compile", "search",
+                                               "witness", "verify"}
+        assert stats["shape"] == "built"
+        digests.append(json.loads(man.read_text())["result_digest"])
+    assert digests[0] == digests[1]
+
+
 def test_manifest_reproducible(files, tmp_path):
     outs, digests = [], []
     for i in range(2):

@@ -183,8 +183,12 @@ def test_rank_with_twins_agrees_with_enumeration(net):
         res = solve_scalar(net, ring, SearchOptions(strategy="rank"))
         event(f"GF({ring.size}) {want}, twins: {res.stats['twins'] > 0}")
         assert res.status == want, ring.size
+        # a fresh copy: the searched network keeps its compiled shape, twin
+        # map included
+        copy = Network(net.nodes, net.edges, net.messages, net.demands)
         with mock.patch.object(solver, "_twins", lambda *args: {}):
-            full = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+            full = solve_scalar(copy, ring, SearchOptions(strategy="rank"))
+        assert full.stats["twins"] == 0
         assert full.status == want and \
             res.stats["nodes"] <= full.stats["nodes"]
         if res.solved:

@@ -2,8 +2,12 @@
 independent re-computations."""
 import hashlib
 import itertools
+import random
+import time
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +46,131 @@ def test_axioms_catch_broken_table():
     assert not report.ok
     assert not all(report.axioms.values())
     assert report.witnesses
+
+
+def _laws_by_triples(ring):
+    """Every axiom on every element, pair or triple: the n^3 oracle."""
+    add, mul = ring.add_table(), ring.mul_table()
+    n = ring.size
+    idx = np.arange(n)
+    a, b, c = np.ix_(idx, idx, idx)
+    laws = {
+        "add-commutative": (add == add.T).all(),
+        "zero-identity": (add[0] == idx).all() and (add[:, 0] == idx).all(),
+        "negation": (add == 0).any(axis=1).all(),
+        "add-associative": (add[add[a, b], c] == add[a, add[b, c]]).all(),
+        "mul-associative": (mul[mul[a, b], c] == mul[a, mul[b, c]]).all(),
+        "left-distributive":
+            (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all(),
+        "right-distributive":
+            (mul[add[a, b], c] == add[mul[a, c], mul[b, c]]).all(),
+    }
+    if ring.unital:
+        laws["one-identity"] = ((mul[ring.one] == idx).all()
+                                and (mul[:, ring.one] == idx).all())
+    return {name: bool(ok) for name, ok in laws.items()}
+
+
+def _fails_at(ring, name, w):
+    """Whether the axiom called name fails at the witness w."""
+    add, mul = ring.add_table(), ring.mul_table()
+    if name == "add-commutative":
+        return add[w[0], w[1]] != add[w[1], w[0]]
+    if name == "zero-identity":
+        return add[0, w[0]] != w[0] or add[w[0], 0] != w[0]
+    if name == "negation":
+        return not (add[w[0]] == 0).any()
+    if name == "one-identity":
+        return mul[ring.one, w[0]] != w[0] or mul[w[0], ring.one] != w[0]
+    x, y, z = w
+    return {"add-associative": add[add[x, y], z] != add[x, add[y, z]],
+            "mul-associative": mul[mul[x, y], z] != mul[x, mul[y, z]],
+            "left-distributive":
+                mul[x, add[y, z]] != add[mul[x, y], mul[x, z]],
+            "right-distributive":
+                mul[add[x, y], z] != add[mul[x, z], mul[y, z]]}[name]
+
+
+def _agrees_with_triples(ring):
+    report, want = rings.verify_ring_axioms(ring), _laws_by_triples(ring)
+    assert report.ok == all(want.values())
+    for name, ok in report.axioms.items():
+        assert ok == want[name], name
+        if not ok:
+            assert _fails_at(ring, name, report.witnesses[name]), name
+    # a law is left out only when a law its check rests on failed
+    for name in set(want) - set(report.axioms):
+        rests_on = ("add-associative",) + (("left-distributive",)
+                                           if name == "mul-associative"
+                                           else ())
+        assert not all(report.axioms.get(k, True) for k in rests_on), name
+    return report
+
+
+def _table_copy(desc, unital=True):
+    ring = construct_ring(desc)
+    return TableRing(ring.add_table().tolist(), ring.mul_table().tolist(),
+                     unital=unital)
+
+
+@pytest.mark.parametrize("desc", solver.structured_catalog(16), ids=describe)
+def test_axioms_by_generators_agree_with_every_triple(desc):
+    assert _agrees_with_triples(construct_ring(_table_copy(desc))).ok
+
+
+def test_axioms_by_generators_catch_single_entry_mutations():
+    # one entry of one table changed, in a ring or in a rng with the same
+    # tables (so that a changed identity still makes a table); tables
+    # construction refuses are drawn again
+    rng = random.Random(18)
+    catalog = solver.structured_catalog(16)
+    checked, failed = 0, Counter()
+    while checked < 200:
+        desc = _table_copy(rng.choice(catalog), unital=rng.random() < 0.5)
+        tables = [list(map(list, desc.add)), list(map(list, desc.mul))]
+        n = len(tables[0])
+        table = rng.randrange(2)
+        x, y = rng.randrange(n), rng.randrange(n)
+        tables[table][x][y] = (tables[table][x][y] + rng.randrange(1, n)) % n
+        try:
+            ring = construct_ring(TableRing(*tables, unital=desc.unital))
+        except ValueError:
+            continue
+        report = _agrees_with_triples(ring)
+        failed.update(k for k, ok in report.axioms.items() if not ok)
+        checked += 1
+    # a changed product breaks distributivity, which associativity's check
+    # rests on; the test below reaches that check
+    assert set(failed) >= {"add-associative", "left-distributive",
+                           "right-distributive"}
+
+
+def test_axioms_by_generators_on_every_bilinear_product():
+    # GF(2)^2 with each of the 256 products fixed by e_i e_j (bilinear, so
+    # both distributive laws hold): associativity is checked against the
+    # generators, and some of these products are associative, some not
+    assoc = Counter()
+    for consts in itertools.product(range(4), repeat=4):
+        def times(x, y):
+            out = 0
+            for i, j in itertools.product(range(2), repeat=2):
+                if x >> i & 1 and y >> j & 1:
+                    out ^= consts[2 * i + j]
+            return out
+        ring = construct_ring(TableRing(
+            [[x ^ y for y in range(4)] for x in range(4)],
+            [[times(x, y) for y in range(4)] for x in range(4)],
+            unital=False))
+        report = _agrees_with_triples(ring)
+        assoc[report.axioms["mul-associative"]] += 1
+    assert assoc[True] and assoc[False]
+
+
+def test_a_1024_element_table_verifies_quickly():
+    ring = construct_ring(_table_copy(GaloisField(2, 10)))
+    start = time.perf_counter()
+    assert rings.verify_ring_axioms(ring).ok
+    assert time.perf_counter() - start < 2.0
 
 
 Z2_ADD = ((0, 1), (1, 0))
