@@ -148,7 +148,8 @@ def _cmd_ring(args):
         report = _rings.verify_ring_axioms(ring)
         result = {"ring": _rings.describe(ring.descriptor), "ok": report.ok,
                   "axioms": report.axioms,
-                  "witnesses": {k: list(v) for k, v in report.witnesses.items()}}
+                  "witnesses": {k: list(v) for k, v in report.witnesses.items()},
+                  "unchecked": list(report.unchecked)}
         return [args.ring], result, EXIT_OK if report.ok else EXIT_FAIL
     if args.action == "radical":
         ring = _ring_arg(args.ring)

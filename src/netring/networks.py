@@ -27,19 +27,6 @@ class Edge:
     head: str
     ordinal: int = 0
 
-    # edges key most of the searches' dicts, so the hash is computed once
-    # (the same value the generated one gives, so set orders stay put);
-    # a pickled edge is rebuilt, since string hashes differ by process
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.tail, self.head, self.ordinal)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Edge, (self.tail, self.head, self.ordinal)
-
     def __str__(self):
         tag = f"#{self.ordinal}" if self.ordinal else ""
         return f"{self.tail}->{self.head}{tag}"

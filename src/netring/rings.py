@@ -866,13 +866,18 @@ class AxiomReport:
     axioms: dict
     witnesses: dict
     size: int
+    # laws not established because their check rests on laws that fail
+    unchecked: tuple = ()
 
     def __str__(self):
         lines = [f"ring axioms over {self.size} elements: "
                  + ("all hold" if self.ok else "FAILED")]
         for name, passed in self.axioms.items():
-            mark = "ok " if passed else "FAIL"
-            extra = "" if passed else f"  witness {self.witnesses[name]}"
+            if name in self.unchecked:
+                mark, extra = " ?  ", "  not checked"
+            else:
+                mark = "ok " if passed else "FAIL"
+                extra = "" if passed else f"  witness {self.witnesses[name]}"
             lines.append(f"  [{mark}] {name}{extra}")
         return "\n".join(lines)
 
@@ -919,11 +924,15 @@ def verify_ring_axioms(ring: Ring) -> AxiomReport:
       enough (and likewise on the right);
     - mul-associative with c in S: by left distributivity (a b) c and
       a (b c) are both additive in c, so they agree everywhere once they
-      agree on S.
-    A law whose check rests on one that fails (additive associativity for
-    distributivity, left distributivity for multiplicative associativity)
-    is left out of the report; every witness given is a tuple of elements
-    at which its law fails."""
+      agree on S; without left but with right distributivity, a in S, by
+      the mirror argument.
+    Every law is in the report, and every witness given is a tuple of
+    elements at which its law fails.  A law whose argument rests on laws
+    that fail (additive associativity for distributivity, both
+    distributive laws for multiplicative associativity) is still checked
+    on S: a failure there is a witness, and otherwise the law is reported
+    as not established (False, without a witness) and named in
+    unchecked."""
     n = ring.size
     if n > AXIOM_CAP:
         raise ValueError(f"ring size {n} exceeds the verification bound "
@@ -933,6 +942,7 @@ def verify_ring_axioms(ring: Ring) -> AxiomReport:
     idx = np.arange(n)
     axioms: dict[str, bool] = {}
     witnesses: dict[str, tuple] = {}
+    unchecked = []
 
     def record(name, bad=None):
         axioms[name] = bad is None
@@ -952,10 +962,11 @@ def verify_ring_axioms(ring: Ring) -> AxiomReport:
     gens = _additive_generators(add)
     step = max(1, _TABLE_BLOCK // n)
 
-    def law(name, sides, order=(0, 1, 2)):
+    def law(name, sides, order=(0, 1, 2), decides=True):
         """Check that sides(xs, y), two arrays over the rows xs and every
         z, agree for every y in S; the first (x, y, z) where they differ,
-        put in the law's own order, is the witness."""
+        put in the law's own order, is the witness.  Unless agreement on
+        S decides the law, agreement leaves it unchecked."""
         for y in gens:
             for lo in range(0, n, step):
                 xs = idx[lo:lo + step]
@@ -965,27 +976,37 @@ def verify_ring_axioms(ring: Ring) -> AxiomReport:
                     found = (xs[i], y, z)
                     record(name, [found[j] for j in order])
                     return
-        record(name)
+        if decides:
+            record(name)
+        else:
+            axioms[name] = False
+            unchecked.append(name)
 
     # (a + b) + c = a + (b + c), b in S
     law("add-associative",
         lambda a, b: (add[add[a, b]], add[a[:, None], add[b][None, :]]))
-    if axioms["add-associative"]:
-        # a (b + c) = a b + a c, c in S
-        law("left-distributive",
-            lambda a, c: (mul[a[:, None], add[:, c][None, :]],
-                          add[mul[a], mul[a, c][:, None]]), order=(0, 2, 1))
-        # (a + b) c = a c + b c, b in S
-        law("right-distributive",
-            lambda a, b: (mul[add[a, b]], add[mul[a], mul[b][None, :]]))
-        if axioms["left-distributive"]:
-            # (a b) c = a (b c), c in S
-            law("mul-associative",
-                lambda a, c: (mul[mul[a], c],
-                              mul[a[:, None], mul[:, c][None, :]]),
-                order=(0, 2, 1))
+    # a (b + c) = a b + a c, c in S
+    law("left-distributive",
+        lambda a, c: (mul[a[:, None], add[:, c][None, :]],
+                      add[mul[a], mul[a, c][:, None]]), order=(0, 2, 1),
+        decides=axioms["add-associative"])
+    # (a + b) c = a c + b c, b in S
+    law("right-distributive",
+        lambda a, b: (mul[add[a, b]], add[mul[a], mul[b][None, :]]),
+        decides=axioms["add-associative"])
+    if axioms["left-distributive"] or not axioms["right-distributive"]:
+        # (a b) c = a (b c), c in S
+        law("mul-associative",
+            lambda a, c: (mul[mul[a], c],
+                          mul[a[:, None], mul[:, c][None, :]]),
+            order=(0, 2, 1), decides=axioms["left-distributive"])
+    else:
+        # (a b) c = a (b c), a in S
+        law("mul-associative",
+            lambda b, a: (mul[mul[a, b]], mul[a, mul[b]]), order=(1, 0, 2))
     axioms = {name: axioms[name] for name in _AXIOMS if name in axioms}
-    return AxiomReport(all(axioms.values()), axioms, witnesses, n)
+    return AxiomReport(all(axioms.values()), axioms, witnesses, n,
+                       tuple(name for name in _AXIOMS if name in unchecked))
 
 
 # ---------------------------------------------------------------------------

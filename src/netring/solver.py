@@ -130,18 +130,13 @@ reached with nothing left is "budget-exceeded" without a search.
   equal ids are equal sets, and the walk, its counts and its witness are
   those of a search that compiled the network afresh.  The field enters
   the claims only through whether G_B is trivial (GF(2) with k = 1, where
-  nothing is claimed), so the shape keeps two twin maps: the one _twins
-  gives with nothing claimed, and the one with every claimable position
-  claimed, derived from the first by taking the claimed positions out of
-  their classes and chaining the rest again.  That derivation is exact
-  because being twins is an equivalence relation on the positions that
-  share a tail, a cap and a role: if a twins b and a twins c, the swap
-  (b c) = (a b)(a c)(a b) maps the receiver checks onto themselves too, so
-  the classes _twins builds greedily are the equivalence classes, and
-  with some positions claimed they are the same classes without them.
+  nothing is claimed), so the shape keeps two twin maps, the one with
+  nothing claimed and the one with every claimable position claimed,
+  each built by _twins on first use.
   stats["shape"] says whether the search "built" its shape or "reused"
-  it, and stats["phase_seconds"] times the compile (0.0 when reused), the
-  search, the witness and its verification.
+  it, and stats["phase_seconds"] times the compile (the shape and a twin
+  map not built before; 0.0 when nothing was built), the search, the
+  witness and its verification.
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -246,7 +241,7 @@ def _check_axioms(ring: Ring) -> None:
         return
     report = _rings.verify_ring_axioms(ring)
     for name, ok in report.axioms.items():
-        if not ok:
+        if not ok and name in report.witnesses:
             raise ValueError(f"{_rings.describe(ring.descriptor)} is not a "
                              f"ring: {name} fails at elements "
                              f"{report.witnesses[name]}")
@@ -528,24 +523,6 @@ def _twins(tails, caps, checks, claimed):
     return earlier
 
 
-def _without_claimed(earlier, claimed, n: int) -> dict:
-    """The twin map _twins gives with the positions in claimed claimed,
-    from the one it gives with none (module notes): claimed positions
-    leave their classes and the rest of each class is chained again."""
-    first = {}         # position -> the first member of its class
-    last = {}          # first member -> the class's last unclaimed one so far
-    out = {}
-    for i in range(n):
-        p = earlier.get(i)
-        head = first[i] = i if p is None else first[p]
-        if i in claimed:
-            continue
-        if head in last:
-            out[i] = last[head]
-        last[head] = i
-    return out
-
-
 def _mask(at) -> int:
     bits = 0
     for p in at:
@@ -573,8 +550,8 @@ class _Shape:
     ready:          depth -> (check, whether the dimension test only).
     claimable:      (position, message indices) of each position whose
                     tail carries messages only, none of an earlier one's.
-    twins:          the twin map with no position claimed, and
-    claimed_twins:  with every claimable position claimed.
+    twin_maps:      claimed -> the twin map with every claimable position
+                    claimed (True) or none (False), built by twin_map.
     message_sets:   every nonzero message set above, for a search to map
                     to the ids of their spans.
     """
@@ -650,9 +627,17 @@ class _Shape:
             taken |= const
             self.claimable.append((i, [m for m in range(len(self.msgs))
                                        if const >> m & 1]))
-        self.twins = _twins(tails, self.sizes, checks, ())
-        self.claimed_twins = _without_claimed(
-            self.twins, {i for i, _ in self.claimable}, len(bundles))
+        self.twin_maps = {}
+
+    def twin_map(self, claimed: bool) -> dict:
+        """The twin map with every claimable position claimed, or none,
+        built on first use."""
+        got = self.twin_maps.get(claimed)
+        if got is None:
+            got = self.twin_maps[claimed] = _twins(
+                self.tails, self.sizes, self.checks,
+                {i for i, _ in self.claimable} if claimed else ())
+        return got
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
@@ -661,12 +646,18 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     network's compiled shape, built on first use, searched over the
     ring's field."""
     t0 = time.perf_counter()
+    field, k = _rank_parts(ring)
     shape = net._shapes.get(opts.normalize_forwarding)
     built = shape is None
     if built:
         shape = net._shapes[opts.normalize_forwarding] = _Shape(net, opts)
+    # interchangeable positions: each twin starts at its class's previous
+    # member's value, so a class is walked in non-decreasing order; the
+    # claimable positions are claimed unless G_B is trivial (GF(2), k = 1)
+    claimed = bool(shape.claimable) and (field.size != 2 or k != 1)
+    compiled = built or claimed not in shape.twin_maps
+    twin_of = shape.twin_map(claimed)
     t1 = time.perf_counter()
-    field, k = _rank_parts(ring)
     ops = fl.FieldOps(field)
     q = field.size
     msgs, mpos = shape.msgs, shape.mpos
@@ -794,10 +785,6 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             else:
                 stats["orbit_skips"] += 1
 
-    # interchangeable positions: each twin starts at its class's previous
-    # member's value, so a class is walked in non-decreasing order
-    twin_of = shape.claimed_twins if claims else shape.twins
-
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
@@ -921,7 +908,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     t2 = time.perf_counter()
     stats["elapsed"] = t2 - t0
     phases = stats["phase_seconds"] = {
-        "compile": t1 - t0 if built else 0.0, "search": t2 - t1,
+        "compile": t1 - t0 if compiled else 0.0, "search": t2 - t1,
         "witness": 0.0, "verify": 0.0}
     if stopped is not None:
         return SolveResult("budget-exceeded", None,

@@ -11,7 +11,9 @@ per ring walks: same verdict, same witness, same counts.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import bruteforce
 import test_generated as gen
+import test_twins as twin_cases
 from netring import codes, solver
 from netring.networks import (Network, choose_two_network, dim_n_network,
                               m_network)
@@ -49,7 +51,11 @@ def _over_every_ring(net: Network, opts=RANK):
     for i, ring in enumerate(RINGS):
         res = solve_scalar(net, ring, opts)
         assert res.stats["shape"] == ("built" if i == 0 else "reused")
-        assert (res.stats["phase_seconds"]["compile"] == 0.0) == (i > 0)
+        # GF(2) builds the shape and its twin map with nothing claimed,
+        # GF(3) the twin map with the claimable positions claimed (if
+        # any); the rings after them build nothing
+        compile_s = res.stats["phase_seconds"]["compile"]
+        assert compile_s > 0.0 if i == 0 else i == 1 or compile_s == 0.0
         _same_search(res, solve_scalar(_fresh(net), ring, opts))
 
 
@@ -73,8 +79,11 @@ def test_phases_are_timed():
     assert res.solved and set(phases) == {"compile", "search", "witness",
                                           "verify"}
     assert all(phases[p] > 0 for p in phases)
-    res = solve_scalar(net, RINGS[0], RANK)
+    # GF(3) claims what GF(4) claimed: the shape and its twin map are
+    # reused, so nothing is compiled
+    res = solve_scalar(net, RINGS[1], RANK)
     assert res.status == "exhausted-unsolvable"
+    assert res.stats["shape"] == "reused"
     assert res.stats["phase_seconds"]["compile"] == 0.0
     assert res.stats["phase_seconds"]["witness"] == 0.0
 
@@ -96,7 +105,9 @@ def test_the_shape_is_kept_per_forwarding_setting():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts of shapes built and of _twins calls."""
+    """Counts of shapes built and of _twins calls: one twin map with
+    nothing claimed, for GF(2), and one with the claimable positions
+    claimed, for every other field and dimension."""
     counts = {"shapes": 0, "twins": 0}
     shape, twins = solver._Shape, solver._twins
 
@@ -113,21 +124,23 @@ def built(monkeypatch):
 
 
 def test_a_sweep_builds_one_shape(built):
-    # GF(2), GF(3), GF(4) and GF(5) are searched; GF(5) solves
+    # GF(2), GF(3), GF(4) and GF(5) are searched; GF(5) solves; GF(2)
+    # claims nothing and the others claim the same positions
     report = smallest_ring_search(choose_two_network(6), max_size=16)
     assert [v.name for v in report.verdicts] == ["GF(2)", "GF(3)",
                                                  "GF(2^2)", "GF(5)"]
     assert [v.name for v in report.winners] == ["GF(5)"]
-    assert built == {"shapes": 1, "twins": 1}
+    assert built == {"shapes": 1, "twins": 2}
 
 
 def test_a_vector_search_builds_one_shape(built):
     # dimensions 1, 2 and 3 are each searched: 1 fails, and 3 is no sum
-    # of solved smaller dimensions
+    # of solved smaller dimensions; dimensions 2 and 3 claim the same
+    # positions
     res = solve_vector(choose_two_network(4), RINGS[0], 3)
     assert res.solved and res.stats["method"] == \
         "direct search as M_3(GF(2))"
-    assert built == {"shapes": 1, "twins": 1}
+    assert built == {"shapes": 1, "twins": 2}
 
 
 def test_shards_build_one_shape(built):
@@ -139,42 +152,78 @@ def test_shards_build_one_shape(built):
     assert built == {"shapes": 1, "twins": 1}
 
 
-def _claimed_twins_match(net: Network):
-    for normalize in (True, False):
-        shape = solver._Shape(net, SearchOptions(
-            normalize_forwarding=normalize))
-        claimed = {i for i, _ in shape.claimable}
-        assert shape.claimed_twins == solver._twins(
-            shape.tails, shape.sizes, shape.checks, claimed)
-        assert shape.twins == solver._twins(shape.tails, shape.sizes,
-                                            shape.checks, ())
+def _without_twins(monkeypatch, net, ring, opts=RANK):
+    """The search that walks every order: a fresh copy of net, whose shape
+    is built while _twins finds none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_twins", lambda *args: {})
+        full = solve_scalar(_fresh(net), ring, opts)
+    assert full.stats["twins"] == 0
+    return full
 
 
-@pytest.mark.parametrize("name", NETWORKS)
-def test_the_claimed_twin_map_is_derived_exactly(name):
-    _claimed_twins_match(NETWORKS[name]())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much,
-                                 HealthCheck.too_slow])
-@given(gen.bundled_networks())
-def test_the_claimed_twin_map_is_derived_exactly_when_drawn(net):
-    _claimed_twins_match(net)
+def _prunes(res, full):
+    """Same verdict and witness as the walk of every order, in no more
+    nodes."""
+    assert res.status == full.status
+    assert res.stats["nodes"] <= full.stats["nodes"]
+    if full.solved:
+        assert codes.code_to_json(res.code) == codes.code_to_json(full.code)
+    else:
+        assert res.code is None
 
 
 @pytest.mark.parametrize("ring", RINGS[:4],
                          ids=lambda ring: describe(ring.descriptor))
 @pytest.mark.parametrize("n", range(4, 8))
 def test_twins_prune_against_the_walk_of_every_order(monkeypatch, n, ring):
-    # the shape keeps its twin map, so the walk without twins needs a
-    # network whose shape is built while _twins is switched off
     res = solve_scalar(choose_two_network(n), ring, RANK)
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_twins", lambda *args: {})
-        full = solve_scalar(choose_two_network(n), ring, RANK)
-    assert res.stats["twins"] >= n - 2 and full.stats["twins"] == 0
-    assert res.status == full.status
+    full = _without_twins(monkeypatch, choose_two_network(n), ring)
+    assert res.stats["twins"] >= n - 2
+    _prunes(res, full)
     assert res.stats["nodes"] < full.stats["nodes"]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_vector_twins_prune_against_the_walk_of_every_order(monkeypatch, n):
+    # 2-dim vector solvable over GF(2) exactly when 4 >= n - 1
+    net, ring = choose_two_network(n), RINGS[5]
+    res = solve_scalar(net, ring, RANK)
+    assert res.status == ("solved" if n <= 5 else "exhausted-unsolvable")
+    assert res.stats["twins"] == n - 2
+    _prunes(res, _without_twins(monkeypatch, net, ring))
+
+
+@pytest.mark.parametrize("ring", RINGS[:2],
+                         ids=lambda ring: describe(ring.descriptor))
+@pytest.mark.parametrize("n", (4, 8))
+def test_bundled_twins_prune_against_the_walk_of_every_order(monkeypatch, n,
+                                                             ring):
+    # each relay's bundle is one position of cap 2; every receiver needs
+    # two different planes of a 3-dimensional tail
+    net = twin_cases._bundled_choose_two(n)
+    res = solve_scalar(net, ring, RANK)
+    assert res.stats["positions"] == n and res.stats["twins"] >= n - 2
+    planes = ring.size ** 2 + ring.size + 1
+    assert res.status == ("solved" if n <= planes else "exhausted-unsolvable")
+    _prunes(res, _without_twins(monkeypatch, net, ring))
     if res.solved:
-        assert codes.code_to_json(res.code) == codes.code_to_json(full.code)
+        assert codes.verify_solution(net, res.code).solved
+
+
+@pytest.mark.parametrize("ring", RINGS[:3],
+                         ids=lambda ring: describe(ring.descriptor))
+@pytest.mark.parametrize("demands,twins", [
+    (("m1", "m2"), 0), (("m2", "m1"), 0), (("m1", "m1"), 1)],
+    ids=["m1-m2", "m2-m1", "m1-m1"])
+def test_crossed_twins_against_the_walk_of_every_order(monkeypatch, ring,
+                                                       demands, twins):
+    # s -> v1 and s -> v2 share their tail and readers; they are twins
+    # only when their receivers want the same message, since in one order
+    # of unequal demands the only solutions put the larger candidate on
+    # the earlier edge
+    net = twin_cases._crossed_network(*demands)
+    res = solve_scalar(net, ring, RANK)
+    assert res.stats["twins"] == twins
+    assert res.solved and bruteforce.check_code(net, res.code)
+    _prunes(res, _without_twins(monkeypatch, net, ring))
