@@ -62,18 +62,39 @@ reached with nothing left is "budget-exceeded" without a search.
   - message symmetry: G = prod over messages of GL(k, q), acting
     block-diagonally on the message coordinates, maps solutions to
     solutions of the same dimensions, since every demand is a sum of
-    whole message blocks.  A
-    searched position is claimed when its tail carries only messages, a
-    set B disjoint from those of the positions claimed before it.  Its
-    candidates then do not depend on the rest of the assignment, and
-    G_B = prod over B of GL(k, q) fixes every other claimed position.  So
-    one element of G moves any solution to one whose claimed positions
-    each hold the least echelon form of their G_B orbit, and only those
-    are tried there.  Orbits are found lazily under generators of G_B
+    whole message blocks.  So does the swap of two messages' coordinate
+    blocks when it maps the problem onto itself with every position
+    fixed: every tail's message set holds both messages or neither, and
+    swapping them in every message set maps the multiset of receiver
+    checks (fixed messages and positions, free messages and positions,
+    demand) onto itself, as for the M-network's W and X or any two of a
+    dim-n source's messages.  Such a swap takes each position's span of
+    allowed subspaces to itself and each check's test to that of its
+    image.  A searched position is claimed when its tail carries only
+    messages, a set B disjoint from those of the positions claimed before
+    it; its swaps are the swaps of two messages of B that also appear in
+    no earlier position's tail.  Its candidates then do not depend on the
+    rest of the assignment, and its orbit group H_B, generated by G_B =
+    prod over B of GL(k, q) and its swaps, acts on B's coordinates alone,
+    so it fixes every other claimed position.  So one element of the
+    group they generate moves any solution to one whose claimed positions
+    each hold the least echelon form of their H_B orbit, and only those
+    are tried there.  Orbits are found lazily under generators of H_B
     (I + E_ij inside a message's block, a primitive scalar on its first
-    coordinate).  Generators of a subgroup give finer orbits, so this
-    stays sound for any drawn from G_B, never for one outside it (such as
-    a swap of two messages).
+    coordinate, the swaps).  Generators of a subgroup give finer orbits,
+    so this stays sound for any drawn from that group, never for one
+    outside it (such as a swap of messages that moves a check).  The
+    first solution found does not change either: no position before a
+    claimed one carries B's coordinates, so H_B fixes them all, and if
+    an element of H_B lowered the claimed value of the lex-least solution
+    of the walk restricted by G_B alone, it and then sorting the twins
+    (below) would give a smaller solution of that walk.  Over GF(2) with
+    k = 1, G_B is trivial: a position is claimed there only when it has
+    swaps and belongs to no class of the twin map built with nothing
+    claimed, since claiming a twin gives up more pruning than its orbits
+    bring (choose-two over GF(2): 14 nodes against 19).  stats["swaps"]
+    counts the swaps among the generators, stats["orbit_skips"] the
+    candidates that lead no orbit.
   - position symmetry: two unclaimed positions are twins when their tails
     resolve to the same sources, their caps agree, every other position's
     tail reads both or neither, and swapping them maps the multiset of
@@ -123,16 +144,17 @@ reached with nothing left is "budget-exceeded" without a search.
   _Shape kept on the Network: the plan, the bundles and their edge
   counts, each tail and receiver check as (message set, positions) with
   message sets as bitmasks, the demands, the schedule of checks and the
-  masks they read, the claimable positions with their messages, and the
-  twin maps.  Each search over M_k(GF(q)) then only maps every message set
-  to the id of its span, sets the caps (c k) and the generators of G_B,
-  and walks.  The span of a message set is a coordinate subspace, so
+  masks they read, the claimable positions with their messages and
+  swaps, and the twin maps.  Each search over M_k(GF(q)) then only maps
+  every message set to the id of its span, sets the caps (c k) and the
+  generators of each claimed position's orbit group, and walks.  The span of a message set is a coordinate subspace, so
   equal ids are equal sets, and the walk, its counts and its witness are
   those of a search that compiled the network afresh.  The field enters
   the claims only through whether G_B is trivial (GF(2) with k = 1, where
-  nothing is claimed), so the shape keeps two twin maps, the one with
-  nothing claimed and the one with every claimable position claimed,
-  each built by _twins on first use.
+  only positions with swaps and no twin are claimed), so the shape keeps
+  two twin maps, the one with nothing claimed and the one with every
+  claimable position claimed, each built by _twins on first use, and the
+  swaps of each claimable position, found once by _swaps.
   stats["shape"] says whether the search "built" its shape or "reused"
   it, and stats["phase_seconds"] times the compile (the shape and a twin
   map not built before; 0.0 when nothing was built), the search, the
@@ -394,6 +416,15 @@ class _Gf2Alg:
         bit, flip = 1 << i, 1 << j
         return lambda row: row ^ flip if row & bit else row
 
+    def swap(self, i: int, j: int, k: int):
+        """row -> row with columns i..i+k-1 and j..j+k-1 exchanged."""
+        block = (1 << k) - 1
+
+        def image(row):
+            moved = (row >> i ^ row >> j) & block
+            return row ^ (moved << i | moved << j)
+        return image
+
 
 class _GenAlg:
     """Subspaces as tuples of coordinate-tuple echelon rows."""
@@ -445,6 +476,14 @@ class _GenAlg:
             return tuple(out)
         return image
 
+    def swap(self, i: int, j: int, k: int):
+        """row -> row with columns i..i+k-1 and j..j+k-1 exchanged."""
+        def image(row):
+            out = list(row)
+            out[i:i + k], out[j:j + k] = row[j:j + k], row[i:i + k]
+            return tuple(out)
+        return image
+
 
 # the rings the rank strategy accepts, as (field, k)
 _rank_parts = _rings.field_view
@@ -472,15 +511,10 @@ def _twins(tails, caps, checks, claimed):
     for i, (_, at) in enumerate(tails):
         for p in at:
             readers.setdefault(p, []).append(i)
-    # each check as one flat tuple of ints: fixed messages and positions,
-    # free messages (-1 without a free edge) and positions, demand; the
-    # positions as bitmasks, so a swap flips two bits
-    keys = []
+    keys = [_check_key(check) for check in checks]
     touching = {}
-    for j, ((c, at), free, u) in enumerate(checks):
-        f, f_at = free or (-1, ())
-        keys.append((c, _mask(at), f, _mask(f_at), u))
-        for p in set(at + f_at):
+    for j, ((_, at), free, _) in enumerate(checks):
+        for p in set(at + (free[1] if free else ())):
             touching.setdefault(p, set()).add(j)
 
     def role(p):
@@ -530,6 +564,49 @@ def _mask(at) -> int:
     return bits
 
 
+def _check_key(check):
+    """A receiver check as one flat tuple of ints: fixed messages and
+    positions, free messages (-1 without a free edge) and positions,
+    demand; message sets and positions as bitmasks, so a swap of two
+    positions or of two messages flips two bits."""
+    (c, at), free, u = check
+    f, f_at = free or (-1, ())
+    return c, _mask(at), f, _mask(f_at), u
+
+
+def _swaps(tails, checks, claimable):
+    """Each claimable position with swaps, mapped to them: the
+    transpositions (a, b) of two of its messages that map the problem onto
+    itself with every position fixed (module notes).  No earlier
+    position's tail carries a or b, every tail's message set holds both or
+    neither, and swapping a and b in every message set maps the multiset
+    of receiver checks (fixed messages and positions, free messages and
+    positions, demand) onto itself."""
+    if all(len(own) < 2 for _, own in claimable):
+        return {}
+    keys = sorted(_check_key(check) for check in checks)
+
+    def swapped(bits, ab):
+        return bits ^ ab if (bits & ab) not in (0, ab) else bits
+
+    carried = [0]      # position i -> the messages the tails before it carry
+    for c, _ in tails:
+        carried.append(carried[-1] | c)
+    found = {}
+    for i, own in claimable:
+        for x, a in enumerate(own):
+            for b in own[x + 1:]:
+                ab = 1 << a | 1 << b
+                if carried[i] & ab or any(swapped(c, ab) != c
+                                          for c, _ in tails):
+                    continue
+                if keys == sorted((swapped(c, ab), at, swapped(f, ab), f_at,
+                                   swapped(u, ab))
+                                  for c, at, f, f_at, u in keys):
+                    found.setdefault(i, []).append((a, b))
+    return found
+
+
 class _Shape:
     """The part of a rank search that depends on the network alone, built
     once per forwarding setting and kept on the Network (module notes).
@@ -550,6 +627,9 @@ class _Shape:
     ready:          depth -> (check, whether the dimension test only).
     claimable:      (position, message indices) of each position whose
                     tail carries messages only, none of an earlier one's.
+    swaps:          claimable position -> the transpositions of two of its
+                    messages that map the problem onto itself with every
+                    position fixed, as pairs of message indices (_swaps).
     twin_maps:      claimed -> the twin map with every claimable position
                     claimed (True) or none (False), built by twin_map.
     message_sets:   every nonzero message set above, for a search to map
@@ -627,6 +707,7 @@ class _Shape:
             taken |= const
             self.claimable.append((i, [m for m in range(len(self.msgs))
                                        if const >> m & 1]))
+        self.swaps = _swaps(tails, checks, self.claimable)
         self.twin_maps = {}
 
     def twin_map(self, claimed: bool) -> dict:
@@ -653,7 +734,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
         shape = net._shapes[opts.normalize_forwarding] = _Shape(net, opts)
     # interchangeable positions: each twin starts at its class's previous
     # member's value, so a class is walked in non-decreasing order; the
-    # claimable positions are claimed unless G_B is trivial (GF(2), k = 1)
+    # twin map leaves every claimable position out unless G_B is trivial
+    # (GF(2), k = 1)
     claimed = bool(shape.claimable) and (field.size != 2 or k != 1)
     compiled = built or claimed not in shape.twin_maps
     twin_of = shape.twin_map(claimed)
@@ -743,12 +825,18 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             got = cand_cache[(tail, cap)] = [intern(s) for s in sorted(forms)]
         return got
 
-    # claimed positions and the generators of their messages' G_B: none
-    # exactly when G_B is trivial (GF(2), k = 1), and then no position is
-    # claimed
+    # claimed positions and the generators of their orbit groups: G_B's
+    # and the position's swaps.  G_B has none exactly when it is trivial
+    # (GF(2), k = 1); then a claimable position is claimed only when it
+    # has swaps and is in no class of the twin map, which claims nothing
+    # (with G_B nontrivial, that map's classes hold no claimable position)
     alpha = fl.primitive_element(ops)
-    claims = {}        # position -> generators of its messages' G_B
+    paired = set(twin_of) | set(twin_of.values())
+    claims = {}        # position -> generators of its orbit group
+    swaps = 0          # message transpositions among the generators
     for i, own in shape.claimable:
+        if i in paired:
+            continue
         gens = []
         for m in own:
             base = m * k
@@ -756,8 +844,11 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                      for a in range(k) for b in range(k) if a != b]
             if alpha != 1:
                 gens.append(alg.scaling(base, alpha))
+        pairs = shape.swaps.get(i, ())
+        gens += [alg.swap(a * k, b * k, k) for a, b in pairs]
         if gens:
             claims[i] = gens
+            swaps += len(pairs)
 
     leads = {}         # candidate id at a claimed position -> leads its orbit
 
@@ -788,7 +879,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     recv_memo = {}
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
-             "backjumps": 0, "searched_edges": len(shape.plan.outer),
+             "swaps": swaps, "backjumps": 0,
+             "searched_edges": len(shape.plan.outer),
              "positions": len(bundles), "twins": len(twin_of),
              "shape": "built" if built else "reused"}
 

@@ -32,6 +32,13 @@ node with two or more inputs where there is one, to each drawn network and
 checks the rank search against enumeration, and its witness against the
 search that walks every order.
 
+The rank search also adds to a claimed position's orbit group the swaps
+of two of its messages that the network cannot tell apart.  Drawn
+networks have few, so a test mirrors one source message (a second message
+at the same owner, and next to each receiver that demands the first a
+copy of it that demands the second) and checks the rank search against
+enumeration, and its witness against the search without swaps.
+
 The default smallest-ring sweep looks only at simple rings; a test
 checks it against a sweep of the whole structured catalogue, which
 decides every other ring by its quotients.
@@ -189,6 +196,62 @@ def test_rank_with_twins_agrees_with_enumeration(net):
         with mock.patch.object(solver, "_twins", lambda *args: {}):
             full = solve_scalar(copy, ring, SearchOptions(strategy="rank"))
         assert full.stats["twins"] == 0
+        assert full.status == want and \
+            res.stats["nodes"] <= full.stats["nodes"]
+        if res.solved:
+            assert bruteforce.check_code(net, res.code)
+            assert codes.code_to_json(res.code) == \
+                codes.code_to_json(full.code)
+
+
+@st.composite
+def mirrored_networks(draw):
+    """A drawn network with one source message mirrored: a second message
+    at the same owner and, next to each receiver that demands the first,
+    a copy of that receiver (the same in-edges) that demands the second
+    in its place.  Swapping the two messages then maps the receivers'
+    demands onto each other."""
+    net = draw(networks())
+    m = draw(st.sampled_from(net.message_names))
+    mirror = f"m{len(net.messages)}"
+    nodes, edges, demands = list(net.nodes), list(net.edges), {}
+    for t, wanted in net.demands.items():
+        demands[t] = wanted
+        if m in wanted:
+            copy = f"{t}'"
+            nodes.append(copy)
+            edges += [(e.tail, copy, e.ordinal) for e in net.edges
+                      if e.head == t]
+            demands[copy] = tuple(mirror if x == m else x for x in wanted)
+    messages = list(net.messages) + [(mirror, dict(net.messages)[m])]
+    return Network(nodes, edges, messages, demands)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(mirrored_networks().filter(lambda net: net.demands
+                                  and _slots(net) <= MAX_SLOTS))
+@example(Network(["s", "u", "t0", "t0'"],
+                 [("s", "u"), ("u", "t0"), ("u", "t0'")],
+                 [("m0", "s"), ("m1", "s")], {"t0": ("m0",), "t0'": ("m1",)}))
+@example(Network(["s", "u1", "u2", "t0", "t0'"],
+                 [("s", "u1"), ("s", "u2"), ("u1", "t0"), ("u2", "t0"),
+                  ("u1", "t0'"), ("u2", "t0'")],
+                 [("m0", "s"), ("m1", "s")],
+                 {"t0": ("m0", "m1"), "t0'": ("m1", "m0")}))
+def test_rank_with_swaps_agrees_with_enumeration(net):
+    assert not validate_network(net)
+    for ring in RINGS:
+        want, _, _ = bruteforce.solve(net, ring)
+        res = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+        event(f"GF({ring.size}) {want}, swaps: {res.stats['swaps'] > 0}")
+        assert res.status == want, ring.size
+        # a fresh copy: the searched network keeps its compiled shape
+        copy = Network(net.nodes, net.edges, net.messages, net.demands)
+        with mock.patch.object(solver, "_swaps", lambda *args: {}):
+            full = solve_scalar(copy, ring, SearchOptions(strategy="rank"))
+        assert full.stats["swaps"] == 0
         assert full.status == want and \
             res.stats["nodes"] <= full.stats["nodes"]
         if res.solved:

@@ -110,11 +110,11 @@ def _as_vector(res):
 # (id, search, status, nodes, receiver_checks, memo_hits, witness)
 CASES = [
     ("m/GF(3)", lambda: solve_scalar(m_network(), construct_ring(GF3)),
-     "exhausted-unsolvable", 95, 152, 0, None),
+     "exhausted-unsolvable", 25, 18, 0, None),
     ("m/GF(4)", lambda: solve_scalar(m_network(), construct_ring(GF4)),
-     "exhausted-unsolvable", 131, 235, 0, None),
+     "exhausted-unsolvable", 29, 22, 0, None),
     ("m/GF(5)", lambda: solve_scalar(m_network(), construct_ring(GF5)),
-     "exhausted-unsolvable", 173, 336, 0, None),
+     "exhausted-unsolvable", 33, 26, 0, None),
     ("choose-two(4)/GF(3)",
      lambda: solve_scalar(choose_two_network(4), construct_ring(GF3)),
      "solved", 7, 9, 3, CHOOSE_TWO_4_GF3),
@@ -123,7 +123,7 @@ CASES = [
      "solved", 9, 14, 6, CHOOSE_TWO_5_GF4),
     ("dim-n(2)/GF(2)",
      lambda: solve_scalar(dim_n_network(2), construct_ring(GF2)),
-     "exhausted-unsolvable", 15, 18, 0, None),
+     "exhausted-unsolvable", 8, 10, 0, None),
     ("vector choose-two(3)/GF(2)^2",
      lambda: _as_vector(solve_scalar(choose_two_network(3),
                                      construct_ring(MatrixRing(GF2, 2)))),
@@ -154,5 +154,5 @@ def test_m_network_over_m2_gf3_is_solved():
     assert res.stats["strategy"] == "rank"
     assert (res.stats["nodes"], res.stats["receiver_checks"],
             res.stats["memo_hits"], res.stats["orbit_skips"]) == \
-        (24679, 24758, 0, 3844)
+        (16557, 16601, 0, 3906)
     assert codes.verify_solution(net, res.code).solved

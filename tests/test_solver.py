@@ -714,10 +714,10 @@ def test_vector_search_answers_by_the_bound_once(monkeypatch, gf2):
 
 
 def test_vector_time_budget_bounds_the_whole_call(gf2):
-    # dim 2 first searches dim 1 over GF(2), then M_2(GF(2)); each used
-    # to get the whole budget
+    # dim 3 first searches dim 1 over GF(2), which fails, so no split is
+    # tried, then M_3(GF(2)); each used to get the whole budget
     t0 = time.perf_counter()
-    res = solve_vector(dim_n_network(3), gf2, 2,
+    res = solve_vector(dim_n_network(3), gf2, 3,
                        SearchOptions(time_budget=0.3))
     assert time.perf_counter() - t0 < 0.45
     assert res.status == "budget-exceeded"
@@ -727,11 +727,11 @@ def test_vector_time_budget_bounds_the_whole_call(gf2):
 def test_vector_node_budget_bounds_the_whole_call(gf2):
     # dim 2 first searches dim 1 over GF(2), then M_2(GF(2)); each used to
     # get the whole node budget, 20,001 + 20,001 nodes
-    # (dimension 1 is settled in 455 nodes, so the budget stops it first)
+    # (dimension 1 is settled in 51 nodes, so the budget stops it first)
     res = solve_vector(dim_n_network(3), gf2, 2,
-                       SearchOptions(node_budget=300))
+                       SearchOptions(node_budget=40))
     assert res.status == "budget-exceeded"
-    assert res.stats["total_nodes"] <= 301
+    assert res.stats["total_nodes"] <= 41
     assert res.stats["method"] == "no node budget left for M_2(GF(2))"
     assert res.stats["reason"] == "node budget exhausted"
     # with budget to spare, both dimensions are searched and counted
@@ -779,14 +779,17 @@ def test_sweep_node_budget_bounds_the_whole_sweep(monkeypatch):
         searched.append(budget)
         return engine(net, ring, opts, budget, *rest)
     monkeypatch.setattr(solver, "_solve_rank", counted)
+    # the ten fields below 16 take 51 nodes each; M_2(GF(2)) lists 651
+    # candidates a position, so the 990 nodes left start its search, which
+    # takes 1,220
     report = smallest_ring_search(dim_n_network(3), 64,
-                                  options=SearchOptions(node_budget=3000))
+                                  options=SearchOptions(node_budget=1500))
     stopped = [v for v in report.verdicts if v.status == "budget-exceeded"]
     assert stopped[0].method.startswith("direct search as ")
     assert all(v.method == f"no node budget left for {v.name}"
                for v in stopped[1:])
     assert len(searched) == len(report.verdicts) - len(stopped) + 1
-    assert searched[0] == 3000 and searched == sorted(searched, reverse=True)
+    assert searched[0] == 1500 and searched == sorted(searched, reverse=True)
 
 
 def test_a_quotient_search_shares_the_budget(z4):
