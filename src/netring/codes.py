@@ -15,12 +15,18 @@ left-multiplication matrices c . T of its coefficients (rings.py), reduced
 mod the digit moduli.  Residue rings (one % per product), rings whose dense
 tables already exist (a search just built them) and rings with no digit
 rule keep the scalar rule on index tuples, where a table lookup or a single
-% beats setting up a matmul.  Both rules give the same index tuples, checks
+% beats setting up a matmul.  Where the dense tables exist the scalar rule
+reads them as plain nested lists (Ring.list_tables, converted once per ring
+and shared with fieldlinalg.FieldOps), not through ring.add/ring.mul,
+which index numpy one scalar at a time; the lists are never built for a
+ring that has no tables yet.  All rules give the same index tuples, checks
 and failure reports.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,27 +52,37 @@ class LinearCode:
 
 
 def check_shape(net: Network, code: LinearCode) -> None:
-    """Arity and range validation of a code against its network."""
+    """Arity and range validation of a code against its network, in one
+    pass over the edges and the decodings, each node's arity computed
+    once.  The range is tested over every coefficient at once first; only
+    a code with one outside the ring tests them slot by slot, so that the
+    first bad slot is the one reported."""
     n = code.module.ring.size
+    edge_coeffs, decodings = code.edge_coeffs, code.decodings
+    values = set().union(*edge_coeffs.values(), *decodings.values())
+    outside = bool(values) and (min(values) < 0 or max(values) >= n)
+    arity = {}
     for e in net.edges:
-        if e not in code.edge_coeffs:
+        coeffs = edge_coeffs.get(e)
+        if coeffs is None:
             raise ValueError(f"edge {e} has no coefficients")
-        coeffs = code.edge_coeffs[e]
-        want = len(net.inputs(e.tail))
+        want = arity.get(e.tail)
+        if want is None:
+            want = arity[e.tail] = len(net.inputs(e.tail))
         if len(coeffs) != want:
             raise ValueError(f"edge {e} expects {want} coefficients, got {len(coeffs)}")
-        if any(not 0 <= c < n for c in coeffs):
+        if outside and any(not 0 <= c < n for c in coeffs):
             raise ValueError(f"edge {e} has coefficients outside the ring")
     for r in net.receivers:
         want = len(net.inputs(r))
         for m in net.demands[r]:
-            if (r, m) not in code.decodings:
+            d = decodings.get((r, m))
+            if d is None:
                 raise ValueError(f"no decoding for message {m} at receiver {r}")
-            d = code.decodings[(r, m)]
             if len(d) != want:
                 raise ValueError(
                     f"decoding ({r}, {m}) expects {want} coefficients, got {len(d)}")
-            if any(not 0 <= c < n for c in d):
+            if outside and any(not 0 <= c < n for c in d):
                 raise ValueError(f"decoding ({r}, {m}) leaves the ring")
 
 
@@ -90,7 +106,7 @@ def unit_row(position: int, width: int, one: int = 1) -> tuple[int, ...]:
 
 
 def _combine(ring, coeffs, rows):
-    """Sum of coeff * row over the ring, elementwise."""
+    """Sum of coeff * row over the ring, elementwise, by ring.add/ring.mul."""
     width = len(rows[0])
     acc = [0] * width
     for c, row in zip(coeffs, rows):
@@ -102,15 +118,29 @@ def _combine(ring, coeffs, rows):
     return tuple(acc)
 
 
+def _combine_lists(add, mul, coeffs, rows):
+    """_combine read from list tables, add[a][b] and mul[a][b]; index 0 is
+    zero in every ring, so a zero entry adds and multiplies to itself."""
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            mc = mul[c]
+            acc = ([mc[x] for x in row] if acc is None else
+                   [add[a][mc[x]] for a, x in zip(acc, row)])
+    return (0,) * len(rows[0]) if acc is None else tuple(acc)
+
+
 class _Rows:
     """Rows of ring elements over the messages, under the rule the module
-    notes pick for the ring: index tuples combined by _combine, or digit
-    arrays (messages x flat digits) combined by one matmul."""
+    notes pick for the ring: index tuples combined from the list tables or
+    by ring.add/ring.mul, or digit arrays (messages x flat digits) combined
+    by one matmul."""
 
     def __init__(self, code: LinearCode, width: int):
         ring = code.module.ring
-        self.ring, self.width = ring, width
-        self.digit = (bool(ring.coord_rings) and not ring.tables_built()
+        self.ring = ring
+        built = ring.tables_built()
+        self.digit = (bool(ring.coord_rings) and not built
                       and ring.mul_tensor is not None)
         if self.digit:
             used = sorted({c for cs in code.edge_coeffs.values() for c in cs}
@@ -120,21 +150,17 @@ class _Rows:
             # compound rings are unital: every unit row holds ring.one
             self.units = np.zeros((width, width, len(ring.digit_moduli)), np.int64)
             self.units[np.arange(width), np.arange(width)] = ring.digits([ring.one])
+            self.combine, self.same = self._combine_digits, _same_digits
+        else:
+            self.units = [unit_row(p, width, ring.one) for p in range(width)]
+            self.combine = (partial(_combine_lists, *ring.list_tables()[:2])
+                            if built else partial(_combine, ring))
+            self.same = operator.eq
 
-    def unit(self, position: int):
-        if self.digit:
-            return self.units[position]
-        return unit_row(position, self.width, self.ring.one)
-
-    def combine(self, coeffs, rows):
-        if not self.digit:
-            return _combine(self.ring, coeffs, rows)
+    def _combine_digits(self, coeffs, rows):
         lmul = self.lmul[[self.slot[c] for c in coeffs]]
         acc = np.concatenate(rows, axis=1) @ lmul.reshape(-1, lmul.shape[-1])
         return acc % self.ring.digit_moduli
-
-    def same(self, a, b) -> bool:
-        return bool(np.array_equal(a, b)) if self.digit else a == b
 
     def indices(self, rows) -> list[tuple[int, ...]]:
         """Index tuples of a list of rows."""
@@ -145,21 +171,31 @@ class _Rows:
         return [tuple(r) for r in self.ring.from_digits(np.stack(rows)).tolist()]
 
 
+def _same_digits(a, b) -> bool:
+    return bool(np.array_equal(a, b))
+
+
 def _propagate(net: Network, code: LinearCode, rows: _Rows) -> dict:
-    """Per-edge rows, in topological order."""
+    """Per-edge rows, in topological order.  A node's input rows are
+    gathered once, for all its out-edges: its in-edges come before them."""
     pos = {m: i for i, m in enumerate(net.message_names)}
+    units, combine, coeffs = rows.units, rows.combine, code.edge_coeffs
+    unital = rows.ring.unital
     out = {}
+    inputs_of = {}     # node -> its input rows
     for e in net.topo_edges():
-        in_rows = []
-        for kind, ref in net.inputs(e.tail):
-            if kind == "edge":
-                in_rows.append(out[ref])
-            else:
-                if not rows.ring.unital:
-                    raise ValueError("symbolic rows need a unital ring; "
-                                     "use semantic_verify for rngs")
-                in_rows.append(rows.unit(pos[ref]))
-        out[e] = rows.combine(code.edge_coeffs[e], in_rows)
+        in_rows = inputs_of.get(e.tail)
+        if in_rows is None:
+            in_rows = inputs_of[e.tail] = []
+            for kind, ref in net.inputs(e.tail):
+                if kind == "edge":
+                    in_rows.append(out[ref])
+                else:
+                    if not unital:
+                        raise ValueError("symbolic rows need a unital ring; "
+                                         "use semantic_verify for rngs")
+                    in_rows.append(units[pos[ref]])
+        out[e] = combine(coeffs[e], in_rows)
     return out
 
 
@@ -190,14 +226,15 @@ def verify_solution(net: Network, code: LinearCode) -> Verdict:
     pos = {m: i for i, m in enumerate(msgs)}
     rows = _Rows(code, len(msgs))
     by_edge = _propagate(net, code, rows)
+    units, combine, same = rows.units, rows.combine, rows.same
     checks = {}
     failure = None
     for r in net.receivers:
-        in_rows = [by_edge[ref] if kind == "edge" else rows.unit(pos[ref])
+        in_rows = [by_edge[ref] if kind == "edge" else units[pos[ref]]
                    for kind, ref in net.inputs(r)]
         for m in net.demands[r]:
-            got = rows.combine(code.decodings[(r, m)], in_rows)
-            ok = rows.same(got, rows.unit(pos[m]))
+            got = combine(code.decodings[(r, m)], in_rows)
+            ok = same(got, units[pos[m]])
             checks[(r, m)] = ok
             if not ok and failure is None:
                 [decoded] = rows.indices([got])

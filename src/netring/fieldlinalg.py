@@ -23,7 +23,9 @@ from itertools import combinations, product
 class FieldOps:
     """Scalar arithmetic of a field ring, unpacked into plain lists.
 
-    List indexing beats repeated method dispatch in the elimination loops.
+    List indexing beats repeated method dispatch in the elimination loops;
+    the lists are the ring's own (Ring.list_tables), so a ring that is also
+    verified converts its tables once.
     """
 
     def __init__(self, field):
@@ -32,9 +34,7 @@ class FieldOps:
         self.field = field
         q = field.size
         self.q = q
-        self.add = field.add_table().tolist()
-        self.mul = field.mul_table().tolist()
-        self.neg = field.neg_table().tolist()
+        self.add, self.mul, self.neg = field.list_tables()
         inv = [0] * q
         for a in range(1, q):
             row = self.mul[a]

@@ -386,6 +386,7 @@ class Ring:
         self._ops = None
         self._coord_array = None
         self._add_table, self._mul_table, self._neg_table = tables or (None,) * 3
+        self._lists = None
         self._char = None
         self._commutative = None
         # structure hooks filled in by the constructor where they apply
@@ -561,6 +562,16 @@ class Ring:
         if self._neg_table is None:
             self._build_tables()
         return self._neg_table
+
+    def list_tables(self) -> tuple[list, list, list]:
+        """The dense add, mul and neg tables as nested lists, converted
+        once per ring: a list lookup beats indexing numpy one scalar at a
+        time.  Builds the dense tables when they do not exist yet."""
+        if self._lists is None:
+            self._lists = (self.add_table().tolist(),
+                           self.mul_table().tolist(),
+                           self.neg_table().tolist())
+        return self._lists
 
     def _build_tables(self):
         """Evaluate the scalar rules on whole rows of elements at once, a

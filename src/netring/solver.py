@@ -159,6 +159,25 @@ reached with nothing left is "budget-exceeded" without a search.
   it, and stats["phase_seconds"] times the compile (the shape and a twin
   map not built before; 0.0 when nothing was built), the search, the
   witness and its verification.
+  The witness turns the subspace assignment into coefficients.  Its
+  network half, a _WitnessPlan kept on the shape and built on first use,
+  gives each searched and free edge a slot and every input an int (the
+  slot of the edge it is or forwards, or a message), and lists each
+  node's inputs, each free edge's lift and each receiver's demands.  Per
+  field, each node's input rows are eliminated once into reduced echelon
+  form, every basis row carrying the combination of input rows behind it
+  (on the search's packed ints over GF(2), whatever k), and a target's
+  combination is read off them: a unit target's (every decoding and every
+  lift) is the one of the basis row at its pivot, and a node whose inputs
+  are all messages has the target's own entries.  A free edge lifts the
+  demanded unit rows outside the span of its receiver's fixed inputs and
+  of the rows lifted before, tested against one growing echelon basis;
+  each is written over the fixed rows and then its tail's, and the tail
+  rows' part is its lift.  None of this can move a coefficient: the rows
+  are taken in order and each one in the span of those before is dropped,
+  so a combination is the unique one over the independent rows with zero
+  on the dependent ones, which is what the earlier construction by
+  fl.rref and fl.solve_row gave too (tests/test_rank_witness.py keeps it).
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -167,7 +186,9 @@ reached with nothing left is "budget-exceeded" without a search.
   into one exact integer key, np.unique leaves the distinct tuples, all
   |R|^t decode combinations of each are built at once, and the verdicts
   scatter back to the rows.  stats["receiver_checks"] counts the distinct
-  tuples decided, stats["memo_hits"] the rows that reused a verdict.
+  tuples decided, stats["memo_hits"] the rows that reused a verdict, and
+  stats["phase_seconds"] has the rank engine's keys, compile always 0.0
+  (the engine keeps nothing between searches).
 
 The exhaustive engine reports "exhausted-unsolvable" only after a
 complete enumeration, the rank engine only after a walk that is complete
@@ -284,13 +305,21 @@ class _Budget(Exception):
     pass
 
 
+# why a rank search is refused before its first node: a position's
+# candidates alone need more nodes than are left
+_TOO_MANY_CANDIDATES = "edge candidates outnumber the node budget"
+
+
 class _Allowance:
     """What one front-door call may still search: nodes (assignments, for
     the exhaustive engine) and time up to an absolute deadline.  Every
     engine call goes through search(), which hands the engine the nodes
     left and the deadline and charges it what it searched on the way out,
     so the budgets bound the whole call and a memoized verdict is never
-    charged twice."""
+    charged twice.  A search refused because its candidates outnumber the
+    nodes left is charged all of them: it needs more than the call has,
+    so every later ring or dimension is "no node budget left", as after a
+    search the budget stopped."""
 
     def __init__(self, opts: SearchOptions):
         self.budget = opts.node_budget
@@ -303,6 +332,8 @@ class _Allowance:
         res = engine(net, ring, opts, self.budget - self.spent, self.deadline,
                      *planned)
         self.spent += res.stats.get("nodes", res.stats.get("assignments", 0))
+        if res.stats.get("reason") == _TOO_MANY_CANDIDATES:
+            self.spent = max(self.spent, self.budget)
         return res
 
     def used_up(self, name: str) -> Optional[SolveResult]:
@@ -328,6 +359,7 @@ class _Plan:
                 notes: a bundle of c parallel edges out of a node with at
                 most c inputs forwards them, its i-th edge the i-th input,
                 cycling when c is larger).
+    forward_at: edge -> (the index of that input, its tail's input count).
     local_of:   receiver -> edges whose value only that receiver sees and
                 that can therefore be chosen while checking it.
     outer:      everything else, in topological order; these carry the
@@ -337,6 +369,7 @@ class _Plan:
     def __init__(self, net: Network, opts: SearchOptions, joint_cap=None):
         receivers = set(net.receivers)
         self.normalized = {}
+        self.forward_at = {}
         candidates = {}
         outer = []
         parallel = {}      # tail of 2+ inputs -> head -> edges, by ordinal
@@ -344,6 +377,7 @@ class _Plan:
             ins = net.inputs(e.tail)
             if opts.normalize_forwarding and len(ins) == 1:
                 self.normalized[e] = ins[0]
+                self.forward_at[e] = 0, 1
                 continue
             if opts.normalize_forwarding and ins:
                 if e.tail not in parallel:
@@ -353,7 +387,9 @@ class _Plan:
                         by_head.setdefault(f.head, []).append(f)
                 bundle = parallel[e.tail][e.head]
                 if len(ins) <= len(bundle):
-                    self.normalized[e] = ins[bundle.index(e) % len(ins)]
+                    j = bundle.index(e) % len(ins)
+                    self.normalized[e] = ins[j]
+                    self.forward_at[e] = j, len(ins)
                     continue
             if e.head in receivers and not net.out_edges(e.head):
                 candidates.setdefault(e.head, []).append(e)
@@ -372,15 +408,12 @@ class _Plan:
         self.outer = outer
         self.local_edges = {e for edges in self.local_of.values() for e in edges}
 
-    def forwarding(self, net: Network, one) -> dict:
+    def forwarding(self, one) -> dict:
         """Each forwarding edge's coefficients: one at the input it
         forwards, zero (index 0 in every ring) elsewhere."""
-        coeffs = {}
-        for e, fwd in self.normalized.items():
-            ins = net.inputs(e.tail)
-            coeffs[e] = ((one,) if len(ins) == 1 else
-                         tuple(one if inp == fwd else 0 for inp in ins))
-        return coeffs
+        patterns = {at: tuple(one if i == at[0] else 0 for i in range(at[1]))
+                    for at in set(self.forward_at.values())}
+        return {e: patterns[at] for e, at in self.forward_at.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +421,8 @@ class _Plan:
 
 class _Gf2Alg:
     """Subspaces as tuples of packed-int echelon rows."""
+
+    zero = 0
 
     def __init__(self, width: int):
         self.width = width
@@ -408,9 +443,6 @@ class _Gf2Alg:
                 acc ^= b
         return acc
 
-    def to_coords(self, row):
-        return fl.unpack2(row, self.width)
-
     def transvection(self, i: int, j: int):
         """row -> row times I + E_ij: column i added into column j."""
         bit, flip = 1 << i, 1 << j
@@ -425,6 +457,64 @@ class _Gf2Alg:
             return row ^ (moved << i | moved << j)
         return image
 
+    # -- the witness's elimination, on rows augmented by their tags: a
+    # tag is packed above the row's width bits
+
+    def eliminate(self, rows, tags=None, piv=None):
+        """The reduced echelon form of rows, each basis row with the same
+        combination of tags (by default the transform: row i's tag is bit
+        i), as pivot bit -> row | tag << width; piv, when given, is
+        continued in place.  Rows that reduce to zero are dropped."""
+        width, mask = self.width, (1 << self.width) - 1
+        if tags is None:
+            tags = [1 << i for i in range(len(rows))]
+        if piv is None:
+            piv = {}
+        for row, tag in zip(rows, tags):
+            row |= tag << width
+            for bit, b in piv.items():
+                if row & bit:
+                    row ^= b
+            if row & mask:
+                bit = row & -row
+                for other, b in list(piv.items()):
+                    if b & bit:
+                        piv[other] = b ^ row
+                piv[bit] = row
+        return piv
+
+    def unit_tag(self, piv, j: int):
+        """The tag of unit row j, None when it is outside the span: in a
+        reduced echelon basis that row is the basis row at pivot j."""
+        bit = 1 << j
+        got = piv.get(bit)
+        if got is None or got & ((1 << self.width) - 1) != bit:
+            return None
+        return got >> self.width
+
+    def express(self, piv, row, n: int):
+        """The tag of row, None when it is outside the span: the basis row
+        at each pivot bit of what is left, lowest first."""
+        mask = (1 << self.width) - 1
+        while row & mask:
+            got = piv.get(row & -row)
+            if got is None:
+                return None
+            row ^= got
+        return row >> self.width
+
+    def pick(self, row, cols):
+        """The entries of row at cols, None when it has others."""
+        mask = 0
+        for c in cols:
+            mask |= 1 << c
+        if row & ~mask:
+            return None
+        return tuple(row >> c & 1 for c in cols)
+
+    def entries(self, tag, n: int):
+        return tuple(tag >> i & 1 for i in range(n))
+
 
 class _GenAlg:
     """Subspaces as tuples of coordinate-tuple echelon rows."""
@@ -432,6 +522,7 @@ class _GenAlg:
     def __init__(self, ops: fl.FieldOps, width: int):
         self.ops = ops
         self.width = width
+        self.zero = (0,) * width
 
     def unit(self, j: int):
         return tuple(1 if i == j else 0 for i in range(self.width))
@@ -450,9 +541,6 @@ class _GenAlg:
                 mc = ops.mul[c]
                 acc = tuple(ops.add[x][mc[y]] for x, y in zip(acc, b))
         return acc
-
-    def to_coords(self, row):
-        return row
 
     def transvection(self, i: int, j: int):
         """row -> row times I + E_ij: column i added into column j."""
@@ -483,6 +571,81 @@ class _GenAlg:
             out[i:i + k], out[j:j + k] = row[j:j + k], row[i:i + k]
             return tuple(out)
         return image
+
+    # -- the witness's elimination, on rows augmented by their tags: a
+    # list, the row's width entries and then the tag's
+
+    def eliminate(self, rows, tags=None, piv=None):
+        """The reduced echelon form of rows, each basis row with the same
+        combination of tags (by default the transform: row i's tag is unit
+        row i), as pivot column -> row + tag; piv, when given, is continued
+        in place.  Rows that reduce to zero are dropped."""
+        add, mul, neg, inv = self.ops.add, self.ops.mul, self.ops.neg, \
+            self.ops.inv
+        width, n = self.width, len(rows)
+        if piv is None:
+            piv = {}
+        for i, row in enumerate(rows):
+            if tags is None:
+                row = [*row, *[0] * n]
+                row[width + i] = 1
+            else:
+                row = [*row, *tags[i]]
+            for p, b in piv.items():
+                c = row[p]
+                if c:
+                    mc = mul[neg[c]]
+                    row = [add[x][mc[y]] for x, y in zip(row, b)]
+            for p in range(width):
+                if row[p]:
+                    break
+            else:
+                continue
+            c = row[p]
+            if c != 1:
+                mc = mul[inv[c]]
+                row = [mc[x] for x in row]
+            for other, b in list(piv.items()):
+                c = b[p]
+                if c:
+                    mc = mul[neg[c]]
+                    piv[other] = [add[x][mc[y]] for x, y in zip(b, row)]
+            piv[p] = row
+        return piv
+
+    def unit_tag(self, piv, j: int):
+        """The tag of unit row j, None when it is outside the span: in a
+        reduced echelon basis that row is the basis row at pivot j."""
+        got = piv.get(j)
+        width = self.width
+        if got is None or got[:width].count(0) != width - 1:
+            return None
+        return tuple(got[width:])
+
+    def express(self, piv, row, n: int):
+        """The tag of row, None when it is outside the span: in a reduced
+        echelon basis, row's coefficient on the basis row at pivot p is
+        row[p], so subtracting them leaves zero and minus the tag."""
+        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
+        rest = [*row, *[0] * n]
+        for p, b in piv.items():
+            c = row[p]
+            if c:
+                mc = mul[neg[c]]
+                rest = [add[x][mc[y]] for x, y in zip(rest, b)]
+        if any(rest[:self.width]):
+            return None
+        return [neg[x] for x in rest[self.width:]]
+
+    def pick(self, row, cols):
+        """The entries of row at cols, None when it has others."""
+        got = tuple(row[c] for c in cols)
+        if len(row) - row.count(0) != len(got) - got.count(0):
+            return None
+        return got
+
+    def entries(self, tag, n: int):
+        return tuple(tag)
 
 
 # the rings the rank strategy accepts, as (field, k)
@@ -634,6 +797,7 @@ class _Shape:
                     claimed (True) or none (False), built by twin_map.
     message_sets:   every nonzero message set above, for a search to map
                     to the ids of their spans.
+    witness:        the _WitnessPlan, built by witness_plan.
     """
 
     def __init__(self, net: Network, opts: SearchOptions):
@@ -709,6 +873,7 @@ class _Shape:
                                        if const >> m & 1]))
         self.swaps = _swaps(tails, checks, self.claimable)
         self.twin_maps = {}
+        self.witness = None
 
     def twin_map(self, claimed: bool) -> dict:
         """The twin map with every claimable position claimed, or none,
@@ -719,6 +884,71 @@ class _Shape:
                 self.tails, self.sizes, self.checks,
                 {i for i, _ in self.claimable} if claimed else ())
         return got
+
+    def witness_plan(self, net: Network) -> "_WitnessPlan":
+        """The witness's half that depends on the network alone, built on
+        first use."""
+        if self.witness is None:
+            self.witness = _WitnessPlan(net, self)
+        return self.witness
+
+
+class _WitnessPlan:
+    """How a rank witness reads the network (module notes).  Each searched
+    and each free edge has a slot for its rows; an input is an int, the
+    slot of the searched or free edge it is or forwards, however long the
+    chain, or ~m for message m.
+
+    searched:   (edge, position, piece) per searched edge, by slot: its
+                rows are its bundle's basis rows piece k .. piece k + k - 1.
+    lifts:      (edge, slot, its receiver's other inputs, its tail's
+                inputs, the messages the receiver demands) per free edge.
+    stacks:     node -> (its inputs, whether they are all messages), for
+                each tail of a searched or free edge and each receiver;
+                a node's messages are distinct, the inputs it forwards
+                need not be.
+    decodes:    (receiver, [((receiver, message), message index)]) per
+                receiver with demands.
+    """
+
+    def __init__(self, net: Network, shape: _Shape):
+        plan, mpos = shape.plan, shape.mpos
+        self.searched = [(e, i, a) for i, bundle in enumerate(shape.bundles)
+                         for a, e in enumerate(bundle)]
+        ref = {e: s for s, (e, _, _) in enumerate(self.searched)}
+        for e in shape.local_one.values():
+            ref[e] = len(ref)
+        self.slots = len(ref)
+        for e, (kind, val) in plan.normalized.items():   # topological
+            ref[e] = ~mpos[val] if kind == "message" else ref[val]
+
+        def refs(inputs):
+            return tuple([~mpos[val] if kind == "message" else ref[val]
+                          for kind, val in inputs])
+
+        stacks = self.stacks = {}
+
+        def stack(v):
+            got = stacks.get(v)
+            if got is None:
+                # a node's inputs are its in-edges, then its messages
+                got = stacks[v] = refs(net.inputs(v)), not net.in_edges(v)
+            return got[0]
+
+        for bundle in shape.bundles:
+            stack(bundle[0].tail)
+        self.lifts = [(free, ref[free],
+                       refs(inp for inp in net.inputs(r)
+                            if inp != ("edge", free)),
+                       stack(free.tail),
+                       tuple(mpos[m] for m in net.demands[r]))
+                      for r, free in shape.local_one.items()]
+        self.decodes = []
+        for r in net.receivers:
+            if net.demands[r]:
+                stack(r)
+                self.decodes.append((r, [((r, m), mpos[m])
+                                         for m in net.demands[r]]))
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
@@ -742,7 +972,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     t1 = time.perf_counter()
     ops = fl.FieldOps(field)
     q = field.size
-    msgs, mpos = shape.msgs, shape.mpos
+    msgs = shape.msgs
     width = k * len(msgs)
     alg = _Gf2Alg(width) if q == 2 else _GenAlg(ops, width)
 
@@ -776,9 +1006,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                                                     spaces[small]))
         return got
 
-    unit_spaces = {m: alg.canon([alg.unit(mpos[m] * k + a) for a in range(k)])
-                   for m in msgs}
-    unit_ids = [intern(unit_spaces[m]) for m in msgs]
+    unit_ids = [intern(alg.canon([alg.unit(m * k + a) for a in range(k)]))
+                for m in range(len(msgs))]
     # the shape's message sets become the ids of their spans: the span of
     # a message set is a coordinate subspace, so equal ids are equal sets
     span_of = {0: zero}
@@ -815,7 +1044,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             space = spaces[tail]
             d = len(space)
             if fl.gaussian_binomial(d, min(d, cap), q) > budget:
-                raise _Budget("edge candidates outnumber the node budget")
+                raise _Budget(_TOO_MANY_CANDIDATES)
             forms = []
             for form in fl.echelon_forms(q, d, min(d, cap)):
                 forms.append(alg.canon([alg.mix(space, c) for c in form]))
@@ -1010,12 +1239,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
         return SolveResult("exhausted-unsolvable", None, stats)
 
-    # a bundle's basis, at most c k rows, split k rows to an edge
-    assign = {e: spaces[cur[i]][a * k:(a + 1) * k]
-              for i, bundle in enumerate(bundles)
-              for a, e in enumerate(bundle)}
-    code = _rank_witness(net, ring, k, ops, alg, shape.plan, shape.local_one,
-                         assign, unit_spaces, mpos)
+    code = _rank_witness(net, ring, k, alg, shape, [spaces[s] for s in cur])
     t3 = time.perf_counter()
     report = verify_solution(net, code)
     phases["witness"], phases["verify"] = t3 - t2, time.perf_counter() - t3
@@ -1025,105 +1249,100 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     return SolveResult("solved", code, stats)
 
 
-def _rank_witness(net, ring, k, ops, alg, plan, local_one, assign,
-                  unit_spaces, mpos):
-    """Turn a passing subspace assignment into explicit coefficients."""
-    width = alg.width
-    zero = tuple(0 for _ in range(width))
+def _rank_witness(net, ring, k, alg, shape, bases):
+    """Turn a passing subspace assignment, bases[i] the echelon basis of
+    position i, into explicit coefficients (module notes)."""
+    wp = shape.witness_plan(net)
+    zero = alg.zero
+    msg_rows = [[alg.unit(m * k + a) for a in range(k)]
+                for m in range(len(shape.msgs))]
+    rows = [None] * wp.slots   # slot -> its k rows
 
-    def unit_coord(j):
-        return tuple(1 if i == j else 0 for i in range(width))
+    def rows_of(refs):
+        out = []
+        for x in refs:
+            out += rows[x] if x >= 0 else msg_rows[~x]
+        return out
 
-    def pad(rows):
-        rows = [tuple(r) for r in rows]
-        return rows + [zero] * (k - len(rows))
+    def padded(basis):
+        return list(basis) + [zero] * (k - len(basis))
 
-    rows_map = {}
+    # a bundle's basis, at most c k rows, split k rows to an edge
+    for s, (_, i, a) in enumerate(wp.searched):
+        rows[s] = padded(bases[i][a * k:(a + 1) * k])
 
-    def input_rows(inp):
-        kind, val = inp
-        if kind == "message":
-            return [unit_coord(mpos[val] * k + a) for a in range(k)]
-        return rows_map[val]
-
-    # in topological order, so a forwarded input is built before the edges
-    # forwarding it, however long the chain; free edges are read by their
-    # receivers only, so they come last
-    for e in net.topo_edges():
-        fwd = plan.normalized.get(e)
-        if fwd is not None:
-            rows_map[e] = input_rows(fwd)
-        elif e in assign:
-            rows_map[e] = pad([alg.to_coords(r) for r in assign[e]])
-
-    # pick what each receiver's free edge carries: lifts into the free
-    # edge's tail of a basis of the demands modulo the fixed inputs
-    for r, free_edge in local_one.items():
-        fixed_rows = []
-        for inp in net.inputs(r):
-            if inp[0] == "edge" and inp[1] == free_edge:
-                continue
-            fixed_rows.extend(input_rows(inp))
-        tail_rows = []
-        for inp in net.inputs(free_edge.tail):
-            tail_rows.extend(input_rows(inp))
-        span = [row for row in fixed_rows if any(row)]
+    # what each receiver's free edge carries: lifts into the free edge's
+    # tail of a basis of the demands modulo the fixed inputs.  The demanded
+    # unit rows outside the growing span of the fixed inputs and the rows
+    # kept so far form that basis; each is written over the fixed and the
+    # tail rows, and the tail rows' part is its lift, carried as the tag
+    for _, s, fixed, tail, demand in wp.lifts:
+        fixed_rows = rows_of(fixed)
+        tail_rows = rows_of(tail)
+        base = alg.eliminate(fixed_rows, [zero] * len(fixed_rows))
+        span = dict(base)
         reps = []
-        for m in net.demands[r]:
-            for u in (alg.to_coords(row) for row in unit_spaces[m]):
-                if fl.solve_row(ops, span + reps, u) is None:
-                    reps.append(u)
-        parts = []
-        base = len(fixed_rows)
-        stack = fixed_rows + tail_rows
-        reduced = fl.rref(ops, stack)
-        for u in reps:
-            combo = fl.solve_row(ops, stack, u, reduced)
-            if combo is None:
-                raise RuntimeError("free-edge lift failed for a checked receiver")
-            part = zero
-            for c, row in zip(combo[base:], tail_rows):
-                if c:
-                    mc = ops.mul[c]
-                    part = tuple(ops.add[x][mc[y]] for x, y in zip(part, row))
-            parts.append(part)
-        rows_map[free_edge] = pad(fl.canon_space(ops, parts))
+        for m in demand:
+            for j in range(m * k, m * k + k):
+                if alg.unit_tag(span, j) is None:
+                    reps.append(j)
+                    alg.eliminate([alg.unit(j)], [zero], span)
+        both = alg.eliminate(tail_rows, tail_rows, base)
+        parts = [alg.unit_tag(both, j) for j in reps]
+        if None in parts:
+            raise RuntimeError("free-edge lift failed for a checked receiver")
+        rows[s] = padded(alg.canon(parts))
 
-    stacks = {}        # node -> its input rows and their elimination
+    # each node's input rows are eliminated once, for its out-edges and its
+    # demands alike, and a target's combination of them read off the tags;
+    # a node whose inputs are all messages has the target's entries
+    solved = {}
 
-    def coeff_blocks(node, targets):
-        """Ring elements per input of the node expressing each target row
-        over the node's input rows; the rows are eliminated once per node,
-        for its out-edges and its demands alike."""
-        ins = net.inputs(node)
-        got = stacks.get(node)
+    def combos(node, targets, units):
+        """The combinations of the node's input rows giving the target rows,
+        or the unit rows at the target coordinates, as entry tuples."""
+        got = solved.get(node)
         if got is None:
-            stack = [row for inp in ins for row in input_rows(inp)]
-            got = stacks[node] = (stack, fl.rref(ops, stack))
-        stack, reduced = got
-        per_input = [[[0] * k for _ in range(k)] for _ in range(len(ins))]
-        for a, target in enumerate(targets):
-            combo = fl.solve_row(ops, stack, target, reduced)
-            if combo is None:
-                raise RuntimeError("witness row left its input span")
-            for i in range(len(ins)):
-                for b in range(k):
-                    per_input[i][a][b] = combo[i * k + b]
+            refs, msg_only = wp.stacks[node]
+            n = k * len(refs)
+            if msg_only:
+                got = n, None, [~x * k + b for x in refs for b in range(k)]
+            else:
+                got = n, alg.eliminate(rows_of(refs)), None
+            solved[node] = got
+        n, piv, cols = got
+        if piv is None:
+            out = [alg.pick(alg.unit(t) if units else t, cols)
+                   for t in targets]
+        else:
+            out = [alg.unit_tag(piv, t) if units else alg.express(piv, t, n)
+                   for t in targets]
+            if None not in out:
+                out = [alg.entries(c, n) for c in out]
+        if None in out:
+            raise RuntimeError("witness row left its input span")
+        return out
+
+    def coefficients(got):
+        """One ring element per input for each k consecutive combinations:
+        their entries with k = 1, else the k x k block of each input."""
         if k == 1:
-            return tuple(block[0][0] for block in per_input)
-        return tuple(ring.mat_from_entries(block) for block in per_input)
+            return got
+        return [tuple(ring.mat_from_entries([c[i:i + k] for c in got[a:a + k]])
+                      for i in range(0, len(got[a]), k))
+                for a in range(0, len(got), k)]
 
-    edge_coeffs = plan.forwarding(net, ring.one)
-    for e in net.edges:
-        if e not in edge_coeffs:
-            edge_coeffs[e] = coeff_blocks(e.tail, rows_map[e])
-
+    edge_coeffs = shape.plan.forwarding(ring.one)
+    for s, (e, _, _) in enumerate(wp.searched):
+        [edge_coeffs[e]] = coefficients(combos(e.tail, rows[s], False))
+    for e, s, *_ in wp.lifts:
+        [edge_coeffs[e]] = coefficients(combos(e.tail, rows[s], False))
     decodings = {}
-    for r in net.receivers:
-        for m in net.demands[r]:
-            targets = [unit_coord(mpos[m] * k + a) for a in range(k)]
-            decodings[(r, m)] = coeff_blocks(r, targets)
-
+    for r, demands in wp.decodes:
+        got = coefficients(combos(r, [j for _, m in demands
+                                      for j in range(m * k, m * k + k)], True))
+        for (key, _), c in zip(demands, got):
+            decodings[key] = c
     return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
 
 
@@ -1277,6 +1496,15 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     topo = net.topo_edges()
     receivers = [r for r in net.receivers if net.demands[r]]
 
+    def searched():
+        """Close the search phase: elapsed and the phase times so far (the
+        tables and plan are the search's, so compile is 0.0)."""
+        t = time.perf_counter()
+        stats["elapsed"] = t - t0
+        stats["phase_seconds"] = {"compile": 0.0, "search": t - t0,
+                                  "witness": 0.0, "verify": 0.0}
+        return t
+
     c0 = lo
     while c0 < hi:
         n = min(CHUNK, hi - c0)
@@ -1284,7 +1512,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 "time" if deadline is not None
                 and time.perf_counter() > deadline else None)
         if stop:
-            stats["elapsed"] = time.perf_counter() - t0
+            searched()
             return SolveResult("budget-exceeded", None,
                                stats | {"reason": f"{stop} budget exhausted"})
         stats["assignments"] += n
@@ -1344,7 +1572,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                                 [mpos[name] for name in net.demands[r]],
                                 deadline)
             except _Budget as exc:
-                stats["elapsed"] = time.perf_counter() - t0
+                searched()
                 return SolveResult("budget-exceeded", None,
                                    stats | {"reason": str(exc)})
             stats["receiver_checks"] += len(tuples)
@@ -1360,6 +1588,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                         tuples[inv[keep, first[keep]]])
 
         if alive.size:
+            t1 = searched()
             pos = int(alive[0])
             chosen = {}
             for r, (rows_r, first, inputs) in picks.items():
@@ -1368,15 +1597,19 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             code = _table_witness(net, ring, plan, slots, weights,
                                   int(idx[pos]), chosen, unit_rows, mulT,
                                   addT)
-            stats["elapsed"] = time.perf_counter() - t0
+            t2 = time.perf_counter()
+            stats["elapsed"] = t2 - t0
             report = verify_solution(net, code)
+            phases = stats["phase_seconds"]
+            phases["witness"], phases["verify"] = (t2 - t1,
+                                                   time.perf_counter() - t2)
             if not report.solved:
                 raise RuntimeError(f"reconstructed code failed verification: "
                                    f"{report.failure}")
             return SolveResult("solved", code, stats)
         c0 += n
 
-    stats["elapsed"] = time.perf_counter() - t0
+    searched()
     if opts.shards > 1:
         stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
     return SolveResult("exhausted-unsolvable", None, stats)
@@ -1392,7 +1625,7 @@ def _table_witness(net, ring, plan, slots, weights, winner, chosen,
     built at once from the ring tables."""
     size = ring.size
     coeff = {key: winner // w % size for key, w in zip(slots, weights)}
-    edge_coeffs = plan.forwarding(net, ring.one)
+    edge_coeffs = plan.forwarding(ring.one)
     for e in net.topo_edges():
         if e not in edge_coeffs and e not in plan.local_edges:
             edge_coeffs[e] = tuple(coeff[(e, j)]
@@ -1538,7 +1771,9 @@ def solve_vector(net: Network, field: Ring, k: int,
     and time budgets bound the whole call: a dimension reached with no
     nodes or no time left is "budget-exceeded" with method "no node
     budget left for <ring>" (or time budget), and stats["total_nodes"]
-    counts the nodes searched over every dimension.  Each dimension is
+    counts the nodes charged over every dimension: those searched, and
+    the whole budget for a search refused because its candidates
+    outnumber the nodes left.  Each dimension is
     decided once per call, and the cut-set bound, which settles every
     dimension, is checked before any."""
     _check_axioms(field)

@@ -281,8 +281,10 @@ def test_manifest_reproducible(files, tmp_path):
         assert data["options"]["seed"] == 7
         assert "wall_clock" in data
     assert digests[0] == digests[1]
-    # the witness itself is bit-for-bit identical, timings aside
-    outs[0]["stats"].pop("elapsed"), outs[1]["stats"].pop("elapsed")
+    # the witness itself is bit-for-bit identical, timings aside (elapsed,
+    # and phase_seconds, which the exhaustive engine reports too)
+    for got in outs:
+        got["stats"].pop("elapsed"), got["stats"].pop("phase_seconds")
     assert outs[0] == outs[1]
 
 

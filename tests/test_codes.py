@@ -1,5 +1,6 @@
 """Linear codes: transfer rows, two-way verification, entropy, stock codes."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +201,114 @@ def test_check_shape_rejects_malformed(gf2):
     with pytest.raises(ValueError, match="decoding"):
         verify_solution(net, LinearCode(module, good.edge_coeffs,
                                         {("t", "m1"): (1, 0)}))
+
+
+def test_check_shape_keeps_its_messages_and_their_order(gf2):
+    net = pair_network()
+    module = modules.scalar_module(gf2)
+    e0, e1 = sorted(net.edges, key=lambda e: e.ordinal)
+    decs = {("t", "m1"): (1, 0), ("t", "m2"): (0, 1)}
+
+    def message(edges, decodings=decs):
+        with pytest.raises(ValueError) as err:
+            codes.check_shape(net, LinearCode(module, edges, decodings))
+        return str(err.value)
+
+    assert message({e0: (1, 0)}) == "edge s->t#1 has no coefficients"
+    assert message({e0: (1,), e1: (0, 1)}) == \
+        "edge s->t expects 2 coefficients, got 1"
+    assert message({e0: (1, 2), e1: (0, 1)}) == \
+        "edge s->t has coefficients outside the ring"
+    assert message({e0: (-1, 0), e1: (0, 1)}) == \
+        "edge s->t has coefficients outside the ring"
+    good = {e0: (1, 0), e1: (0, 1)}
+    assert message(good, {("t", "m1"): (1, 0)}) == \
+        "no decoding for message m2 at receiver t"
+    assert message(good, {("t", "m1"): (1,), ("t", "m2"): (0, 1)}) == \
+        "decoding (t, m1) expects 2 coefficients, got 1"
+    assert message(good, {("t", "m1"): (1, 0), ("t", "m2"): (0, 3)}) == \
+        "decoding (t, m2) leaves the ring"
+    # edges first, in network order, then the decodings
+    assert message({e0: (1, 5)}, {}) == \
+        "edge s->t has coefficients outside the ring"
+    assert message({e0: (1, 0), e1: (0,)}, {}) == \
+        "edge s->t#1 expects 2 coefficients, got 1"
+
+
+SCALAR_RULE_RINGS = [rings.PrimeField(3), rings.GaloisField(2, 2),
+                     rings.IntegersMod(4),
+                     rings.UpperTriangular(rings.PrimeField(2), 2)]
+
+
+def _corrupted(good, size, count, seed):
+    """good, a working code as (edge coefficients, decodings), then count
+    copies with one coefficient changed at random, most of which fail, and
+    count with every coefficient drawn at random, whose products of two
+    drawn elements tell a left product from a right one."""
+    rng = random.Random(seed)
+    out = [good]
+    slots = [(part, key, i) for part in (0, 1)
+             for key, cs in good[part].items() for i in range(len(cs))]
+    for _ in range(count):
+        part, key, i = rng.choice(slots)
+        copy = [dict(good[0]), dict(good[1])]
+        cs = list(copy[part][key])
+        cs[i] = (cs[i] + rng.randrange(1, size)) % size
+        copy[part][key] = tuple(cs)
+        out.append(tuple(copy))
+    for _ in range(count):
+        out.append(tuple({key: tuple(rng.randrange(size) for _ in cs)
+                          for key, cs in part.items()} for part in good))
+    return out
+
+
+@pytest.mark.parametrize("desc", SCALAR_RULE_RINGS, ids=rings.describe)
+def test_list_tables_give_the_call_rules_verdicts(desc, monkeypatch):
+    # with dense tables the scalar rule reads them as lists; without, the
+    # ring is combined by ring.add/ring.mul or, if compound, by digits.
+    # Every rule must give the same Verdict: checks and failure report
+    chain = networks.Network(["s", "u", "t"],
+                             [("s", "u", 0), ("s", "u", 1), ("u", "t", 0),
+                              ("u", "t", 1), ("s", "t", 0)],
+                             [("m1", "s"), ("m2", "s")],
+                             {"t": ("m1", "m2"), "u": ("m2",)})
+    su0, su1, ut0, ut1, st_ = (Edge("s", "u", 0), Edge("s", "u", 1),
+                               Edge("u", "t", 0), Edge("u", "t", 1),
+                               Edge("s", "t", 0))
+    p0, p1 = sorted(pair_network().edges, key=lambda e: e.ordinal)
+    built = rings.construct_ring(desc)
+    built.add_table()
+    for net, good in (
+            (pair_network(), ({p0: (1, 0), p1: (0, 1)},
+                              {("t", "m1"): (1, 0), ("t", "m2"): (0, 1)})),
+            (chain, ({su0: (1, 0), su1: (0, 1), ut0: (1, 0), ut1: (0, 1),
+                      st_: (1, 1)},
+                     {("t", "m1"): (0, 1, 0), ("t", "m2"): (0, 0, 1),
+                      ("u", "m2"): (0, 1)}))):
+        drawn = _corrupted(good, built.size, 40, rings.describe(desc))
+        verdicts = {}
+        for name, ring in (("lists", built),
+                           ("fresh", rings.construct_ring(desc))):
+            verdicts[name] = [
+                verify_solution(net, LinearCode(modules.scalar_module(ring),
+                                                edges, decs))
+                for edges, decs in drawn]
+            assert ring.tables_built() == (name == "lists")
+        # the same table-built ring with ring.add/ring.mul in place of the
+        # list tables
+        monkeypatch.setattr(codes, "_combine_lists",
+                            lambda add, mul, coeffs, rows:
+                            codes._combine(built, coeffs, rows))
+        verdicts["calls"] = [
+            verify_solution(net, LinearCode(modules.scalar_module(built),
+                                            edges, decs))
+            for edges, decs in drawn]
+        monkeypatch.undo()
+        assert verdicts["lists"] == verdicts["fresh"] == verdicts["calls"]
+        assert verdicts["lists"][0].solved
+        failed = [v for v in verdicts["lists"] if not v.solved]
+        assert len(failed) > 10
+        assert all(v.failure is not None for v in failed)
 
 
 @settings(max_examples=60, deadline=None)

@@ -535,6 +535,33 @@ def test_result_stats_shape(gf2):
     assert table.code.edge_coeffs[trivial_network().edges[0]] == (1,)
 
 
+def test_exhaustive_phase_seconds_have_the_rank_keys(gf3):
+    # the exhaustive engine times the same phases as the rank engine; it
+    # compiles nothing, and elapsed keeps covering the search and witness
+    solved = solve_scalar(choose_two_network(3), gf3,
+                          SearchOptions(strategy="exhaustive"))
+    unsolvable = solve_scalar(choose_two_network(5), gf3,
+                              SearchOptions(strategy="exhaustive"))
+    stopped = solve_scalar(choose_two_network(5), gf3,
+                           SearchOptions(strategy="exhaustive",
+                                         node_budget=5000))
+    assert [solved.status, unsolvable.status, stopped.status] == [
+        "solved", "exhausted-unsolvable", "budget-exceeded"]
+    for res in (solved, unsolvable, stopped):
+        phases = res.stats["phase_seconds"]
+        assert list(phases) == ["compile", "search", "witness", "verify"]
+        assert phases["compile"] == 0.0
+        assert min(phases.values()) >= 0.0
+    phases = solved.stats["phase_seconds"]
+    assert phases["witness"] > 0.0 and phases["verify"] > 0.0
+    assert solved.stats["elapsed"] == pytest.approx(
+        phases["search"] + phases["witness"], abs=1e-4)
+    for res in (unsolvable, stopped):
+        phases = res.stats["phase_seconds"]
+        assert phases["witness"] == phases["verify"] == 0.0
+        assert phases["search"] == res.stats["elapsed"]
+
+
 def test_exhaustive_decides_each_distinct_input_once(gf3):
     # choose-two(5) over GF(3): 59,049 assignments in 15 chunks; rows
     # whose receiver inputs repeat within a chunk reuse the first verdict
@@ -790,6 +817,36 @@ def test_sweep_node_budget_bounds_the_whole_sweep(monkeypatch):
                for v in stopped[1:])
     assert len(searched) == len(report.verdicts) - len(stopped) + 1
     assert searched[0] == 1500 and searched == sorted(searched, reverse=True)
+
+
+def test_a_candidate_refusal_spends_the_sweeps_node_budget():
+    # the ten fields below 16 take 51 nodes each; M_2(GF(2)) lists 651
+    # candidates a position, more than the 490 nodes left, so its search is
+    # refused before its first node and charged the rest of the budget:
+    # GF(17) and GF(19), which used to be searched and settled after it,
+    # are stopped unsearched like every larger ring
+    report = smallest_ring_search(dim_n_network(3), 64,
+                                  options=SearchOptions(node_budget=1000))
+    statuses = [v.status for v in report.verdicts]
+    first = statuses.index("budget-exceeded")
+    stop = report.verdicts[first]
+    assert stop.name == "M_2(GF(2))"
+    assert stop.method == "direct search as M_2(GF(2))"
+    assert set(statuses[first:]) == {"budget-exceeded"}
+    assert all(v.method == f"no node budget left for {v.name}"
+               for v in report.verdicts[first + 1:])
+    assert [v.name for v in report.verdicts[first + 1:first + 3]] == \
+        ["GF(17)", "GF(19)"]
+
+
+def test_a_candidate_refusal_spends_the_vector_node_budget(gf2):
+    # dim 1 settles in 51 nodes; M_2(GF(2)) at dim 2 is refused for its
+    # candidates, and dim 4's own M_4(GF(2)) search is then not started
+    res = solve_vector(dim_n_network(3), gf2, 4,
+                       SearchOptions(node_budget=300))
+    assert res.status == "budget-exceeded"
+    assert res.stats["method"] == "no node budget left for M_4(GF(2))"
+    assert res.stats["total_nodes"] == 300
 
 
 def test_a_quotient_search_shares_the_budget(z4):
