@@ -51,30 +51,31 @@ class LinearCode:
                 f"{len(self.decodings)} decodings)")
 
 
-def check_shape(net: Network, code: LinearCode) -> None:
+def check_shape(net: Network, code: LinearCode) -> list:
     """Arity and range validation of a code against its network, in one
-    pass over the edges and the decodings, each node's arity computed
-    once.  The range is tested over every coefficient at once first; only
-    a code with one outside the ring tests them slot by slot, so that the
-    first bad slot is the one reported."""
+    pass over the edges, in declaration order, and the decodings; returns
+    the edge coefficients as a list by edge id (networks module notes).
+    The range is tested over every coefficient at once first; only a code
+    with one outside the ring tests them slot by slot, so that the first
+    bad slot is the one reported."""
+    cn = net.compiled()
     n = code.module.ring.size
     edge_coeffs, decodings = code.edge_coeffs, code.decodings
     values = set().union(*edge_coeffs.values(), *decodings.values())
     outside = bool(values) and (min(values) < 0 or max(values) >= n)
-    arity = {}
-    for e in net.edges:
-        coeffs = edge_coeffs.get(e)
-        if coeffs is None:
+    coeffs = [None] * len(cn.edges)
+    for e, i in zip(net.edges, cn.ids):
+        got = edge_coeffs.get(e)
+        if got is None:
             raise ValueError(f"edge {e} has no coefficients")
-        want = arity.get(e.tail)
-        if want is None:
-            want = arity[e.tail] = len(net.inputs(e.tail))
-        if len(coeffs) != want:
-            raise ValueError(f"edge {e} expects {want} coefficients, got {len(coeffs)}")
-        if outside and any(not 0 <= c < n for c in coeffs):
+        want = len(cn.inputs[cn.tails[i]])
+        if len(got) != want:
+            raise ValueError(f"edge {e} expects {want} coefficients, got {len(got)}")
+        if outside and any(not 0 <= c < n for c in got):
             raise ValueError(f"edge {e} has coefficients outside the ring")
-    for r in net.receivers:
-        want = len(net.inputs(r))
+        coeffs[i] = got
+    for r, v, _ in cn.receivers:
+        want = len(cn.inputs[v])
         for m in net.demands[r]:
             d = decodings.get((r, m))
             if d is None:
@@ -84,6 +85,7 @@ def check_shape(net: Network, code: LinearCode) -> None:
                     f"decoding ({r}, {m}) expects {want} coefficients, got {len(d)}")
             if outside and any(not 0 <= c < n for c in d):
                 raise ValueError(f"decoding ({r}, {m}) leaves the ring")
+    return coeffs
 
 
 @dataclass
@@ -162,6 +164,12 @@ class _Rows:
         acc = np.concatenate(rows, axis=1) @ lmul.reshape(-1, lmul.shape[-1])
         return acc % self.ring.digit_moduli
 
+    def gather(self, inputs, edge_rows) -> list:
+        """The rows of int inputs (networks module notes), edge_rows by
+        edge id."""
+        units = self.units
+        return [edge_rows[x] if x >= 0 else units[~x] for x in inputs]
+
     def indices(self, rows) -> list[tuple[int, ...]]:
         """Index tuples of a list of rows."""
         if not self.digit:
@@ -175,36 +183,32 @@ def _same_digits(a, b) -> bool:
     return bool(np.array_equal(a, b))
 
 
-def _propagate(net: Network, code: LinearCode, rows: _Rows) -> dict:
-    """Per-edge rows, in topological order.  A node's input rows are
-    gathered once, for all its out-edges: its in-edges come before them."""
-    pos = {m: i for i, m in enumerate(net.message_names)}
-    units, combine, coeffs = rows.units, rows.combine, code.edge_coeffs
-    unital = rows.ring.unital
-    out = {}
+def _propagate(net: Network, code: LinearCode) -> tuple[_Rows, list]:
+    """The code's rows, checked by check_shape, and its per-edge rows by
+    edge id, in topological order.  A node's input rows are gathered once,
+    for all its out-edges: its in-edges come before them."""
+    coeffs = check_shape(net, code)
+    rows = _Rows(code, len(net.message_names))
+    cn = net.compiled()
+    if cn.edges and not rows.ring.unital:
+        # the first edge's tail reads messages, whose unit rows need a one
+        raise ValueError("symbolic rows need a unital ring; "
+                         "use semantic_verify for rngs")
+    combine = rows.combine
+    out = []
     inputs_of = {}     # node -> its input rows
-    for e in net.topo_edges():
-        in_rows = inputs_of.get(e.tail)
+    for e, tail in enumerate(cn.tails):
+        in_rows = inputs_of.get(tail)
         if in_rows is None:
-            in_rows = inputs_of[e.tail] = []
-            for kind, ref in net.inputs(e.tail):
-                if kind == "edge":
-                    in_rows.append(out[ref])
-                else:
-                    if not unital:
-                        raise ValueError("symbolic rows need a unital ring; "
-                                         "use semantic_verify for rngs")
-                    in_rows.append(units[pos[ref]])
-        out[e] = combine(coeffs[e], in_rows)
-    return out
+            in_rows = inputs_of[tail] = rows.gather(cn.inputs[tail], out)
+        out.append(combine(coeffs[e], in_rows))
+    return rows, out
 
 
 def transfer_vectors(net: Network, code: LinearCode) -> dict[Edge, tuple[int, ...]]:
     """Per-edge rows of ring coefficients, indexed by message order."""
-    check_shape(net, code)
-    rows = _Rows(code, len(net.message_names))
-    by_edge = _propagate(net, code, rows)
-    return dict(zip(by_edge, rows.indices(list(by_edge.values()))))
+    rows, by_edge = _propagate(net, code)
+    return dict(zip(net.compiled().edges, rows.indices(by_edge)))
 
 
 def verify_solution(net: Network, code: LinearCode) -> Verdict:
@@ -220,26 +224,24 @@ def verify_solution(net: Network, code: LinearCode) -> Verdict:
         raise ValueError(
             f"module is not faithful (annihilator {ann}); apply "
             "annihilator_quotient and verify the induced code")
-    check_shape(net, code)
+    rows, by_edge = _propagate(net, code)
+    cn = net.compiled()
     ring = code.module.ring
     msgs = net.message_names
-    pos = {m: i for i, m in enumerate(msgs)}
-    rows = _Rows(code, len(msgs))
-    by_edge = _propagate(net, code, rows)
     units, combine, same = rows.units, rows.combine, rows.same
     checks = {}
     failure = None
-    for r in net.receivers:
-        in_rows = [by_edge[ref] if kind == "edge" else units[pos[ref]]
-                   for kind, ref in net.inputs(r)]
-        for m in net.demands[r]:
-            got = combine(code.decodings[(r, m)], in_rows)
-            ok = same(got, units[pos[m]])
-            checks[(r, m)] = ok
+    for r, v, demand in cn.receivers:
+        in_rows = rows.gather(cn.inputs[v], by_edge)
+        for m in demand:
+            got = combine(code.decodings[(r, msgs[m])], in_rows)
+            ok = same(got, units[m])
+            checks[(r, msgs[m])] = ok
             if not ok and failure is None:
                 [decoded] = rows.indices([got])
-                failure = {"receiver": r, "message": m, "decoded_row": decoded,
-                           "expected_row": unit_row(pos[m], len(msgs), ring.one)}
+                failure = {"receiver": r, "message": msgs[m],
+                           "decoded_row": decoded,
+                           "expected_row": unit_row(m, len(msgs), ring.one)}
     return Verdict(all(checks.values()), checks, failure, "coefficient")
 
 
@@ -250,7 +252,8 @@ SEMANTIC_CHUNK = 1 << 15   # assignments evaluated at once
 def semantic_verify(net: Network, code: LinearCode) -> Verdict:
     """Ground-truth check: evaluate the code on every message assignment,
     SEMANTIC_CHUNK at a time; ValueError past SEMANTIC_CAP assignments."""
-    check_shape(net, code)
+    coeffs = check_shape(net, code)
+    cn = net.compiled()
     module = code.module
     G = module.group.size
     msgs = net.message_names
@@ -262,35 +265,36 @@ def semantic_verify(net: Network, code: LinearCode) -> Verdict:
     act = module.act_table()
     gadd = module.group.add_table()
     weights = [G ** (m - 1 - i) for i in range(m)]
-    topo = net.topo_edges()
     checks = {}
     failure = None
     for base in range(0, total, SEMANTIC_CHUNK):
         count = min(SEMANTIC_CHUNK, total - base)
         idx = np.arange(base, base + count, dtype=np.int64)
-        val = {name: (idx // weights[i]) % G for i, name in enumerate(msgs)}
-        rows = {}
-        for e in topo:
+        val = [(idx // w) % G for w in weights]
+        rows = []
+
+        def value(cs, inputs):
+            """What an edge or a decoding computes from its inputs."""
             acc = np.zeros(count, dtype=np.int64)
-            for c, (kind, ref) in zip(code.edge_coeffs[e], net.inputs(e.tail)):
-                src = rows[ref] if kind == "edge" else val[ref]
-                acc = gadd[acc, act[c, src]]
-            rows[e] = acc
-        for r in net.receivers:
-            inputs = net.inputs(r)
-            for msg in net.demands[r]:
-                acc = np.zeros(count, dtype=np.int64)
-                for c, (kind, ref) in zip(code.decodings[(r, msg)], inputs):
-                    src = rows[ref] if kind == "edge" else val[ref]
-                    acc = gadd[acc, act[c, src]]
-                ok = bool((acc == val[msg]).all())
-                checks[(r, msg)] = checks.get((r, msg), True) and ok
+            for c, x in zip(cs, inputs):
+                acc = gadd[acc, act[c, rows[x] if x >= 0 else val[~x]]]
+            return acc
+
+        for e, tail in enumerate(cn.tails):
+            rows.append(value(coeffs[e], cn.inputs[tail]))
+        for r, v, demand in cn.receivers:
+            for i in demand:
+                key = (r, msgs[i])
+                acc = value(code.decodings[key], cn.inputs[v])
+                ok = bool((acc == val[i]).all())
+                checks[key] = checks.get(key, True) and ok
                 if not ok and failure is None:
-                    bad = int((acc != val[msg]).argmax())
+                    bad = int((acc != val[i]).argmax())
                     failure = {
-                        "receiver": r, "message": msg,
-                        "assignment": {name: int(val[name][bad]) for name in msgs},
-                        "decoded": int(acc[bad]), "expected": int(val[msg][bad]),
+                        "receiver": r, "message": msgs[i],
+                        "assignment": {name: int(got[bad])
+                                       for name, got in zip(msgs, val)},
+                        "decoded": int(acc[bad]), "expected": int(val[i][bad]),
                     }
     return Verdict(all(checks.values()), checks, failure, "semantic")
 
@@ -374,11 +378,9 @@ def routing_code_dim_n(n: int, field):
             raise AssertionError(f"unexpected tail {tail}")
     for r, wanted in net.demands.items():
         t = tuples[r]
-        inputs = net.inputs(r)
         for k, msg in enumerate(wanted):  # msg = x_{k+1}_{t[k]}
             row = []
-            for kind, ref in inputs:
-                assert kind == "edge"
+            for ref in net.in_edges(r):   # a receiver owns no messages
                 if ref.tail == "z":
                     row.append(E[n - 1, k])
                 elif ref.tail == f"b{k + 1}":
@@ -425,10 +427,9 @@ def variable_rows(net: Network, code: LinearCode, var,
     module = code.module
     k = module.vector_dim
     msgs = net.message_names
-    pos = {m: i for i, m in enumerate(msgs)}
     width = k * len(msgs)
-    if isinstance(var, str) and var in pos:
-        base = pos[var] * k
+    if isinstance(var, str) and var in msgs:
+        base = msgs.index(var) * k
         return [tuple(1 if j == base + a else 0 for j in range(width))
                 for a in range(k)]
     edge = var if isinstance(var, Edge) else Edge(*var)

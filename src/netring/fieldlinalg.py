@@ -10,9 +10,7 @@ Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
 first operand's basis, which is already reduced, and eliminate only the
 second operand's rows against it; ``canon_space``/``rref2`` are the same
 routine started from the zero space.  ``rref`` also tracks the combination of
-input rows behind each basis row; only ``solve_row`` and ``rank`` pay for it,
-and ``solve_row`` takes it precomputed so that one elimination serves every
-target over the same rows.
+input rows behind each basis row; only ``rank`` pays for it.
 """
 from __future__ import annotations
 
@@ -159,36 +157,7 @@ def space_sum(ops: FieldOps, a, b):
     return tuple(basis)
 
 
-def solve_row(ops: FieldOps, rows, target, reduced=None):
-    """Coefficients expressing target as a combination of rows, or None.
-    reduced is rref(ops, rows) when the caller has it, so that several
-    targets over one stack share one elimination."""
-    basis, transform, pivots = reduced or rref(ops, rows)
-    combo = tuple(0 for _ in rows)
-    for b, t, p in zip(basis, transform, pivots):
-        c = target[p]
-        if c:
-            target = row_sub_scaled(ops, target, b, c)
-            mc = ops.mul[c]
-            combo = tuple(ops.add[x][mc[y]] for x, y in zip(combo, t))
-    if any(target):
-        return None
-    return combo
-
-
 # ---- packed GF(2) rows: ints, one bit per column, bit 0 = column 0 ----
-
-def pack2(row) -> int:
-    acc = 0
-    for j, x in enumerate(row):
-        if x:
-            acc |= 1 << j
-    return acc
-
-
-def unpack2(packed: int, width: int):
-    return tuple((packed >> j) & 1 for j in range(width))
-
 
 def rref2(rows):
     """Echelon basis of packed rows, sorted by pivot (low bit first)."""

@@ -7,6 +7,15 @@ declaration order; every coefficient list in a linear code is aligned with
 that order, so it is fixed here once and used everywhere.  Generator node ids
 zero-pad numeric suffixes so that the string sort agrees with numeric order.
 
+The searches, the witnesses, the verifiers and the cut bound all walk
+that same thing, each node's inputs, so a network compiles once, on first
+use (Network.compiled), to ints that all of them read.  An edge's id is its position in topo_edges().
+An input is an int: the id of the in-edge it is, or ~m for the m-th
+message of message_names.  Per node the compiled form lists its inputs in
+that order and the ids of its in- and out-edges; per receiver, its
+demands as message indices.  Edges and names stay at the boundary: codes
+are keyed by Edge, and results name nodes and messages.
+
 cut_deficit checks the cut-set bound, which no code over any alphabet of
 two or more symbols can beat: a receiver decodes the messages owned in a
 set of nodes O only if every cut between O and the receiver has at least
@@ -54,11 +63,12 @@ class Network:
         self._owned = {v: [m for (m, owner) in self.messages if owner == v]
                        for v in self.nodes}
         # a network is never changed after construction, so the orders,
-        # inputs, issues, cut-set deficit and the rank search's compiled
-        # shapes (solver._Shape, one per forwarding setting) are computed
-        # once; a cycle is not cached and raises again
+        # inputs, issues, compiled form, cut-set deficit and the rank
+        # search's compiled shapes (solver._Shape, one per forwarding
+        # setting) are computed once; a cycle is not cached and raises again
         self._inputs = {}
         self._topo_nodes = self._topo_edges = self._issues = None
+        self._compiled = None
         self._deficit = _UNSET
         self._shapes = {}
 
@@ -80,11 +90,9 @@ class Network:
     def out_edges(self, node: str):
         return tuple(self._out[node])
 
-    def owned_messages(self, node: str):
-        return tuple(self._owned[node])
-
     def inputs(self, node: str):
-        """The node's inputs: ("edge", Edge) then ("message", name) entries."""
+        """The node's inputs: ("edge", Edge) then ("message", name)
+        entries; compiled() holds them as ints (module notes)."""
         out = self._inputs.get(node)
         if out is None:
             out = self._inputs[node] = (
@@ -122,6 +130,45 @@ class Network:
                 self.edges,
                 key=lambda e: (rank[e.tail], e.tail, e.ordinal, e.head)))
         return self._topo_edges
+
+    def compiled(self) -> "Compiled":
+        """The network as ints (module notes), built on first use."""
+        if self._compiled is None:
+            self._compiled = Compiled(self)
+        return self._compiled
+
+
+class Compiled:
+    """A network as ints (module notes); a cycle raises ValueError.
+
+    edges:         the edges in topological order; an edge's id is its index.
+    ids:           per edge of Network.edges, in declaration order, its id.
+    index:         node -> its index in Network.nodes.
+    tails, heads:  per edge id, the indices of its end nodes.
+    into, out_of:  per node index, the ids of its in-edges (in inputs()
+                   order) and of its out-edges (by head, then ordinal).
+    inputs:        per node index, its inputs: its in-edges' ids, then ~m
+                   for each message m it owns.
+    receivers:     (name, node index, demanded message indices) per
+                   receiver, by name.
+    """
+
+    def __init__(self, net: Network):
+        edges = self.edges = net.topo_edges()
+        # by identity, which hashes an int and not the Edge's fields: the
+        # orders and the in- and out-lists hold the objects of net.edges
+        at = {id(e): i for i, e in enumerate(edges)}
+        self.ids = [at[id(e)] for e in net.edges]
+        index = self.index = {v: i for i, v in enumerate(net.nodes)}
+        mpos = {m: i for i, m in enumerate(net.message_names)}
+        self.tails = [index[e.tail] for e in edges]
+        self.heads = [index[e.head] for e in edges]
+        self.into = [[at[id(e)] for e in net._in[v]] for v in net.nodes]
+        self.out_of = [[at[id(e)] for e in net._out[v]] for v in net.nodes]
+        self.inputs = [tuple(into + [~mpos[m] for m in net._owned[v]])
+                       for v, into in zip(net.nodes, self.into)]
+        self.receivers = [(r, index[r], tuple([mpos[m] for m in ms]))
+                          for r, ms in sorted(net.demands.items())]
 
 
 def validate_network(net: Network) -> list[str]:
@@ -213,56 +260,38 @@ def cut_deficit(net: Network):
 
 
 def _first_deficit(net: Network):
-    owner = dict(net.messages)
-    graph = None
-    for r in net.receivers:
+    cn = net.compiled()
+    owner = [cn.index[o] for (_, o) in net.messages]
+    for r, t, demand in cn.receivers:
         # a message the receiver owns itself needs no edge
-        wanted = [m for m in dict.fromkeys(net.demands[r]) if owner[m] != r]
+        wanted = [m for m in dict.fromkeys(demand) if owner[m] != t]
         if len(wanted) < 2:
             continue    # validation found a path for a lone message
-        if graph is None:
-            graph = _int_graph(net)
-        index = graph[0]
         spare = {}      # owner -> messages of r it has not sent yet
         for m in wanted:
-            o = index[owner[m]]
-            spare[o] = spare.get(o, 0) + 1
-        reached = _cut_side(index[r], spare, len(wanted), graph)
+            spare[owner[m]] = spare.get(owner[m], 0) + 1
+        reached = _cut_side(t, spare, len(wanted), cn)
         if reached is not None:
-            tails, into = graph[1], graph[3]
-            cut = [e for u in reached for e in into[u]
-                   if tails[e] not in reached]
-            owners = {net.nodes[o] for o in spare if o not in reached}
-            return (r, tuple(sorted(owners)),
-                    tuple(m for m in wanted if owner[m] in owners),
-                    tuple(sorted(net.edges[e] for e in cut)))
+            cut = [e for u in reached for e in cn.into[u]
+                   if cn.tails[e] not in reached]
+            short = {o for o in spare if o not in reached}
+            return (r, tuple(sorted(net.nodes[o] for o in short)),
+                    tuple(net.message_names[m] for m in wanted
+                          if owner[m] in short),
+                    tuple(sorted(cn.edges[e] for e in cut)))
     return None
 
 
-def _int_graph(net: Network):
-    """Node index, and per edge id its tail and head; per node index the
-    ids of its in- and out-edges."""
-    index = {v: i for i, v in enumerate(net.nodes)}
-    tails = [index[e.tail] for e in net.edges]
-    heads = [index[e.head] for e in net.edges]
-    into = [[] for _ in net.nodes]
-    out_of = [[] for _ in net.nodes]
-    for e, (a, b) in enumerate(zip(tails, heads)):
-        out_of[a].append(e)
-        into[b].append(e)
-    return index, tails, heads, into, out_of
-
-
-def _cut_side(t: int, spare: dict, want: int, graph):
+def _cut_side(t: int, spare: dict, want: int, cn: Compiled):
     """Augment unit flow into t from owners with spare units until want
     units arrive: None then, else the nodes that can still reach t in the
     residual graph.  Paths grow backwards from t, so only its ancestors
     are visited; used marks the edges that carry flow."""
-    _, tails, heads, into, out_of = graph
+    tails, heads = cn.tails, cn.heads
     used = bytearray(len(tails))
     for _ in range(want):
         via = {t: -1}       # node -> edge of its residual arc towards t
-        src = _residual_path(t, via, spare, used, graph)
+        src = _residual_path(t, via, spare, used, cn)
         if src is None:
             return via
         spare[src] -= 1
@@ -274,11 +303,11 @@ def _cut_side(t: int, spare: dict, want: int, graph):
     return None
 
 
-def _residual_path(t: int, via: dict, spare: dict, used, graph):
+def _residual_path(t: int, via: dict, spare: dict, used, cn: Compiled):
     """Breadth-first search backwards from t over residual arcs w -> u (an
     unused edge w -> u, or a used edge u -> w to cancel), filling via; the
     first owner met with a spare unit, or None."""
-    _, tails, heads, into, out_of = graph
+    tails, heads, into, out_of = cn.tails, cn.heads, cn.into, cn.out_of
     queue = [t]
     for u in queue:
         for e in into[u]:

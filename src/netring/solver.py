@@ -140,30 +140,30 @@ reached with nothing left is "budget-exceeded" without a search.
   stats["backjumps"] counts the jumps that skip at least one position.
   Half of this depends on the network alone, and a sweep, a vector search
   or a quotient route searches one network over field after field.  So
-  that half is compiled once per network and forwarding setting into a
-  _Shape kept on the Network: the plan, the bundles and their edge
-  counts, each tail and receiver check as (message set, positions) with
-  message sets as bitmasks, the demands, the schedule of checks and the
-  masks they read, the claimable positions with their messages and
-  swaps, and the twin maps.  Each search over M_k(GF(q)) then only maps
-  every message set to the id of its span, sets the caps (c k) and the
-  generators of each claimed position's orbit group, and walks.  The span of a message set is a coordinate subspace, so
-  equal ids are equal sets, and the walk, its counts and its witness are
-  those of a search that compiled the network afresh.  The field enters
-  the claims only through whether G_B is trivial (GF(2) with k = 1, where
-  only positions with swaps and no twin are claimed), so the shape keeps
-  two twin maps, the one with nothing claimed and the one with every
-  claimable position claimed, each built by _twins on first use, and the
-  swaps of each claimable position, found once by _swaps.
+  that half is compiled once per network and forwarding setting, from
+  the network's compiled form (networks module notes), into a _Shape
+  kept on the Network: the plan, the bundles and their edge counts, each
+  tail and receiver check as (message set, positions) with message sets
+  as bitmasks, the demands, the schedule of checks and the masks they
+  read, the claimable positions with their messages and swaps, and the
+  twin maps.  Each search over M_k(GF(q)) then only maps every message
+  set to the id of its span, sets the caps (c k) and the generators of
+  each claimed position's orbit group, and walks.  The span of a message
+  set is a coordinate subspace, so equal ids are equal sets, and the
+  walk, its counts and its witness are those of a search that compiled
+  the network afresh.  The field enters the claims only through whether
+  G_B is trivial (GF(2) with k = 1, where only positions with swaps and
+  no twin are claimed), so the shape keeps two twin maps, the one with
+  nothing claimed and the one with every claimable position claimed,
+  each built by _twins on first use, and the swaps of each claimable
+  position, found once by _swaps.
   stats["shape"] says whether the search "built" its shape or "reused"
   it, and stats["phase_seconds"] times the compile (the shape and a twin
   map not built before; 0.0 when nothing was built), the search, the
   witness and its verification.
-  The witness turns the subspace assignment into coefficients.  Its
-  network half, a _WitnessPlan kept on the shape and built on first use,
-  gives each searched and free edge a slot and every input an int (the
-  slot of the edge it is or forwards, or a message), and lists each
-  node's inputs, each free edge's lift and each receiver's demands.  Per
+  The witness turns the subspace assignment into coefficients.  It reads
+  each node's inputs as the plan's stacks give them, followed through
+  forwarding to the searched or free edge or the message they carry.  Per
   field, each node's input rows are eliminated once into reduced echelon
   form, every basis row carrying the combination of input rows behind it
   (on the search's packed ints over GF(2), whatever k), and a target's
@@ -177,7 +177,8 @@ reached with nothing left is "budget-exceeded" without a search.
   are taken in order and each one in the span of those before is dropped,
   so a combination is the unique one over the independent rows with zero
   on the dependent ones, which is what the earlier construction by
-  fl.rref and fl.solve_row gave too (tests/test_rank_witness.py keeps it).
+  fl.rref and a solve per target gave too (tests/test_rank_witness.py
+  keeps it).
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -353,67 +354,90 @@ class _Allowance:
 # edge classification, shared by both strategies
 
 class _Plan:
-    """Edges split into forwarding, receiver-free and searched groups.
+    """Edges, by id (networks.Compiled), split into forwarding,
+    receiver-free and searched groups.
 
     normalized: edge -> the input of its tail that it forwards (module
                 notes: a bundle of c parallel edges out of a node with at
                 most c inputs forwards them, its i-th edge the i-th input,
                 cycling when c is larger).
     forward_at: edge -> (the index of that input, its tail's input count).
-    local_of:   receiver -> edges whose value only that receiver sees and
-                that can therefore be chosen while checking it.
+    local_of:   receiver node -> edges whose value only that receiver sees
+                and that can therefore be chosen while checking it, when
+                joint_cap(those edges, their coefficient count) allows.
     outer:      everything else, in topological order; these carry the
                 search variables.
+    stacks:     node -> its inputs through forwarding (stack).
     """
 
     def __init__(self, net: Network, opts: SearchOptions, joint_cap=None):
-        receivers = set(net.receivers)
+        cn = self.compiled = net.compiled()
+        receivers = {v for _, v, _ in cn.receivers}
         self.normalized = {}
         self.forward_at = {}
         candidates = {}
         outer = []
         parallel = {}      # tail of 2+ inputs -> head -> edges, by ordinal
-        for e in net.topo_edges():
-            ins = net.inputs(e.tail)
+        for e, (tail, head) in enumerate(zip(cn.tails, cn.heads)):
+            ins = cn.inputs[tail]
             if opts.normalize_forwarding and len(ins) == 1:
                 self.normalized[e] = ins[0]
                 self.forward_at[e] = 0, 1
                 continue
             if opts.normalize_forwarding and ins:
-                if e.tail not in parallel:
+                if tail not in parallel:
                     # out-edges come sorted by head, then ordinal
-                    by_head = parallel[e.tail] = {}
-                    for f in net.out_edges(e.tail):
-                        by_head.setdefault(f.head, []).append(f)
-                bundle = parallel[e.tail][e.head]
+                    by_head = parallel[tail] = {}
+                    for f in cn.out_of[tail]:
+                        by_head.setdefault(cn.heads[f], []).append(f)
+                bundle = parallel[tail][head]
                 if len(ins) <= len(bundle):
                     j = bundle.index(e) % len(ins)
                     self.normalized[e] = ins[j]
                     self.forward_at[e] = j, len(ins)
                     continue
-            if e.head in receivers and not net.out_edges(e.head):
-                candidates.setdefault(e.head, []).append(e)
+            if head in receivers and not cn.out_of[head]:
+                candidates.setdefault(head, []).append(e)
             else:
                 outer.append(e)
         self.local_of = {}
-        spill = set()
         for r, edges in candidates.items():
-            if joint_cap is not None and not joint_cap(edges):
-                spill.update(edges)
+            if joint_cap is not None and not joint_cap(edges,
+                                                       self.arity(edges)):
+                outer += edges
             else:
                 self.local_of[r] = edges
-        if spill:
-            keep = set(outer) | spill
-            outer = [e for e in net.topo_edges() if e in keep]
-        self.outer = outer
-        self.local_edges = {e for edges in self.local_of.values() for e in edges}
+        self.outer = sorted(outer)
+        self.stacks = {}
 
-    def forwarding(self, one) -> dict:
-        """Each forwarding edge's coefficients: one at the input it
-        forwards, zero (index 0 in every ring) elsewhere."""
+    def stack(self, v: int) -> tuple:
+        """Node v's inputs, each followed through forwarding edges to a
+        message or an edge that does not forward, kept on first use."""
+        got = self.stacks.get(v)
+        if got is None:
+            got = []
+            for x in self.compiled.inputs[v]:
+                while x >= 0 and x in self.normalized:
+                    x = self.normalized[x]
+                got.append(x)
+            got = self.stacks[v] = tuple(got)
+        return got
+
+    def arity(self, edges) -> int:
+        """The coefficients the edges take: their tails' inputs."""
+        cn = self.compiled
+        return sum(len(cn.inputs[cn.tails[e]]) for e in edges)
+
+    def forwarding(self, one) -> list:
+        """Coefficients by edge id: for each forwarding edge one at the
+        input it forwards and zero (index 0 in every ring) elsewhere, None
+        for every other edge."""
         patterns = {at: tuple(one if i == at[0] else 0 for i in range(at[1]))
                     for at in set(self.forward_at.values())}
-        return {e: patterns[at] for e, at in self.forward_at.items()}
+        out = [None] * len(self.compiled.edges)
+        for e, at in self.forward_at.items():
+            out[e] = patterns[at]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -797,21 +821,20 @@ class _Shape:
                     claimed (True) or none (False), built by twin_map.
     message_sets:   every nonzero message set above, for a search to map
                     to the ids of their spans.
-    witness:        the _WitnessPlan, built by witness_plan.
     """
 
     def __init__(self, net: Network, opts: SearchOptions):
         self.msgs = net.message_names
-        mpos = self.mpos = {m: i for i, m in enumerate(self.msgs)}
         # the rank receiver check handles one free edge exactly; several
         # free edges at one receiver go back into the searched set instead
         plan = self.plan = _Plan(net, opts,
-                                 joint_cap=lambda edges: len(edges) == 1)
+                                 joint_cap=lambda edges, _: len(edges) == 1)
+        cn = plan.compiled
         # a bundle of c parallel searched edges is one position: downstream
         # sees only the sum of its edges, a subspace of dimension at most c k
         grouped = {}
         for e in plan.outer:
-            grouped.setdefault((e.tail, e.head), []).append(e)
+            grouped.setdefault((cn.tails[e], cn.heads[e]), []).append(e)
         bundles = self.bundles = list(grouped.values())
         pos = {e: i for i, bundle in enumerate(bundles) for e in bundle}
         self.sizes = [len(bundle) for bundle in bundles]
@@ -819,21 +842,19 @@ class _Shape:
 
         sets = self.message_sets = set()
 
-        def sources(inputs):
-            """Inputs resolved through forwarding chains: the messages
-            among them and the searched positions."""
+        def sources(v, skip=None):
+            """Node v's inputs but skip, through forwarding chains: the
+            messages among them and the searched positions."""
             const, at = 0, set()
-            for kind, val in inputs:
-                while kind == "edge" and val not in pos:
-                    kind, val = plan.normalized[val]
-                if kind == "message":
-                    const |= 1 << mpos[val]
-                else:
-                    at.add(pos[val])
+            for x in plan.stack(v):
+                if x < 0:
+                    const |= 1 << ~x
+                elif x != skip:
+                    at.add(pos[x])
             sets.add(const)
             return const, tuple(sorted(at))
 
-        tails = self.tails = [sources(net.inputs(bundle[0].tail))
+        tails = self.tails = [sources(cn.tails[bundle[0]])
                               for bundle in bundles]
         self.tail_reads = [_mask(at) for _, at in tails]
 
@@ -841,17 +862,14 @@ class _Shape:
         # and with a free edge its dimension test also right after the
         # last fixed one
         checks, reads, ready = self.checks, self.reads, self.ready = [], [], {}
-        for r in net.receivers:
+        for _, r, demanded in cn.receivers:
             free_edge = self.local_one.get(r)
-            fixed = sources(inp for inp in net.inputs(r)
-                            if inp != ("edge", free_edge))
+            fixed = sources(r, free_edge)
             free = (None if free_edge is None
-                    else sources(net.inputs(free_edge.tail)))
+                    else sources(cn.tails[free_edge]))
             fixed_reads = _mask(fixed[1])
             all_reads = fixed_reads | (_mask(free[1]) if free else 0)
-            demand = 0
-            for m in net.demands[r]:
-                demand |= 1 << mpos[m]
+            demand = _mask(demanded)
             sets.add(demand)
             # the deepest position read, -1 for none
             depth, first = (all_reads.bit_length() - 1,
@@ -873,7 +891,6 @@ class _Shape:
                                        if const >> m & 1]))
         self.swaps = _swaps(tails, checks, self.claimable)
         self.twin_maps = {}
-        self.witness = None
 
     def twin_map(self, claimed: bool) -> dict:
         """The twin map with every claimable position claimed, or none,
@@ -884,71 +901,6 @@ class _Shape:
                 self.tails, self.sizes, self.checks,
                 {i for i, _ in self.claimable} if claimed else ())
         return got
-
-    def witness_plan(self, net: Network) -> "_WitnessPlan":
-        """The witness's half that depends on the network alone, built on
-        first use."""
-        if self.witness is None:
-            self.witness = _WitnessPlan(net, self)
-        return self.witness
-
-
-class _WitnessPlan:
-    """How a rank witness reads the network (module notes).  Each searched
-    and each free edge has a slot for its rows; an input is an int, the
-    slot of the searched or free edge it is or forwards, however long the
-    chain, or ~m for message m.
-
-    searched:   (edge, position, piece) per searched edge, by slot: its
-                rows are its bundle's basis rows piece k .. piece k + k - 1.
-    lifts:      (edge, slot, its receiver's other inputs, its tail's
-                inputs, the messages the receiver demands) per free edge.
-    stacks:     node -> (its inputs, whether they are all messages), for
-                each tail of a searched or free edge and each receiver;
-                a node's messages are distinct, the inputs it forwards
-                need not be.
-    decodes:    (receiver, [((receiver, message), message index)]) per
-                receiver with demands.
-    """
-
-    def __init__(self, net: Network, shape: _Shape):
-        plan, mpos = shape.plan, shape.mpos
-        self.searched = [(e, i, a) for i, bundle in enumerate(shape.bundles)
-                         for a, e in enumerate(bundle)]
-        ref = {e: s for s, (e, _, _) in enumerate(self.searched)}
-        for e in shape.local_one.values():
-            ref[e] = len(ref)
-        self.slots = len(ref)
-        for e, (kind, val) in plan.normalized.items():   # topological
-            ref[e] = ~mpos[val] if kind == "message" else ref[val]
-
-        def refs(inputs):
-            return tuple([~mpos[val] if kind == "message" else ref[val]
-                          for kind, val in inputs])
-
-        stacks = self.stacks = {}
-
-        def stack(v):
-            got = stacks.get(v)
-            if got is None:
-                # a node's inputs are its in-edges, then its messages
-                got = stacks[v] = refs(net.inputs(v)), not net.in_edges(v)
-            return got[0]
-
-        for bundle in shape.bundles:
-            stack(bundle[0].tail)
-        self.lifts = [(free, ref[free],
-                       refs(inp for inp in net.inputs(r)
-                            if inp != ("edge", free)),
-                       stack(free.tail),
-                       tuple(mpos[m] for m in net.demands[r]))
-                      for r, free in shape.local_one.items()]
-        self.decodes = []
-        for r in net.receivers:
-            if net.demands[r]:
-                stack(r)
-                self.decodes.append((r, [((r, m), mpos[m])
-                                         for m in net.demands[r]]))
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
@@ -1084,7 +1036,9 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     def orbit_leaders(cands, gens):
         """The candidates that are the least echelon form of their orbit.
         An orbit is found, by search under the generators, when the first
-        of its members is met."""
+        of its members is met; the search reads the clock every 1,024
+        images, as candidates does every 1,024 forms."""
+        images = 0
         for s in cands:
             lead = leads.get(s)
             if lead is None:
@@ -1096,6 +1050,11 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                         if t not in orbit:
                             orbit.add(t)
                             grow.append(t)
+                    images += len(gens)
+                    if deadline is not None and images >= 1024:
+                        images = 0
+                        if time.perf_counter() > deadline:
+                            raise _Budget("time budget exhausted")
                 first = min(orbit, key=spaces.__getitem__)
                 for t in orbit:
                     leads[t] = t == first
@@ -1252,11 +1211,11 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
 def _rank_witness(net, ring, k, alg, shape, bases):
     """Turn a passing subspace assignment, bases[i] the echelon basis of
     position i, into explicit coefficients (module notes)."""
-    wp = shape.witness_plan(net)
+    plan, cn = shape.plan, net.compiled()
     zero = alg.zero
     msg_rows = [[alg.unit(m * k + a) for a in range(k)]
                 for m in range(len(shape.msgs))]
-    rows = [None] * wp.slots   # slot -> its k rows
+    rows = [None] * len(cn.edges)   # searched or free edge -> its k rows
 
     def rows_of(refs):
         out = []
@@ -1268,17 +1227,21 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         return list(basis) + [zero] * (k - len(basis))
 
     # a bundle's basis, at most c k rows, split k rows to an edge
-    for s, (_, i, a) in enumerate(wp.searched):
-        rows[s] = padded(bases[i][a * k:(a + 1) * k])
+    for i, bundle in enumerate(shape.bundles):
+        for a, e in enumerate(bundle):
+            rows[e] = padded(bases[i][a * k:(a + 1) * k])
 
     # what each receiver's free edge carries: lifts into the free edge's
     # tail of a basis of the demands modulo the fixed inputs.  The demanded
     # unit rows outside the growing span of the fixed inputs and the rows
     # kept so far form that basis; each is written over the fixed and the
     # tail rows, and the tail rows' part is its lift, carried as the tag
-    for _, s, fixed, tail, demand in wp.lifts:
-        fixed_rows = rows_of(fixed)
-        tail_rows = rows_of(tail)
+    for _, r, demand in cn.receivers:
+        e = shape.local_one.get(r)
+        if e is None:
+            continue
+        fixed_rows = rows_of(x for x in plan.stack(r) if x != e)
+        tail_rows = rows_of(plan.stack(cn.tails[e]))
         base = alg.eliminate(fixed_rows, [zero] * len(fixed_rows))
         span = dict(base)
         reps = []
@@ -1291,7 +1254,7 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         parts = [alg.unit_tag(both, j) for j in reps]
         if None in parts:
             raise RuntimeError("free-edge lift failed for a checked receiver")
-        rows[s] = padded(alg.canon(parts))
+        rows[e] = padded(alg.canon(parts))
 
     # each node's input rows are eliminated once, for its out-edges and its
     # demands alike, and a target's combination of them read off the tags;
@@ -1303,9 +1266,9 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         or the unit rows at the target coordinates, as entry tuples."""
         got = solved.get(node)
         if got is None:
-            refs, msg_only = wp.stacks[node]
+            refs = plan.stack(node)
             n = k * len(refs)
-            if msg_only:
+            if not cn.into[node]:       # messages only
                 got = n, None, [~x * k + b for x in refs for b in range(k)]
             else:
                 got = n, alg.eliminate(rows_of(refs)), None
@@ -1332,32 +1295,31 @@ def _rank_witness(net, ring, k, alg, shape, bases):
                       for i in range(0, len(got[a]), k))
                 for a in range(0, len(got), k)]
 
-    edge_coeffs = shape.plan.forwarding(ring.one)
-    for s, (e, _, _) in enumerate(wp.searched):
-        [edge_coeffs[e]] = coefficients(combos(e.tail, rows[s], False))
-    for e, s, *_ in wp.lifts:
-        [edge_coeffs[e]] = coefficients(combos(e.tail, rows[s], False))
+    coeffs = plan.forwarding(ring.one)
+    for e, got in enumerate(rows):    # the searched and free edges
+        if got is not None:
+            [coeffs[e]] = coefficients(combos(cn.tails[e], got, False))
     decodings = {}
-    for r, demands in wp.decodes:
-        got = coefficients(combos(r, [j for _, m in demands
+    for name, r, demand in cn.receivers:
+        if not demand:
+            continue
+        got = coefficients(combos(r, [j for m in demand
                                       for j in range(m * k, m * k + k)], True))
-        for (key, _), c in zip(demands, got):
-            decodings[key] = c
-    return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
+        for m, c in zip(demand, got):
+            decodings[(name, net.message_names[m])] = c
+    return LinearCode(_modules.scalar_module(ring),
+                      dict(zip(cn.edges, coeffs)), decodings)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive strategy: lexicographic coefficient enumeration
 
 def _table_slots(net: Network, size: int, opts: SearchOptions):
-    """The exhaustive plan and its searched (edge, input) coefficient slots."""
-    def joint_cap(edges):
-        slots = sum(len(net.inputs(e.tail)) for e in edges)
-        return size ** slots <= LOCAL_BUDGET
-
-    plan = _Plan(net, opts, joint_cap=joint_cap)
-    return plan, [(e, j) for e in plan.outer
-                  for j in range(len(net.inputs(e.tail)))]
+    """The exhaustive plan and its number of searched coefficient slots:
+    one per input of each searched edge's tail, edge by edge."""
+    plan = _Plan(net, opts,
+                 joint_cap=lambda _, slots: size ** slots <= LOCAL_BUDGET)
+    return plan, plan.arity(plan.outer)
 
 
 @lru_cache(maxsize=None)
@@ -1447,12 +1409,6 @@ def _decodable(tuples, mulT, addT, one: int, targets,
     return ok
 
 
-def _local_slots(net: Network, plan, r: str):
-    """The (edge, input) coefficient slots of a receiver's local edges."""
-    return [(e, j) for e in plan.local_of.get(r, [])
-            for j in range(len(net.inputs(e.tail)))]
-
-
 def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                  deadline: Optional[float], planned=None) -> SolveResult:
     """Enumerate at most budget assignments of the coefficient space,
@@ -1467,34 +1423,33 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     size = ring.size
     addT = np.ascontiguousarray(ring.add_table(), dtype=np.int32)
     mulT = np.ascontiguousarray(ring.mul_table(), dtype=np.int32)
-    msgs = net.message_names
-    m = len(msgs)
-    mpos = {name: i for i, name in enumerate(msgs)}
-    plan, slots = planned or _table_slots(net, size, opts)
-    for r in net.receivers:
-        if size ** len(net.inputs(r)) > DECODE_BUDGET:
+    cn = net.compiled()
+    m = len(net.message_names)
+    plan, nslots = planned or _table_slots(net, size, opts)
+    for r, v, _ in cn.receivers:
+        t = len(cn.inputs[v])
+        if size ** t > DECODE_BUDGET:
             return SolveResult("budget-exceeded", None, {
                 "strategy": "exhaustive", "reason":
-                    f"receiver {r} has {len(net.inputs(r))} inputs; decode "
+                    f"receiver {r} has {t} inputs; decode "
                     f"enumeration exceeds DECODE_BUDGET ({DECODE_BUDGET})"})
 
-    slot_pos = {key: i for i, key in enumerate(slots)}
-    nslots = len(slots)
     total = size ** nslots
     weights = [size ** (nslots - 1 - i) for i in range(nslots)]
     lo = total * opts.shard_index // opts.shards
     hi = total * (opts.shard_index + 1) // opts.shards
 
-    unit_rows = {name: np.array([ring.one if j == mpos[name] else 0
-                                 for j in range(m)], dtype=np.int32)
-                 for name in msgs}
+    # message i's unit row, as a (1, m) array
+    unit_rows = np.eye(m, dtype=np.int32)[:, None, :] * np.int32(ring.one)
 
     stats = {"strategy": "exhaustive", "ring_size": size,
              "slots": nslots, "space": total, "assignments": 0,
              "receiver_checks": 0, "memo_hits": 0}
 
-    topo = net.topo_edges()
-    receivers = [r for r in net.receivers if net.demands[r]]
+    # each receiver with demands, its local edges and their slot count
+    receivers = [(r, v, demand, plan.local_of.get(v, []),
+                  plan.arity(plan.local_of.get(v, ())))
+                 for r, v, demand in cn.receivers if demand]
 
     def searched():
         """Close the search phase: elapsed and the phase times so far (the
@@ -1519,57 +1474,53 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
         idx = np.arange(c0, c0 + n, dtype=np.int64)
         cols = [((idx // w) % size).astype(np.int32) for w in weights]
 
-        rows = {}
+        rows = [None] * len(cn.edges)
 
-        def input_rows(inp):
-            if inp[0] == "message":
-                return unit_rows[inp[1]].reshape(1, m)
-            return rows[inp[1]]
+        def input_rows(x):
+            return rows[x] if x >= 0 else unit_rows[~x]
 
-        for e in topo:
-            if e in plan.local_edges:
-                continue
-            if e in plan.normalized:
-                rows[e] = input_rows(plan.normalized[e])
-                continue
+        # the searched edges' slots come edge by edge, in topological
+        # order; a forwarding edge's rows are those of what it forwards
+        col = 0
+        for e in plan.outer:
             acc = None
-            for j, inp in enumerate(net.inputs(e.tail)):
-                c = cols[slot_pos[(e, j)]][:, None]
-                term = mulT[c, input_rows(inp)]
+            for x in plan.stack(cn.tails[e]):
+                term = mulT[cols[col][:, None], input_rows(x)]
+                col += 1
                 acc = term if acc is None else addT[acc, term]
             rows[e] = acc
 
         alive = np.arange(n)
         picks = {}
-        for r in receivers:
+        for r, v, demand, local, nlocal in receivers:
             if alive.size == 0:
                 break
-            lslots = _local_slots(net, plan, r)
-            lcount = size ** len(lslots)
-            lcols = [((np.arange(lcount) // size ** (len(lslots) - 1 - i))
-                      % size).astype(np.int32) for i in range(len(lslots))]
+            lcount = size ** nlocal
+            lcols = [((np.arange(lcount) // size ** (nlocal - 1 - i))
+                      % size).astype(np.int32) for i in range(nlocal)]
 
             def take(arr):
                 return arr if arr.shape[0] == 1 else arr[alive]
 
             local_rows = {}
-            for e in plan.local_of.get(r, []):
+            col = 0
+            for e in local:
                 acc = None
-                for j, inp in enumerate(net.inputs(e.tail)):
-                    c = lcols[lslots.index((e, j))][None, :, None]
-                    term = mulT[c, take(input_rows(inp))[:, None, :]]
+                for x in plan.stack(cn.tails[e]):
+                    c = lcols[col][None, :, None]
+                    col += 1
+                    term = mulT[c, take(input_rows(x))[:, None, :]]
                     acc = term if acc is None else addT[acc, term]
                 local_rows[e] = acc
 
-            arr_list = [local_rows[inp[1]] if inp[1] in local_rows
-                        else take(input_rows(inp))[:, None, :]
-                        for inp in net.inputs(r)]
+            arr_list = [local_rows[x] if x in local_rows
+                        else take(input_rows(x))[:, None, :]
+                        for x in plan.stack(v)]
             # each distinct input tuple is decided once per chunk
             tuples, inv = _distinct_inputs(arr_list, (alive.size, lcount),
                                            size, m)
             try:
-                ok = _decodable(tuples, mulT, addT, ring.one,
-                                [mpos[name] for name in net.demands[r]],
+                ok = _decodable(tuples, mulT, addT, ring.one, demand,
                                 deadline)
             except _Budget as exc:
                 searched()
@@ -1594,9 +1545,8 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             for r, (rows_r, first, inputs) in picks.items():
                 at = int(np.searchsorted(rows_r, pos))
                 chosen[r] = (int(first[at]), inputs[at])
-            code = _table_witness(net, ring, plan, slots, weights,
-                                  int(idx[pos]), chosen, unit_rows, mulT,
-                                  addT)
+            code = _table_witness(net, ring, plan, weights, int(idx[pos]),
+                                  chosen, unit_rows, mulT, addT)
             t2 = time.perf_counter()
             stats["elapsed"] = t2 - t0
             report = verify_solution(net, code)
@@ -1615,8 +1565,8 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     return SolveResult("exhausted-unsolvable", None, stats)
 
 
-def _table_witness(net, ring, plan, slots, weights, winner, chosen,
-                   unit_rows, mulT, addT):
+def _table_witness(net, ring, plan, weights, winner, chosen, unit_rows,
+                   mulT, addT):
     """Rebuild explicit coefficients from a surviving global index.
 
     chosen maps each receiver with demands to the index of its least local
@@ -1624,30 +1574,36 @@ def _table_witness(net, ring, plan, slots, weights, winner, chosen,
     demand takes the least decode tuple, found among all |R|^t of them
     built at once from the ring tables."""
     size = ring.size
-    coeff = {key: winner // w % size for key, w in zip(slots, weights)}
-    edge_coeffs = plan.forwarding(ring.one)
-    for e in net.topo_edges():
-        if e not in edge_coeffs and e not in plan.local_edges:
-            edge_coeffs[e] = tuple(coeff[(e, j)]
-                                   for j in range(len(net.inputs(e.tail))))
+    cn = plan.compiled
+    coeffs = plan.forwarding(ring.one)
 
+    def spread(digits, edges):
+        """The digits, in slot order, as the edges' coefficients."""
+        at = 0
+        for e in edges:
+            n = len(cn.inputs[cn.tails[e]])
+            coeffs[e] = tuple(digits[at:at + n])
+            at += n
+
+    spread([winner // w % size for w in weights], plan.outer)
     decodings = {}
-    for r in net.receivers:
+    for r, v, demand in cn.receivers:
         choice, inputs = chosen.get(r, (0, None))
-        lslots = _local_slots(net, plan, r)
-        for i, (e, _) in enumerate(lslots):
-            digit = choice // size ** (len(lslots) - 1 - i) % size
-            edge_coeffs[e] = edge_coeffs.get(e, ()) + (digit,)
+        local = plan.local_of.get(v, [])
+        n = plan.arity(local)
+        spread([choice // size ** (n - 1 - i) % size for i in range(n)],
+               local)
         if inputs is None:
             continue
         t = len(inputs)
         combos = _combinations(inputs[None], mulT, addT)[0]
-        for name in net.demands[r]:
-            d = int((combos == unit_rows[name]).all(axis=1).argmax())
-            decodings[(r, name)] = tuple(d // size ** (t - 1 - i) % size
-                                         for i in range(t))
+        for mi in demand:
+            d = int((combos == unit_rows[mi]).all(axis=1).argmax())
+            decodings[(r, net.message_names[mi])] = tuple(
+                d // size ** (t - 1 - i) % size for i in range(t))
 
-    return LinearCode(_modules.scalar_module(ring), edge_coeffs, decodings)
+    return LinearCode(_modules.scalar_module(ring),
+                      dict(zip(cn.edges, coeffs)), decodings)
 
 
 # ---------------------------------------------------------------------------
@@ -1747,7 +1703,7 @@ def solve_scalar(net: Network, ring: Ring,
             return _decide(net, ring, opts, allow, {})
         if opts.shards == 1 and ring.unital and ring.has_tables():
             planned = _table_slots(net, ring.size, opts)
-            if ring.size ** len(planned[1]) > CHUNK:
+            if ring.size ** planned[1] > CHUNK:
                 return _decide(net, ring, opts, allow, {}, planned)
         strategy = "exhaustive"
     if strategy == "rank" and _rank_parts(ring) is None:

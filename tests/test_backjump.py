@@ -51,12 +51,13 @@ def test_plan_forwards_bundles_as_wide_as_their_tails_inputs():
                    ("s", "u", 0), ("u", "t", 0), ("u", "t", 1)],
                   [("m1", "s"), ("m2", "s")], {"t": ("m1", "m2")})
     plan = _Plan(net, SearchOptions())
+    # the plan holds edge ids and int inputs: ~0 is m1, ~1 is m2
+    edges = net.compiled().edges
     su = [e for e in net.edges if e.head == "u"][0]
-    assert {str(e): inp for e, inp in plan.normalized.items()} == {
-        "s->t": ("message", "m1"), "s->t#1": ("message", "m2"),
-        "s->t#2": ("message", "m1"), "u->t": ("edge", su),
-        "u->t#1": ("edge", su)}
-    assert plan.outer == [su]
+    assert {str(edges[e]): inp for e, inp in plan.normalized.items()} == {
+        "s->t": ~0, "s->t#1": ~1, "s->t#2": ~0,
+        "u->t": edges.index(su), "u->t#1": edges.index(su)}
+    assert [edges[e] for e in plan.outer] == [su]
     assert not _Plan(net, SearchOptions(normalize_forwarding=False)).normalized
     # unforwarded, t's edges are searched, a bundle of three, one edge and
     # a bundle of two

@@ -70,7 +70,8 @@ def test_dim_n_3_swaps_any_two_messages_of_a_source():
     found = _swaps(net)
     assert len(found) == 3
     for i, pairs in found.items():
-        src = solver._Shape(net, RANK).bundles[i][0].tail
+        bundle = solver._Shape(net, RANK).bundles[i]
+        src = net.compiled().edges[bundle[0]].tail
         names = sorted(m for m, owner in net.messages if owner == src)
         assert pairs == {(a, b) for a in names for b in names if a < b}
 

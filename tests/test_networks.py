@@ -184,7 +184,7 @@ def test_orders_and_inputs_are_computed_once():
         assert net.inputs(v) is net.inputs(v)
         assert net.inputs(v) == tuple(
             [("edge", e) for e in net.in_edges(v)]
-            + [("message", m) for m in net.owned_messages(v)])
+            + [("message", m) for m, owner in net.messages if owner == v])
 
 
 def test_a_cycle_raises_on_every_call():

@@ -6,8 +6,8 @@ over GF(2), unit targets read off the transform, free edges lifted against
 one growing echelon basis.  reference_witness below is the construction
 it replaced, kept the way tests/bruteforce.py is kept for the searches: it
 re-eliminates every node's input rows with fl.rref over coordinate tuples,
-solves each target with fl.solve_row and tests each demanded unit row with
-a fresh elimination.
+solves each target with solve_row and tests each demanded unit row with a
+fresh elimination.
 
 Both must give byte-identical codes.  fl.rref takes the rows in order and
 drops the dependent ones, so each combination is the unique one over the
@@ -40,17 +40,37 @@ RINGS = [construct_ring(d) for d in (
 BUDGET = 3000      # nodes a drawn search may take; a stopped one has no code
 
 
-def reference_witness(net, ring, k, ops, alg, plan, local_one, assign,
+def solve_row(ops, rows, target, reduced=None):
+    """Coefficients expressing target as a combination of rows, or None.
+    reduced is fl.rref(ops, rows) when the caller has it, so that several
+    targets over one stack share one elimination."""
+    basis, transform, pivots = reduced or fl.rref(ops, rows)
+    combo = tuple(0 for _ in rows)
+    for b, t, p in zip(basis, transform, pivots):
+        c = target[p]
+        if c:
+            target = fl.row_sub_scaled(ops, target, b, c)
+            mc = ops.mul[c]
+            combo = tuple(ops.add[x][mc[y]] for x, y in zip(combo, t))
+    if any(target):
+        return None
+    return combo
+
+
+def reference_witness(net, ring, k, ops, alg, normalized, local_one, assign,
                       unit_spaces, mpos):
     """The witness construction before the rank engine compiled one: rows as
     coordinate tuples keyed by edge, fl.rref per node and per free edge,
-    fl.solve_row per target."""
+    solve_row per target.  normalized maps each forwarding edge to the
+    input it forwards and local_one each receiver to its free edge, both
+    as Network.inputs and Edge give them."""
     width = alg.width
     zero = tuple(0 for _ in range(width))
     packed = isinstance(alg, solver._Gf2Alg)
 
     def to_coords(row):
-        return fl.unpack2(row, width) if packed else row
+        # a packed GF(2) row: bit j is column j
+        return tuple(row >> j & 1 for j in range(width)) if packed else row
 
     def unit_coord(j):
         return tuple(1 if i == j else 0 for i in range(width))
@@ -68,7 +88,7 @@ def reference_witness(net, ring, k, ops, alg, plan, local_one, assign,
         return rows_map[val]
 
     for e in net.topo_edges():
-        fwd = plan.normalized.get(e)
+        fwd = normalized.get(e)
         if fwd is not None:
             rows_map[e] = input_rows(fwd)
         elif e in assign:
@@ -87,14 +107,14 @@ def reference_witness(net, ring, k, ops, alg, plan, local_one, assign,
         reps = []
         for m in net.demands[r]:
             for u in (to_coords(row) for row in unit_spaces[m]):
-                if fl.solve_row(ops, span + reps, u) is None:
+                if solve_row(ops, span + reps, u) is None:
                     reps.append(u)
         parts = []
         base = len(fixed_rows)
         stack = fixed_rows + tail_rows
         reduced = fl.rref(ops, stack)
         for u in reps:
-            combo = fl.solve_row(ops, stack, u, reduced)
+            combo = solve_row(ops, stack, u, reduced)
             assert combo is not None, "free-edge lift failed"
             part = zero
             for c, row in zip(combo[base:], tail_rows):
@@ -115,7 +135,7 @@ def reference_witness(net, ring, k, ops, alg, plan, local_one, assign,
         stack, reduced = got
         per_input = [[[0] * k for _ in range(k)] for _ in range(len(ins))]
         for a, target in enumerate(targets):
-            combo = fl.solve_row(ops, stack, target, reduced)
+            combo = solve_row(ops, stack, target, reduced)
             assert combo is not None, "witness row left its input span"
             for i in range(len(ins)):
                 for b in range(k):
@@ -125,7 +145,7 @@ def reference_witness(net, ring, k, ops, alg, plan, local_one, assign,
         return tuple(ring.mat_from_entries(block) for block in per_input)
 
     edge_coeffs = {}
-    for e, fwd in plan.normalized.items():
+    for e, fwd in normalized.items():
         ins = net.inputs(e.tail)
         edge_coeffs[e] = ((ring.one,) if len(ins) == 1 else
                           tuple(ring.one if inp == fwd else 0 for inp in ins))
@@ -152,16 +172,23 @@ def both_witnesses(net, ring, normalize=True, budget=None):
     def twice(net_, ring_, k, alg, shape, bases):
         code = real(net_, ring_, k, alg, shape, bases)
         field, _ = solver._rank_parts(ring_)
-        mpos = shape.mpos
-        assign = {e: bases[i][a * k:(a + 1) * k]
+        # the shape holds edge ids and int inputs (~m for message m); the
+        # reference reads Edges and Network.inputs entries
+        edges, msgs = net_.compiled().edges, net_.message_names
+        mpos = {m: i for i, m in enumerate(msgs)}
+        normalized = {edges[e]: ("edge", edges[x]) if x >= 0
+                      else ("message", msgs[~x])
+                      for e, x in shape.plan.normalized.items()}
+        local_one = {net_.nodes[r]: edges[e]
+                     for r, e in shape.local_one.items()}
+        assign = {edges[e]: bases[i][a * k:(a + 1) * k]
                   for i, bundle in enumerate(shape.bundles)
                   for a, e in enumerate(bundle)}
         unit_spaces = {m: alg.canon([alg.unit(mpos[m] * k + a)
                                      for a in range(k)]) for m in mpos}
         built.append((reference_witness(
-            net_, ring_, k, fl.FieldOps(field), alg, shape.plan,
-            shape.local_one, assign, unit_spaces, mpos),
-            len(shape.local_one)))
+            net_, ring_, k, fl.FieldOps(field), alg, normalized, local_one,
+            assign, unit_spaces, mpos), len(shape.local_one)))
         return code
 
     opts = SearchOptions(strategy="rank", normalize_forwarding=normalize)

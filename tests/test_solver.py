@@ -1,5 +1,6 @@
 """Complete-search solver against full enumeration, plus search plumbing."""
 import time
+import types
 from itertools import product
 
 import numpy as np
@@ -377,6 +378,35 @@ def test_candidate_lists_stay_inside_the_budgets():
                        SearchOptions(time_budget=0.2))
     assert res.status == "budget-exceeded" and res.stats["nodes"] == 0
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_the_orbit_search_stops_at_the_deadline(monkeypatch):
+    # dim-n(3) over GF(61) spends its time finding orbits of planes at its
+    # claimed positions, between candidate listings and far from the
+    # node loop's every-1,024-nodes clock.  A clock that ticks once per
+    # canonical form keeps the test fast and exact: the search is
+    # exhausted after 87,018 forms, and a budget of half that stops it
+    # within 5 % of the deadline
+    clock = [0.0]
+    canon = solver.fl.canon_space
+
+    def ticking(ops, rows):
+        clock[0] += 1e-5
+        return canon(ops, rows)
+    monkeypatch.setattr(solver.fl, "canon_space", ticking)
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    gf61 = construct_ring(PrimeField(61))
+    full = solve_scalar(dim_n_network(3), gf61, SearchOptions(strategy="rank"))
+    assert full.status == "exhausted-unsolvable"
+    assert full.stats["nodes"] == 51
+    assert clock[0] == pytest.approx(0.87018)
+    clock[0] = 0.0
+    res = solve_scalar(dim_n_network(3), gf61,
+                       SearchOptions(strategy="rank", time_budget=0.5))
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "time budget exhausted"
+    assert 0.5 < clock[0] <= 0.5 * 1.05
 
 
 def test_smallest_ring_search_small_net():

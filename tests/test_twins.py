@@ -21,9 +21,15 @@ FIELDS = [PrimeField(2), PrimeField(3), GaloisField(2, 2), PrimeField(5)]
 
 
 def _without_twins(monkeypatch, net, ring, opts=RANK):
+    """The search that walks every order: on a fresh copy of the network,
+    since net keeps its compiled shape and twin maps from earlier searches
+    and would never call the patched _twins."""
+    fresh = Network(net.nodes, net.edges, net.messages, net.demands)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_twins", lambda *args: {})
-        return solve_scalar(net, ring, opts)
+        ref = solve_scalar(fresh, ring, opts)
+    assert ref.stats["twins"] == 0
+    return ref
 
 
 def _same_search(res, ref):
