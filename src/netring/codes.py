@@ -9,10 +9,15 @@ semantically, by evaluating every assignment of group values to the messages.
 
 The symbolic check multiplies whole rows at once.  Over a compound ring
 (Galois field, matrix, upper-triangular or product ring) a row is an array
-of the ring's flat residue digits, one line per message, and an edge or a
-decode is one matmul: the stacked input rows times the stacked
-left-multiplication matrices c . T of its coefficients (rings.py), reduced
-mod the digit moduli.  Residue rings (one % per product), rings whose dense
+of the ring's flat residue digits, one line per message.  A node's input
+rows are stacked side by side once, into one (messages, t*D) block for
+its t inputs of D digits, and an edge or a decode out of it is one matmul:
+the block times the stacked left-multiplication matrices c . T of its
+coefficients (rings.py), reduced mod the digit moduli.  Each coefficient
+tuple's (t*D, D) stack is built once per code; a tuple with the ring's one
+at input j and zero elsewhere takes block j as it is, since L_one is the
+identity and L_0 zero mod the moduli and the input rows are reduced
+already.  Residue rings (one % per product), rings whose dense
 tables already exist (a search just built them) and rings with no digit
 rule keep the scalar rule on index tuples, where a table lookup or a single
 % beats setting up a matmul.  Where the dense tables exist the scalar rule
@@ -21,6 +26,12 @@ and shared with fieldlinalg.FieldOps), not through ring.add/ring.mul,
 which index numpy one scalar at a time; the lists are never built for a
 ring that has no tables yet.  All rules give the same index tuples, checks
 and failure reports.
+
+The semantic check evaluates a chunk of message assignments at a time with
+1-D takes: a sum a + b is entry a * G + b of the group's flattened G x G
+addition table, and every input, the first and zero coefficients too, goes
+through the action and addition tables, so the check reads nothing of the
+symbolic rule.
 """
 from __future__ import annotations
 
@@ -136,7 +147,7 @@ class _Rows:
     """Rows of ring elements over the messages, under the rule the module
     notes pick for the ring: index tuples combined from the list tables or
     by ring.add/ring.mul, or digit arrays (messages x flat digits) combined
-    by one matmul."""
+    by one matmul of a node's input block."""
 
     def __init__(self, code: LinearCode, width: int):
         ring = code.module.ring
@@ -149,6 +160,7 @@ class _Rows:
                           | {c for cs in code.decodings.values() for c in cs})
             self.slot = {c: i for i, c in enumerate(used)}
             self.lmul = ring.left_mul_matrices(used)
+            self.stacks = {}   # coefficient tuple -> its stack, or a slice
             # compound rings are unital: every unit row holds ring.one
             self.units = np.zeros((width, width, len(ring.digit_moduli)), np.int64)
             self.units[np.arange(width), np.arange(width)] = ring.digits([ring.one])
@@ -159,16 +171,32 @@ class _Rows:
                             if built else partial(_combine, ring))
             self.same = operator.eq
 
-    def _combine_digits(self, coeffs, rows):
-        lmul = self.lmul[[self.slot[c] for c in coeffs]]
-        acc = np.concatenate(rows, axis=1) @ lmul.reshape(-1, lmul.shape[-1])
-        return acc % self.ring.digit_moduli
+    def _stack(self, coeffs):
+        """The (t*D, D) stack of L_c over a tuple of t coefficients, or
+        for ring.one at input j and zero elsewhere the slice of block j
+        (module notes)."""
+        d = self.lmul.shape[-1]
+        one = self.ring.one
+        if coeffs.count(0) == len(coeffs) - 1 and one in coeffs:
+            j = coeffs.index(one)
+            return slice(j * d, (j + 1) * d)
+        return self.lmul[[self.slot[c] for c in coeffs]].reshape(-1, d)
 
-    def gather(self, inputs, edge_rows) -> list:
+    def _combine_digits(self, coeffs, block):
+        stack = self.stacks.get(coeffs)
+        if stack is None:
+            stack = self.stacks[coeffs] = self._stack(coeffs)
+        if isinstance(stack, slice):
+            return block[:, stack]
+        return block @ stack % self.ring.digit_moduli
+
+    def gather(self, inputs, edge_rows):
         """The rows of int inputs (networks module notes), edge_rows by
-        edge id."""
+        edge id: a list, or under the digit rule one (messages, t*D)
+        block."""
         units = self.units
-        return [edge_rows[x] if x >= 0 else units[~x] for x in inputs]
+        rows = [edge_rows[x] if x >= 0 else units[~x] for x in inputs]
+        return np.concatenate(rows, axis=1) if self.digit else rows
 
     def indices(self, rows) -> list[tuple[int, ...]]:
         """Index tuples of a list of rows."""
@@ -263,7 +291,7 @@ def semantic_verify(net: Network, code: LinearCode) -> Verdict:
         raise ValueError(f"{total} assignments exceed the semantic cap "
                          f"{SEMANTIC_CAP}")
     act = module.act_table()
-    gadd = module.group.add_table()
+    gadd = module.group.add_table().ravel()   # a + b at a * G + b
     weights = [G ** (m - 1 - i) for i in range(m)]
     checks = {}
     failure = None
@@ -277,7 +305,9 @@ def semantic_verify(net: Network, code: LinearCode) -> Verdict:
             """What an edge or a decoding computes from its inputs."""
             acc = np.zeros(count, dtype=np.int64)
             for c, x in zip(cs, inputs):
-                acc = gadd[acc, act[c, rows[x] if x >= 0 else val[~x]]]
+                acc *= G
+                acc += act[c].take(rows[x] if x >= 0 else val[~x])
+                acc = gadd.take(acc)
             return acc
 
         for e, tail in enumerate(cn.tails):

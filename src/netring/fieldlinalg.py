@@ -9,8 +9,10 @@ column) because the search loops in solver.py live on these operations.
 Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
 first operand's basis, which is already reduced, and eliminate only the
 second operand's rows against it; ``canon_space``/``rref2`` are the same
-routine started from the zero space.  ``rref`` also tracks the combination of
-input rows behind each basis row; only ``rank`` pays for it.
+routine started from the zero space, and ``rank`` is the length of its basis.
+``rref`` also tracks the combination of input rows behind each basis row;
+nothing in the package pays for that, and the tests keep it as their
+transform-tracking reference.
 """
 from __future__ import annotations
 
@@ -121,8 +123,7 @@ def reduce_row(ops: FieldOps, basis, pivots, row, transform=None, combo=None):
 
 
 def rank(ops: FieldOps, rows) -> int:
-    basis, _, _ = rref(ops, rows)
-    return len(basis)
+    return len(canon_space(ops, rows))
 
 
 def canon_space(ops: FieldOps, rows):

@@ -1141,8 +1141,9 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 nodes = stats["nodes"] = stats["nodes"] + 1
                 if nodes > budget:
                     raise _Budget("node budget exhausted")
-                if deadline is not None and nodes % 1024 == 0 \
-                        and time.perf_counter() > deadline:
+                # a node can cost more than a clock read, so a budgeted
+                # search reads it at every node; an unbudgeted one never
+                if deadline is not None and time.perf_counter() > deadline:
                     raise _Budget("time budget exhausted")
                 cur[i] = s
                 for j, w, w_reads, f, f_reads, masks in here:

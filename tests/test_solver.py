@@ -409,6 +409,36 @@ def test_the_orbit_search_stops_at_the_deadline(monkeypatch):
     assert 0.5 < clock[0] <= 0.5 * 1.05
 
 
+@pytest.mark.parametrize("share", [0.1, 0.3])
+def test_the_node_loop_stops_at_the_deadline(monkeypatch, share):
+    # the M-network over M_2(GF(2)) spends its time in the node loop, on
+    # packed span sums; a clock that ticks 1e-5 s per sum makes the whole
+    # search 6,284 nodes and 0.06224 s.  Reading the clock only every 1,024
+    # nodes stopped a 10 % budget at node 1,024, 130 % late
+    clock = [0.0]
+    space_sum2 = solver.fl.space_sum2
+
+    def ticking(a, b):
+        clock[0] += 1e-5
+        return space_sum2(a, b)
+    monkeypatch.setattr(solver.fl, "space_sum2", ticking)
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    m2 = construct_ring(MatrixRing(PrimeField(2), 2))
+    full = solve_scalar(m_network(), m2, SearchOptions(strategy="rank"))
+    assert full.status == "solved"
+    assert full.stats["nodes"] == 6284
+    assert clock[0] == pytest.approx(0.06224)
+    budget = share * clock[0]
+    clock[0] = 0.0
+    res = solve_scalar(m_network(), m2,
+                       SearchOptions(strategy="rank", time_budget=budget))
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "time budget exhausted"
+    assert res.stats["nodes"] < full.stats["nodes"]
+    assert budget < clock[0] <= budget * 1.05
+
+
 def test_smallest_ring_search_small_net():
     report = smallest_ring_search(choose_two_network(3), max_size=4)
     assert report.minimal_size == 2
