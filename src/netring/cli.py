@@ -323,6 +323,10 @@ def _cmd_transform(args):
         if not homs:
             print("no ring homomorphism onto the target", file=sys.stderr)
             return inputs, None, EXIT_FAIL
+        if not 0 <= args.hom_index < len(homs):
+            raise _DataError(f"hom index {args.hom_index} is outside "
+                             f"0..{len(homs) - 1}; there are {len(homs)} "
+                             "ring homomorphisms onto the target")
         hom = homs[args.hom_index]
         out = _transforms.hom_lift(code, hom,
                                    _modules.scalar_module(target))

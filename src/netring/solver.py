@@ -40,7 +40,16 @@ can, and otherwise runs _decide over M_k(GF(q)).
 The node and time budgets bound each front-door call as a whole: one
 _Allowance per call hands every engine run the nodes left and the
 call's deadline, and charges it what it searched.  A ring or dimension
-reached with nothing left is "budget-exceeded" without a search.
+reached with nothing left is "budget-exceeded" without a search.  Both
+engines end through one runner, _run: a budget stop anywhere in the
+search (_Budget) becomes "budget-exceeded" with its reason, an exhausted
+space "exhausted-unsolvable" (naming the shard when sharded), and a found
+assignment a witness code that is verified again before it is returned;
+stats["elapsed"] ends with the search in both.  The clock has one rule,
+_check_clock: with a deadline it is read at every unit of work (a node,
+a candidate form, an orbit expansion, a table chunk, a decode block),
+without one it is never read, so a budget stop lands within one unit of
+the deadline.
 
 * the rank engine covers fields and matrix rings over fields.  A code's
   edge carries a subspace (of dimension at most k) of the row space
@@ -304,6 +313,52 @@ class SolveResult:
 
 class _Budget(Exception):
     pass
+
+
+def _check_clock(deadline: Optional[float]) -> None:
+    """_Budget once the deadline, if any, has passed; without one the
+    clock is never read."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise _Budget("time budget exhausted")
+
+
+def _verified(net: Network, code: LinearCode, what: str) -> LinearCode:
+    """The code, checked again against the network; RuntimeError naming
+    what it is when it fails."""
+    report = verify_solution(net, code)
+    if not report.solved:
+        raise RuntimeError(f"{what} failed verification: {report.failure}")
+    return code
+
+
+def _run(net: Network, opts: SearchOptions, stats: dict, t0: float,
+         compile_s: float, walk, witness) -> SolveResult:
+    """How every engine search ends.  walk() searches and returns what
+    witness() turns into a code, or None once its space (its shard's, when
+    sharded) is exhausted; a _Budget it raises is a budget stop.  elapsed
+    runs from t0 to the end of the walk, compile_s of it spent before the
+    search; the witness is built and verified again after."""
+    try:
+        found, stopped = walk(), None
+    except _Budget as exc:
+        found, stopped = None, str(exc)
+    t1 = time.perf_counter()
+    stats["elapsed"] = t1 - t0
+    phases = stats["phase_seconds"] = {
+        "compile": compile_s, "search": t1 - t0 - compile_s,
+        "witness": 0.0, "verify": 0.0}
+    if stopped is not None:
+        return SolveResult("budget-exceeded", None,
+                           stats | {"reason": stopped})
+    if found is None:
+        if opts.shards > 1:
+            stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
+        return SolveResult("exhausted-unsolvable", None, stats)
+    code = witness(found)
+    t2 = time.perf_counter()
+    _verified(net, code, "reconstructed code")
+    phases["witness"], phases["verify"] = t2 - t1, time.perf_counter() - t2
+    return SolveResult("solved", code, stats)
 
 
 # why a rank search is refused before its first node: a position's
@@ -1000,9 +1055,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             forms = []
             for form in fl.echelon_forms(q, d, min(d, cap)):
                 forms.append(alg.canon([alg.mix(space, c) for c in form]))
-                if deadline is not None and len(forms) % 1024 == 0 \
-                        and time.perf_counter() > deadline:
-                    raise _Budget("time budget exhausted")
+                _check_clock(deadline)
             got = cand_cache[(tail, cap)] = [intern(s) for s in sorted(forms)]
         return got
 
@@ -1036,9 +1089,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     def orbit_leaders(cands, gens):
         """The candidates that are the least echelon form of their orbit.
         An orbit is found, by search under the generators, when the first
-        of its members is met; the search reads the clock every 1,024
-        images, as candidates does every 1,024 forms."""
-        images = 0
+        of its members is met; the search reads the clock at each
+        expansion, as candidates does at each form."""
         for s in cands:
             lead = leads.get(s)
             if lead is None:
@@ -1050,11 +1102,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                         if t not in orbit:
                             orbit.add(t)
                             grow.append(t)
-                    images += len(gens)
-                    if deadline is not None and images >= 1024:
-                        images = 0
-                        if time.perf_counter() > deadline:
-                            raise _Budget("time budget exhausted")
+                    _check_clock(deadline)
                 first = min(orbit, key=spaces.__getitem__)
                 for t in orbit:
                     leads[t] = t == first
@@ -1141,10 +1189,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 nodes = stats["nodes"] = stats["nodes"] + 1
                 if nodes > budget:
                     raise _Budget("node budget exhausted")
-                # a node can cost more than a clock read, so a budgeted
-                # search reads it at every node; an unbudgeted one never
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise _Budget("time budget exhausted")
+                _check_clock(deadline)
                 cur[i] = s
                 for j, w, w_reads, f, f_reads, masks in here:
                     key = (j, plus(w, s) if w_reads else w,
@@ -1181,32 +1226,13 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
         return not failed((j, span(fixed), -1 if free is None else
                            -2 if dim_only else span(free)))
 
-    try:
-        found = all(settled(*c) for c in ready.get(-1, ())) and dfs()
-        stopped = None
-    except _Budget as exc:
-        found, stopped = False, str(exc)
-    t2 = time.perf_counter()
-    stats["elapsed"] = t2 - t0
-    phases = stats["phase_seconds"] = {
-        "compile": t1 - t0 if compiled else 0.0, "search": t2 - t1,
-        "witness": 0.0, "verify": 0.0}
-    if stopped is not None:
-        return SolveResult("budget-exceeded", None,
-                           stats | {"reason": stopped})
-    if not found:
-        if opts.shards > 1:
-            stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
-        return SolveResult("exhausted-unsolvable", None, stats)
+    def walk():
+        if all(settled(*c) for c in ready.get(-1, ())) and dfs():
+            return [spaces[s] for s in cur]
+        return None
 
-    code = _rank_witness(net, ring, k, alg, shape, [spaces[s] for s in cur])
-    t3 = time.perf_counter()
-    report = verify_solution(net, code)
-    phases["witness"], phases["verify"] = t3 - t2, time.perf_counter() - t3
-    if not report.solved:
-        raise RuntimeError(f"reconstructed code failed verification: "
-                           f"{report.failure}")
-    return SolveResult("solved", code, stats)
+    return _run(net, opts, stats, t0, t1 - t0 if compiled else 0.0, walk,
+                lambda bases: _rank_witness(net, ring, k, alg, shape, bases))
 
 
 def _rank_witness(net, ring, k, alg, shape, bases):
@@ -1390,14 +1416,15 @@ def _decodable(tuples, mulT, addT, one: int, targets,
     All |R|^t combinations of a tuple are built at once, blocks of tuples
     keeping them within _rings._TABLE_BLOCK entries.  A combination is the
     unit row e_j iff entry j is the identity and its entries sum to the
-    identity, since zero is index 0 and no index is negative.  The deadline,
-    if any, is checked before each block (_Budget once it has passed)."""
+    identity, since zero is index 0 and no index is negative.  A block is
+    the search's unit of work here: the clock is checked before each one
+    (_check_clock), so a chunk with many distinct tuples still stops at
+    the deadline."""
     u, t, m = tuples.shape
     ok = np.empty(u, dtype=bool)
     step = max(1, _rings._TABLE_BLOCK // (len(mulT) ** t * m))
     for b in range(0, u, step):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _Budget("time budget exhausted")
+        _check_clock(deadline)
         acc = _combinations(tuples[b:b + step], mulT, addT)
         weight = acc[..., 0].copy()
         for j in range(1, m):
@@ -1427,14 +1454,6 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     cn = net.compiled()
     m = len(net.message_names)
     plan, nslots = planned or _table_slots(net, size, opts)
-    for r, v, _ in cn.receivers:
-        t = len(cn.inputs[v])
-        if size ** t > DECODE_BUDGET:
-            return SolveResult("budget-exceeded", None, {
-                "strategy": "exhaustive", "reason":
-                    f"receiver {r} has {t} inputs; decode "
-                    f"enumeration exceeds DECODE_BUDGET ({DECODE_BUDGET})"})
-
     total = size ** nslots
     weights = [size ** (nslots - 1 - i) for i in range(nslots)]
     lo = total * opts.shard_index // opts.shards
@@ -1452,118 +1471,93 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                   plan.arity(plan.local_of.get(v, ())))
                  for r, v, demand in cn.receivers if demand]
 
-    def searched():
-        """Close the search phase: elapsed and the phase times so far (the
-        tables and plan are the search's, so compile is 0.0)."""
-        t = time.perf_counter()
-        stats["elapsed"] = t - t0
-        stats["phase_seconds"] = {"compile": 0.0, "search": t - t0,
-                                  "witness": 0.0, "verify": 0.0}
-        return t
+    def walk():
+        for r, v, _ in cn.receivers:
+            t = len(cn.inputs[v])
+            if size ** t > DECODE_BUDGET:
+                raise _Budget(f"receiver {r} has {t} inputs; decode "
+                              f"enumeration exceeds DECODE_BUDGET "
+                              f"({DECODE_BUDGET})")
+        for c0 in range(lo, hi, CHUNK):
+            n = min(CHUNK, hi - c0)
+            if stats["assignments"] + n > budget:
+                raise _Budget("node budget exhausted")
+            _check_clock(deadline)
+            stats["assignments"] += n
+            idx = np.arange(c0, c0 + n, dtype=np.int64)
+            cols = [((idx // w) % size).astype(np.int32) for w in weights]
 
-    c0 = lo
-    while c0 < hi:
-        n = min(CHUNK, hi - c0)
-        stop = ("node" if stats["assignments"] + n > budget else
-                "time" if deadline is not None
-                and time.perf_counter() > deadline else None)
-        if stop:
-            searched()
-            return SolveResult("budget-exceeded", None,
-                               stats | {"reason": f"{stop} budget exhausted"})
-        stats["assignments"] += n
-        idx = np.arange(c0, c0 + n, dtype=np.int64)
-        cols = [((idx // w) % size).astype(np.int32) for w in weights]
+            rows = [None] * len(cn.edges)
 
-        rows = [None] * len(cn.edges)
+            def input_rows(x):
+                return rows[x] if x >= 0 else unit_rows[~x]
 
-        def input_rows(x):
-            return rows[x] if x >= 0 else unit_rows[~x]
-
-        # the searched edges' slots come edge by edge, in topological
-        # order; a forwarding edge's rows are those of what it forwards
-        col = 0
-        for e in plan.outer:
-            acc = None
-            for x in plan.stack(cn.tails[e]):
-                term = mulT[cols[col][:, None], input_rows(x)]
-                col += 1
-                acc = term if acc is None else addT[acc, term]
-            rows[e] = acc
-
-        alive = np.arange(n)
-        picks = {}
-        for r, v, demand, local, nlocal in receivers:
-            if alive.size == 0:
-                break
-            lcount = size ** nlocal
-            lcols = [((np.arange(lcount) // size ** (nlocal - 1 - i))
-                      % size).astype(np.int32) for i in range(nlocal)]
-
-            def take(arr):
-                return arr if arr.shape[0] == 1 else arr[alive]
-
-            local_rows = {}
+            # the searched edges' slots come edge by edge, in topological
+            # order; a forwarding edge's rows are those of what it forwards
             col = 0
-            for e in local:
+            for e in plan.outer:
                 acc = None
                 for x in plan.stack(cn.tails[e]):
-                    c = lcols[col][None, :, None]
+                    term = mulT[cols[col][:, None], input_rows(x)]
                     col += 1
-                    term = mulT[c, take(input_rows(x))[:, None, :]]
                     acc = term if acc is None else addT[acc, term]
-                local_rows[e] = acc
+                rows[e] = acc
 
-            arr_list = [local_rows[x] if x in local_rows
-                        else take(input_rows(x))[:, None, :]
-                        for x in plan.stack(v)]
-            # each distinct input tuple is decided once per chunk
-            tuples, inv = _distinct_inputs(arr_list, (alive.size, lcount),
-                                           size, m)
-            try:
+            alive = np.arange(n)
+            picks = {}
+            for r, v, demand, local, nlocal in receivers:
+                if alive.size == 0:
+                    break
+                lcount = size ** nlocal
+                lcols = [((np.arange(lcount) // size ** (nlocal - 1 - i))
+                          % size).astype(np.int32) for i in range(nlocal)]
+
+                def take(arr):
+                    return arr if arr.shape[0] == 1 else arr[alive]
+
+                local_rows = {}
+                col = 0
+                for e in local:
+                    acc = None
+                    for x in plan.stack(cn.tails[e]):
+                        c = lcols[col][None, :, None]
+                        col += 1
+                        term = mulT[c, take(input_rows(x))[:, None, :]]
+                        acc = term if acc is None else addT[acc, term]
+                    local_rows[e] = acc
+
+                arr_list = [local_rows[x] if x in local_rows
+                            else take(input_rows(x))[:, None, :]
+                            for x in plan.stack(v)]
+                # each distinct input tuple is decided once per chunk
+                tuples, inv = _distinct_inputs(arr_list,
+                                               (alive.size, lcount), size, m)
                 ok = _decodable(tuples, mulT, addT, ring.one, demand,
                                 deadline)
-            except _Budget as exc:
-                searched()
-                return SolveResult("budget-exceeded", None,
-                                   stats | {"reason": str(exc)})
-            stats["receiver_checks"] += len(tuples)
-            stats["memo_hits"] += len(inv) - len(tuples)
-            # each row's least decodable local choice and the input tuple
-            # it gives, kept for the witness
-            inv = inv.reshape(alive.size, lcount)
-            okmat = ok[inv]
-            first = okmat.argmax(axis=1)
-            keep = okmat[np.arange(alive.size), first]
-            alive = alive[keep]
-            picks[r] = (alive, first[keep],
-                        tuples[inv[keep, first[keep]]])
+                stats["receiver_checks"] += len(tuples)
+                stats["memo_hits"] += len(inv) - len(tuples)
+                # each row's least decodable local choice and the input
+                # tuple it gives, kept for the witness
+                inv = inv.reshape(alive.size, lcount)
+                okmat = ok[inv]
+                first = okmat.argmax(axis=1)
+                keep = okmat[np.arange(alive.size), first]
+                alive = alive[keep]
+                picks[r] = (alive, first[keep],
+                            tuples[inv[keep, first[keep]]])
 
-        if alive.size:
-            t1 = searched()
-            pos = int(alive[0])
-            chosen = {}
-            for r, (rows_r, first, inputs) in picks.items():
-                at = int(np.searchsorted(rows_r, pos))
-                chosen[r] = (int(first[at]), inputs[at])
-            code = _table_witness(net, ring, plan, weights, int(idx[pos]),
-                                  chosen, unit_rows, mulT, addT)
-            t2 = time.perf_counter()
-            stats["elapsed"] = t2 - t0
-            report = verify_solution(net, code)
-            phases = stats["phase_seconds"]
-            phases["witness"], phases["verify"] = (t2 - t1,
-                                                   time.perf_counter() - t2)
-            if not report.solved:
-                raise RuntimeError(f"reconstructed code failed verification: "
-                                   f"{report.failure}")
-            return SolveResult("solved", code, stats)
-        c0 += n
+            if alive.size:
+                pos = int(alive[0])
+                chosen = {}
+                for r, (rows_r, first, inputs) in picks.items():
+                    at = int(np.searchsorted(rows_r, pos))
+                    chosen[r] = (int(first[at]), inputs[at])
+                return int(idx[pos]), chosen
+        return None
 
-    searched()
-    if opts.shards > 1:
-        stats["sharded"] = f"{opts.shard_index}/{opts.shards}"
-    return SolveResult("exhausted-unsolvable", None, stats)
+    return _run(net, opts, stats, t0, 0.0, walk,
+                lambda found: _table_witness(net, ring, plan, weights, *found,
+                                             unit_rows, mulT, addT))
 
 
 def _table_witness(net, ring, plan, weights, winner, chosen, unit_rows,
@@ -1678,7 +1672,8 @@ def _decide(net: Network, ring: Ring, opts: SearchOptions,
         iso = _rings.find_isomorphism(code.module.ring, ring)
         if iso is None:
             raise AssertionError("no isomorphism onto the canonical simple form")
-        code = _transforms.hom_lift(code, iso, _modules.scalar_module(ring))
+        code = _verified(net, _transforms.hom_lift(
+            code, iso, _modules.scalar_module(ring)), "lifted code")
     return SolveResult(res.status, code, res.stats | {"method": method})
 
 
@@ -1755,11 +1750,8 @@ def solve_vector(net: Network, field: Ring, k: int,
                 continue
             b = attempt(dim - k1)
             if b.solved:
-                code = _transforms.dim_sum(a.code, b.code)
-                report = verify_solution(net, code)
-                if not report.solved:
-                    raise RuntimeError("block-diagonal composite failed "
-                                       f"verification: {report.failure}")
+                code = _verified(net, _transforms.dim_sum(a.code, b.code),
+                                 "block-diagonal composite")
                 return SolveResult("solved", code, {
                     "method": f"dim-sum {k1}+{dim - k1}",
                     "parts": (a.stats, b.stats)})

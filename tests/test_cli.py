@@ -544,6 +544,30 @@ def test_transforms_give_codes_that_verify(files, tmp_path, capsys):
     assert capsys.readouterr().err == "no ring homomorphism onto the target\n"
 
 
+@pytest.mark.parametrize("index", [6, 99, -1])
+def test_hom_index_outside_the_homomorphisms_is_65(files, tmp_path, capsys,
+                                                   index):
+    # M_2(GF(2)) has six automorphisms, indexed 0..5; any other index is
+    # malformed input, not a failed lift (exit 1) and not a wrap-around
+    m2 = tmp_path / "m2.json"
+    m2.write_text(json.dumps(rings.descriptor_to_json(
+        rings.MatrixRing(rings.PrimeField(2), 2))))
+    code = _solved_code(files, tmp_path, "m2", "scalar", str(files["c3"]),
+                        "--ring", str(m2))
+    out = tmp_path / "lifted.json"
+    assert run("transform", "hom-lift", str(code), str(m2), "--hom-index",
+               "5", "-o", str(out)) == OK
+    assert run("code", "verify", str(files["c3"]), str(out)) == OK
+    capsys.readouterr()
+    out.unlink()
+    assert run("transform", "hom-lift", str(code), str(m2), "--hom-index",
+               str(index), "-o", str(out)) == DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (f"netring: hom index {index} is outside 0..5; there are 6 "
+                   "ring homomorphisms onto the target\n")
+
+
 def test_solve_routes_give_codes_that_verify(files, tmp_path):
     c3 = str(files["c3"])
     _solved_code(files, tmp_path, "v4", "vector", c3, "--field", "2^2",
