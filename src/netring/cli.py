@@ -106,9 +106,12 @@ def _emit(args, inputs: list[str], result, t0: float) -> None:
 
 
 def _decode(path: str, what: str, decode):
-    """decode(JSON of path); a file of the wrong shape (a list where an
-    object belongs, a missing key, a value of the wrong type) is a data
-    error, never a crash or a verdict."""
+    """decode(JSON of path).  A TypeError, KeyError or ValueError from
+    decode is a data error (exit 65, one line), never a crash or a
+    verdict: decoders raise one for a list where an object belongs or a
+    missing key, and the network and code readers for every value of the
+    wrong JSON type too (networks module notes, codes.code_from_json).
+    Ring and module descriptors still convert their numbers with int()."""
     data = _load(path)
     try:
         return decode(data)

@@ -46,7 +46,7 @@ from . import fieldlinalg as fl
 from . import modules as _modules
 from . import rings as _rings
 from .modules import Module
-from .networks import Edge, Network
+from .networks import Edge, Network, _name, _show
 
 
 class LinearCode:
@@ -508,9 +508,33 @@ def code_to_json(code: LinearCode):
 
 
 def code_from_json(data) -> LinearCode:
+    """The code a JSON object describes.  Names follow the network rule (a
+    string, or an integer as its decimal text), an ordinal and every
+    coefficient are JSON integers and not bools, and an edge or a
+    (receiver, message) listed twice is a ValueError naming it."""
     module = _modules.module_from_json(data["module"])
-    edges = {Edge(str(t), str(h), int(o)): tuple(int(x) for x in c)
-             for (t, h, o, c) in data["edges"]}
-    decs = {(str(r), str(m)): tuple(int(x) for x in c)
-            for (r, m, c) in data["decodings"]}
+    edges, decs = {}, {}
+    for t, h, o, c in data["edges"]:
+        if type(o) is not int:
+            raise ValueError(f"edge {_show(t)}->{_show(h)} has the ordinal "
+                             f"{_show(o)}, not an integer")
+        e = Edge(_name(t, "an edge tail"), _name(h, "an edge head"), o)
+        if e in edges:
+            raise ValueError(f"edge {e} is listed twice")
+        edges[e] = _coefficients(c, e)
+    for r, m, c in data["decodings"]:
+        key = (_name(r, "a receiver"), _name(m, "a message"))
+        if key in decs:
+            raise ValueError(f"decoding ({key[0]}, {key[1]}) is listed "
+                             f"twice")
+        decs[key] = _coefficients(c, key)
     return LinearCode(module, edges, decs)
+
+
+def _coefficients(c, at) -> tuple:
+    if isinstance(c, (list, tuple)) and all(type(x) is int for x in c):
+        return tuple(c)
+    where = (f"edge {at}" if isinstance(at, Edge)
+             else f"decoding ({at[0]}, {at[1]})")
+    raise ValueError(f"{where} has the coefficients {_show(c)}, "
+                     f"not a list of integers")

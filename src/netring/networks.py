@@ -7,14 +7,48 @@ declaration order; every coefficient list in a linear code is aligned with
 that order, so it is fixed here once and used everywhere.  Generator node ids
 zero-pad numeric suffixes so that the string sort agrees with numeric order.
 
-The searches, the witnesses, the verifiers and the cut bound all walk
-that same thing, each node's inputs, so a network compiles once, on first
-use (Network.compiled), to ints that all of them read.  An edge's id is its position in topo_edges().
-An input is an int: the id of the in-edge it is, or ~m for the m-th
-message of message_names.  Per node the compiled form lists its inputs in
-that order and the ids of its in- and out-edges; per receiver, its
-demands as message indices.  Edges and names stay at the boundary: codes
-are keyed by Edge, and results name nodes and messages.
+A network is read in one pass, Network.__init__, whether it comes from
+JSON (network_from_json) or from Python; nothing in it changes afterwards.
+
+1. Names to ints, types checked in the same step.  A name (node, message,
+   owner or receiver) is a string, and an integer is taken as its decimal
+   text; an edge is [tail, head, ordinal] with an integer ordinal that is
+   not a bool ([tail, head] is ordinal 0, and from Python an Edge will
+   do); messages is a list of [name, owner] pairs and demands maps each
+   receiver to a list of names.  Anything else is a one-line ValueError.
+   Input in the plain form (names str, edges [tail, head, ordinal]) is
+   checked a whole column at a time; other input is first put in that
+   form entry by entry, or refused naming the entry.  A node's int is its
+   place in nodes (its last place, for a repeated name); a name that an
+   edge or a message refers to and that is no node gets an int after
+   them, so that validation can report it.
+2. The edges sorted by (tail, ordinal, head), dealt out per node: its
+   in-edges in inputs() order and its out-edges in topo_edges() order.
+3. The topological order: the ready node with the least name goes first,
+   taken from a heap.  An edge's id is its place in topo_edges(), which
+   lists the edges by the order of their tails, then ordinal, then head.
+4. Validation on the ints, once.  Screens over whole lists, with each
+   owner's reach gathered as bit masks along the heap order, pass on a
+   network with no issue; only a network that fails one is walked issue
+   by issue (_issues).  validate_network lists the issues in this order:
+   a repeated node name; per edge, in declaration order, an unknown end
+   node, a duplicate and a self-loop; a repeated message name; per
+   message, an owner that is no node or has in-edges; per node, one that
+   sends on edges with no inputs; a cycle; per receiver, one that is no
+   node, then per demand an unknown message or, on an acyclic network,
+   an owner with no path to the receiver.
+5. The compiled form (Compiled), once the network is acyclic and every
+   name it refers to is known: an input is an int, the id of the in-edge
+   it is, or ~m for the m-th message of message_names.  Per node it lists
+   its inputs in that order and the ids of its in- and out-edges; per
+   receiver, its demands as message indices.
+
+The issues, both orders, message_names, receivers and the compiled form
+are made once; in_edges, out_edges and inputs are served from the int
+lists.  Edges and names stay at the boundary: an Edge is made once per
+edge, in declaration order, codes are keyed by Edge, and results name
+nodes and messages.  The searches, the witnesses, the verifiers and the
+cut bound read the compiled form.
 
 cut_deficit checks the cut-set bound, which no code over any alphabet of
 two or more symbols can beat: a receiver decodes the messages owned in a
@@ -23,8 +57,11 @@ that many edges.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, product, repeat
+from operator import invert, itemgetter
 
 
 _UNSET = object()
@@ -41,105 +78,316 @@ class Edge:
         return f"{self.tail}->{self.head}{tag}"
 
 
+def _show(x) -> str:
+    """x as JSON text, shortened, for a one-line message."""
+    try:
+        text = json.dumps(x)
+    except (TypeError, ValueError):
+        text = repr(x)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _name(x, where: str) -> str:
+    """A name: a str, or an integer's decimal text; else a ValueError."""
+    if isinstance(x, str):
+        return str(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return str(x)
+    raise ValueError(f"{where} is a name (a string or an integer), "
+                     f"not {_show(x)}")
+
+
+def _list(x, where: str):
+    if isinstance(x, (list, tuple)):
+        return x
+    raise ValueError(f"{where} is a list, not {_show(x)}")
+
+
+def _read(nodes, edges, messages, demands) -> tuple:
+    """The fields as columns, their types checked (module notes, step 1):
+    node names; edge tails, heads and ordinals; message names and owners;
+    and demands.  Input that is not in the plain form _columns reads is
+    put in it first, or refused, by _canonical."""
+    columns = _columns(nodes, edges, messages, demands)
+    if columns is None:
+        columns = _columns(*_canonical(nodes, edges, messages, demands))
+    return columns
+
+
+def _columns(nodes, edges, messages, demands):
+    """The columns of the plain form, where the fields are lists (or
+    tuples) and demands a dict, every edge is [tail, head, ordinal], every
+    message a pair, every name a str and every ordinal an int; None for
+    anything else.  Each check covers whole columns at once."""
+    if not (type(nodes) in _SEQS and type(edges) in _SEQS
+            and type(messages) in _SEQS and type(demands) is dict
+            and _SEQS.issuperset(map(type, chain(edges, messages,
+                                                 demands.values())))):
+        return None
+    try:
+        tails, heads, ords = (zip(*edges, strict=True) if edges
+                              else ((), (), ()))
+        mnames, owners = (zip(*messages, strict=True) if messages
+                          else ((), ()))
+    except ValueError:      # an edge of another length, or no pair
+        return None
+    if not (_INT.issuperset(map(type, ords)) and _STR.issuperset(
+            map(type, chain(nodes, tails, heads, mnames, owners, demands,
+                            chain.from_iterable(demands.values()))))):
+        return None
+    return (tuple(nodes), tails, heads, ords, mnames, owners,
+            dict(zip(demands, map(tuple, demands.values()))))
+
+
+def _canonical(nodes, edges, messages, demands) -> tuple:
+    """The fields in the plain form of _columns: integer names as their
+    decimal text, an Edge or a [tail, head] as [tail, head, ordinal]; or
+    a one-line ValueError naming the first entry that is not allowed."""
+    names = [_name(v, f"nodes[{k}]")
+             for k, v in enumerate(_list(nodes, "nodes"))]
+    triples = []
+    for k, e in enumerate(_list(edges, "edges")):
+        if isinstance(e, Edge):
+            e = (e.tail, e.head, e.ordinal)
+        if type(e) not in _SEQS or not 2 <= len(e) <= 3:
+            raise ValueError(f"edges[{k}] is [tail, head, ordinal], "
+                             f"not {_show(e)}")
+        t, h, o = e if len(e) == 3 else (*e, 0)
+        if type(o) is not int:
+            raise ValueError(f"edges[{k}] has the ordinal {_show(o)}, "
+                             f"not an integer")
+        triples.append((_name(t, f"the tail of edges[{k}]"),
+                        _name(h, f"the head of edges[{k}]"), o))
+    pairs = []
+    for k, pair in enumerate(_list(messages, "messages")):
+        if type(pair) not in _SEQS or len(pair) != 2:
+            raise ValueError(f"messages[{k}] is a [name, owner] pair, "
+                             f"not {_show(pair)}")
+        pairs.append((_name(pair[0], f"the name of messages[{k}]"),
+                      _name(pair[1], f"the owner of messages[{k}]")))
+    if not isinstance(demands, dict):
+        raise ValueError("demands is an object mapping each receiver to "
+                         f"a list of messages, not {_show(demands)}")
+    wants = {}
+    for r, ms in demands.items():
+        r = _name(r, "a receiver in demands")
+        where = f"the demands of {r}"
+        wants[r] = [_name(m, where) for m in _list(ms, where)]
+    return names, triples, pairs, wants
+
+
+_STR, _INT, _SEQS = {str}, {int}, {list, tuple}
+
+
 class Network:
+    """A network, read, validated and compiled in one pass (module notes).
+
+    nodes, edges, messages and demands hold what was given, with names as
+    strings and edges as Edge; message_names and receivers (sorted) are
+    derived once.  A network with issues is still built, so that
+    validate_network can list them."""
+
     def __init__(self, nodes, edges, messages, demands):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(Edge(*e) if not isinstance(e, Edge) else e for e in edges)
-        self.messages = tuple((str(m), str(owner)) for (m, owner) in messages)
-        self.demands = {str(r): tuple(ms) for r, ms in dict(demands).items()}
-        self._in = {v: [] for v in self.nodes}
-        self._out = {v: [] for v in self.nodes}
-        for e in self.edges:
-            # tolerate edges at unknown endpoints so validate_network can
-            # report them instead of the constructor blowing up
-            for v in (e.head, e.tail):
-                self._in.setdefault(v, [])
-                self._out.setdefault(v, [])
-            self._in[e.head].append(e)
-            self._out[e.tail].append(e)
-        for v in self._in:
-            self._in[v].sort(key=lambda e: (e.tail, e.ordinal))
-            self._out[v].sort(key=lambda e: (e.head, e.ordinal))
-        self._owned = {v: [m for (m, owner) in self.messages if owner == v]
-                       for v in self.nodes}
-        # a network is never changed after construction, so the orders,
-        # inputs, issues, compiled form, cut-set deficit and the rank
-        # search's compiled shapes (solver._Shape, one per forwarding
-        # setting) are computed once; a cycle is not cached and raises again
+        # The pass, steps 1-5 of the module notes.
+
+        # 1. names to ints, types checked; unknown names, for validation to
+        # report, get ints after the nodes, in order of appearance
+        (names, tnames, hnames, ords, mnames, onames,
+         wants) = _read(nodes, edges, messages, demands)
+        objs = tuple(map(Edge, tnames, hnames, ords))
+        index = dict(zip(names, range(len(names))))
+        at = index
+        if not index.keys() >= {*tnames, *hnames, *onames}:
+            at = dict(index)
+            for v in (*tnames, *hnames, *onames):
+                at.setdefault(v, len(names) + len(at) - len(index))
+        tails = list(map(at.__getitem__, tnames))
+        heads = list(map(at.__getitem__, hnames))
+        owners = list(map(at.__getitem__, onames))
+        self.nodes, self.edges, self.demands = names, objs, wants
+        self.messages = tuple(zip(mnames, onames))
+        self.message_names = mnames
+        self.receivers = tuple(sorted(wants))
+        n = len(names)
+        size = n + len(at) - len(index)
+        repeats = len(index) < n
+
+        # 2. per edge (tail, ordinal, head, number, tail int, head int), the
+        # number being its place in edges, sorted: each node's out-edges
+        # come in topo_edges() order and its in-edges in inputs() order
+        rows = sorted(zip(tnames, ords, hnames, range(len(objs)), tails,
+                          heads))
+        ahead = list(map(list, repeat((), size)))
+        into = list(map(list, repeat((), size)))
+        for r in rows:
+            ahead[r[4]].append(r)
+            into[r[5]].append(r[3])
+
+        # 3. the topological order: the ready node with the least name goes
+        # first, from a heap, and its out-edges follow in topo; reach[v]
+        # gathers the bits 1 << o of the owners o with a path to v.  A
+        # repeated node name is taken once for each place it has while it
+        # is a source, and ready is made a set again each time a node
+        # becomes ready, as the sorted-ready rule did: the order then has
+        # as many nodes as nodes only if every repeat is a source.
+        indeg = list(map(len, into))
+        sources = []
+        for v in names:
+            if not indeg[index[v]]:
+                sources.append(v)
+        reach = [0] * size
+        for o in owners:
+            reach[o] = 1 << o
+        ready = sources[:]
+        heapify(ready)
+        order, topo = [], []
+        while ready:
+            v = index[heappop(ready)]
+            order.append(v)
+            bumped = False
+            for r in ahead[v]:
+                topo.append(r)
+                h = r[5]
+                reach[h] |= reach[v]
+                if h < n:       # an unknown head is left to validation
+                    indeg[h] -= 1
+                    if not indeg[h]:
+                        heappush(ready, r[2])
+                        bumped = True
+            if bumped and repeats:
+                ready = sorted(set(ready))
+        self._topo_nodes = self._topo_edges = self._compiled = None
+        if len(order) != n:
+            order = topo = None
+        else:
+            self._topo_nodes = tuple(map(names.__getitem__, order))
+            if repeats:
+                topo = _last_places(order, ahead)
+            if len(topo) < len(rows):
+                topo = None     # an edge out of an unknown node is not in it
+
+        # an edge's number from here on: its id (module notes) once the
+        # edges are in topological order, else its place in edges
+        if topo is None:
+            ids = range(len(rows))
+            self._by_id = self.edges
+        else:
+            ids = [0] * len(rows)
+            for i, r in enumerate(topo):
+                ids[r[3]] = i
+            for x in into:
+                x[:] = map(ids.__getitem__, x)
+            self._by_id = self._topo_edges = tuple(
+                map(objs.__getitem__, map(_NUM, topo)))
+        out = list(map(list, repeat((), size)))
+        for r in sorted(rows, key=_BY_HEAD):
+            out[r[4]].append(ids[r[3]])
+        # per owner int, its messages' indices (of a repeated name's last)
+        mpos = dict(zip(mnames, range(len(mnames))))
+        owned = {}
+        for m, o in zip(mnames, owners):
+            owned.setdefault(o, []).append(mpos[m])
+        self._at, self._into, self._out, self._owned = at, into, out, owned
+
+        # 4. validation: screens that pass on a network with no issue, for
+        # which reach is exact; _issues walks any other.  Walking every
+        # network costs a rank request about 3 % of its median time
+        # (BENCH_24.json, "validation_screens").
+        clean = (order is not None and at is index and not repeats
+                 and len(mpos) == len(mnames)
+                 and len(set(zip(tails, heads, ords))) == len(rows)
+                 and not any(map(into.__getitem__, owners)))
+        if clean:
+            for v in sources:
+                if ahead[index[v]] and index[v] not in owned:
+                    clean = False
+            bits = dict(zip(mnames, map((1).__lshift__, owners)))
+            for r, ms in wants.items():
+                t = index.get(r)
+                if t is None:
+                    clean = False
+                    continue
+                for m in ms:
+                    if not reach[t] & bits.get(m, 0):
+                        clean = False
+        self._issues = () if clean else tuple(_issues(
+            self, index, tails, heads, ords, owners, sources, rows,
+            order is not None, size))
+
+        # 5. the compiled form, once every name is known
+        if (topo is not None and max(heads, default=-1) < n
+                and index.keys() >= wants.keys()
+                and mpos.keys() >= set(chain.from_iterable(wants.values()))):
+            inputs = list(map(tuple, into))
+            for v, ms in owned.items():
+                inputs[v] += tuple(map(invert, ms))
+            if size > n or repeats:
+                into, out, inputs = _by_place(index, names, into, out,
+                                              inputs)
+            receivers = []
+            for r in self.receivers:
+                receivers.append(
+                    (r, index[r], tuple(map(mpos.__getitem__, wants[r]))))
+            self._compiled = Compiled(
+                self._by_id, ids, index, list(map(_TAIL, topo)),
+                list(map(_HEAD, topo)), into, out, inputs, receivers)
         self._inputs = {}
-        self._topo_nodes = self._topo_edges = self._issues = None
-        self._compiled = None
         self._deficit = _UNSET
+        # the rank search's compiled shapes (solver._Shape), one per
+        # forwarding setting
         self._shapes = {}
 
     def __repr__(self):
         return (f"Network({len(self.nodes)} nodes, {len(self.edges)} edges, "
                 f"{len(self.messages)} messages, {len(self.demands)} receivers)")
 
-    @property
-    def message_names(self):
-        return tuple(m for (m, _) in self.messages)
-
-    @property
-    def receivers(self):
-        return tuple(sorted(self.demands))
-
     def in_edges(self, node: str):
-        return tuple(self._in[node])
+        return tuple([self._by_id[i] for i in self._into[self._at[node]]])
 
     def out_edges(self, node: str):
-        return tuple(self._out[node])
+        return tuple([self._by_id[i] for i in self._out[self._at[node]]])
 
     def inputs(self, node: str):
         """The node's inputs: ("edge", Edge) then ("message", name)
         entries; compiled() holds them as ints (module notes)."""
         out = self._inputs.get(node)
         if out is None:
+            v = self._at[node]
             out = self._inputs[node] = (
-                tuple(("edge", e) for e in self._in[node])
-                + tuple(("message", m) for m in self._owned[node]))
+                tuple([("edge", self._by_id[i]) for i in self._into[v]])
+                + tuple([("message", self.message_names[m])
+                         for m in self._owned.get(v, ())]))
         return out
 
     def topo_nodes(self):
-        if self._topo_nodes is not None:
-            return self._topo_nodes
-        indeg = {v: len(self._in[v]) for v in self.nodes}
-        ready = sorted(v for v in self.nodes if indeg[v] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            bump = set()
-            for e in self._out[v]:
-                if e.head not in indeg:
-                    continue  # dangling edge; validate_network reports it
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    bump.add(e.head)
-            if bump:
-                ready = sorted(set(ready) | bump)
-        if len(order) != len(self.nodes):
+        if self._topo_nodes is None:
             raise ValueError("network contains a cycle")
-        self._topo_nodes = tuple(order)
         return self._topo_nodes
 
     def topo_edges(self):
         if self._topo_edges is None:
-            rank = {v: i for i, v in enumerate(self.topo_nodes())}
-            self._topo_edges = tuple(sorted(
-                self.edges,
-                key=lambda e: (rank[e.tail], e.tail, e.ordinal, e.head)))
+            self._refuse()
         return self._topo_edges
 
     def compiled(self) -> "Compiled":
-        """The network as ints (module notes), built on first use."""
+        """The network as ints (module notes)."""
         if self._compiled is None:
-            self._compiled = Compiled(self)
+            self._refuse()
         return self._compiled
 
+    def _refuse(self):
+        self.topo_nodes()
+        raise ValueError("invalid network: " + "; ".join(self._issues))
 
+
+# of a row: (head, ordinal, number), number, tail int and head int
+_BY_HEAD, _NUM = itemgetter(2, 1, 3), itemgetter(3)
+_TAIL, _HEAD = itemgetter(4), itemgetter(5)
+
+
+@dataclass
 class Compiled:
-    """A network as ints (module notes); a cycle raises ValueError.
+    """A network as ints (module notes).
 
     edges:         the edges in topological order; an edge's id is its index.
     ids:           per edge of Network.edges, in declaration order, its id.
@@ -152,90 +400,99 @@ class Compiled:
     receivers:     (name, node index, demanded message indices) per
                    receiver, by name.
     """
-
-    def __init__(self, net: Network):
-        edges = self.edges = net.topo_edges()
-        # by identity, which hashes an int and not the Edge's fields: the
-        # orders and the in- and out-lists hold the objects of net.edges
-        at = {id(e): i for i, e in enumerate(edges)}
-        self.ids = [at[id(e)] for e in net.edges]
-        index = self.index = {v: i for i, v in enumerate(net.nodes)}
-        mpos = {m: i for i, m in enumerate(net.message_names)}
-        self.tails = [index[e.tail] for e in edges]
-        self.heads = [index[e.head] for e in edges]
-        self.into = [[at[id(e)] for e in net._in[v]] for v in net.nodes]
-        self.out_of = [[at[id(e)] for e in net._out[v]] for v in net.nodes]
-        self.inputs = [tuple(into + [~mpos[m] for m in net._owned[v]])
-                       for v, into in zip(net.nodes, self.into)]
-        self.receivers = [(r, index[r], tuple([mpos[m] for m in ms]))
-                          for r, ms in sorted(net.demands.items())]
+    edges: tuple
+    ids: list
+    index: dict
+    tails: list
+    heads: list
+    into: list
+    out_of: list
+    inputs: list
+    receivers: list
 
 
-def validate_network(net: Network) -> list[str]:
-    """List of structural problems; empty means the network is well-formed."""
-    if net._issues is not None:
-        return list(net._issues)
+def _last_places(order: list, ahead: list) -> list:
+    """The edge rows in topo_edges() order when a node name repeats: a
+    repeated tail ranks by its last place in order."""
+    return [r for v in list(dict.fromkeys(reversed(order)))[::-1]
+            for r in ahead[v]]
+
+
+def _by_place(index, names, *per_int):
+    """Lists by node int as lists by place in nodes: an unknown owner has
+    no place, and a repeated name's places all take its last place's."""
+    slots = [index[v] for v in names]
+    return [[x[v] for v in slots] for x in per_int]
+
+
+def _issues(net: Network, index, tails, heads, ords, owners, sources, rows,
+            acyclic, size):
+    """The issues validate_network lists, in the order of the module
+    notes, walked one by one for a network that fails a screen of the
+    pass, from its ints: per edge in declaration order its tail, head and
+    ordinal and its row, per message its owner, and the nodes with no
+    in-edges in nodes order."""
+    n = len(net.nodes)
+    into, owned, at = net._into, net._owned, net._at
     issues = []
-    if len(set(net.nodes)) != len(net.nodes):
+    if len(index) < n:
         issues.append("duplicate node ids")
-    node_set = set(net.nodes)
-    seen_edges = set()
-    for e in net.edges:
-        if e.tail not in node_set or e.head not in node_set:
+    seen = set()
+    for e, key in zip(net.edges, zip(tails, heads, ords)):
+        t, h, _ = key
+        if t >= n or h >= n:
             issues.append(f"edge {e} touches an unknown node")
-        if (e.tail, e.head, e.ordinal) in seen_edges:
+        if key in seen:
             issues.append(f"duplicate edge {e}")
-        seen_edges.add((e.tail, e.head, e.ordinal))
-        if e.tail == e.head:
+        seen.add(key)
+        if t == h:
             issues.append(f"self-loop {e}")
-    names = [m for (m, _) in net.messages]
+    names = net.message_names
     if len(set(names)) != len(names):
         issues.append("duplicate message names")
-    for (m, owner) in net.messages:
-        if owner not in node_set:
+    for (m, owner), o in zip(net.messages, owners):
+        if o >= n:
             issues.append(f"message {m} owned by unknown node {owner}")
-        elif net.in_edges(owner):
+        elif into[o]:
             issues.append(f"message {m} owned by non-source node {owner}")
-    for v in dict.fromkeys(net.nodes):
-        if net._out[v] and not (net._in[v] or net._owned[v]):
+    for v in dict.fromkeys(sources):
+        i = index[v]
+        if net._out[i] and i not in owned:
             issues.append(f"node {v} sends on edges but has no inputs")
-    try:
-        net.topo_nodes()
-        acyclic = True
-    except ValueError:
+    if not acyclic:
         issues.append("network contains a cycle")
-        acyclic = False
-    owners = dict((m, owner) for (m, owner) in net.messages)
-    reach = {}      # owner -> every node it reaches, itself included
+    # reach[v]: the bits 1 << o of the owners o with a path to v, swept
+    # along every edge until nothing changes, through unknown nodes too
+    reach = [0] * size
+    for o in owners:
+        reach[o] = 1 << o
+    grew = acyclic
+    while grew:
+        grew = False
+        for r in rows:
+            got = reach[r[5]] | reach[r[4]]
+            if got != reach[r[5]]:
+                reach[r[5]] = got
+                grew = True
+    owner_of = dict(net.messages)
     for r, wanted in net.demands.items():
-        if r not in node_set:
+        t = index.get(r)
+        if t is None:
             issues.append(f"receiver {r} is not a node")
             continue
         for m in wanted:
-            if m not in owners:
+            owner = owner_of.get(m)
+            if owner is None:
                 issues.append(f"receiver {r} demands unknown message {m}")
-            elif acyclic:
-                owner = owners[m]
-                if owner not in reach:
-                    reach[owner] = _reach_set(net, owner)
-                if r not in reach[owner]:
-                    issues.append(
-                        f"no path from {owner} to {r} for message {m}")
-    net._issues = tuple(issues)
+            elif acyclic and not reach[t] >> at[owner] & 1:
+                issues.append(f"no path from {owner} to {r} for message {m}")
     return issues
 
 
-def _reach_set(net: Network, src: str) -> set:
-    """src and every node a directed path leads to from it; an unknown src
-    (reported separately) reaches whatever its dangling edges lead to."""
-    seen = {src}
-    stack = [src]
-    while stack:
-        for e in net._out.get(stack.pop(), ()):
-            if e.head not in seen:
-                seen.add(e.head)
-                stack.append(e.head)
-    return seen
+def validate_network(net: Network) -> list[str]:
+    """List of structural problems, found when the network was read; empty
+    means the network is well-formed."""
+    return list(net._issues)
 
 
 def cut_deficit(net: Network):
@@ -263,10 +520,12 @@ def _first_deficit(net: Network):
     cn = net.compiled()
     owner = [cn.index[o] for (_, o) in net.messages]
     for r, t, demand in cn.receivers:
+        if len(demand) < 2:
+            continue    # validation found a path for a lone message
         # a message the receiver owns itself needs no edge
         wanted = [m for m in dict.fromkeys(demand) if owner[m] != t]
         if len(wanted) < 2:
-            continue    # validation found a path for a lone message
+            continue
         spare = {}      # owner -> messages of r it has not sent yet
         for m in wanted:
             spare[owner[m]] = spare.get(owner[m], 0) + 1
@@ -409,16 +668,13 @@ def network_to_json(net: Network):
 
 
 def parse_network(data) -> Network:
-    """The network a JSON object describes, not yet validated."""
+    """The network a JSON object describes, its types checked (module
+    notes), with the issues validate_network lists."""
     if not isinstance(data, dict):
         raise TypeError(f"a network is a JSON object, "
                         f"not {type(data).__name__}")
-    return Network(
-        [str(v) for v in data["nodes"]],
-        [(str(t), str(h), int(o)) for (t, h, o) in data["edges"]],
-        [(str(m), str(owner)) for (m, owner) in data["messages"]],
-        {str(r): tuple(str(m) for m in ms) for r, ms in data["demands"].items()},
-    )
+    return Network(data["nodes"], data["edges"], data["messages"],
+                   data["demands"])
 
 
 def network_from_json(data) -> Network:

@@ -598,3 +598,113 @@ def test_manifest_names_the_subcommand(files, tmp_path, argv, subcommand):
     assert data["subcommand"] == subcommand
     assert data["result_digest"] == cli._digest(
         json.loads((tmp_path / "out.json").read_text()))
+
+
+def _one_line_65(capsys, count):
+    err = capsys.readouterr().err
+    assert err.count("\n") == count and "Traceback" not in err
+    return err
+
+
+def _network_file(files, name, **changes):
+    data = json.loads(files["c3"].read_text())
+    data.update(changes)
+    path = files["dir"] / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_demands_given_as_a_list_are_65(files, capsys):
+    net = _network_file(files, "listed.json", demands=[["t1_2", "m1"]])
+    assert run("net", "validate", net) == DATA
+    assert run("solve", "scalar", net, "--ring", str(files["gf2"])) == DATA
+    assert run("solve", "smallest", net, "--max-size", "4") == DATA
+    err = _one_line_65(capsys, 3)
+    assert "demands is an object" in err
+
+
+@pytest.mark.parametrize("nodes", ["sv1", None, {"s": 1}])
+def test_nodes_that_are_not_a_list_are_65(files, nodes, capsys):
+    net = _network_file(files, "nodes.json", nodes=nodes)
+    assert run("solve", "scalar", net, "--ring", str(files["gf2"])) == DATA
+    assert run("net", "validate", net) == DATA
+    _one_line_65(capsys, 2)
+
+
+@pytest.mark.parametrize("ordinal", [0.5, True, "0", None])
+def test_an_ordinal_that_is_not_an_integer_is_65(files, tmp_path, ordinal,
+                                                  capsys):
+    out = tmp_path / "solved.json"
+    assert run("solve", "scalar", str(files["c3"]), "--ring",
+               str(files["gf2"]), "-o", str(out)) == OK
+    data = json.loads(files["c3"].read_text())
+    data["edges"][0][2] = ordinal
+    net = _network_file(files, "ordinal.json", edges=data["edges"])
+    assert run("solve", "scalar", net, "--ring", str(files["gf2"])) == DATA
+    assert run("code", "verify", net, str(out)) == DATA
+    err = _one_line_65(capsys, 2)
+    assert "edges[0] has the ordinal" in err
+
+
+@pytest.mark.parametrize("name", [None, 1.5, True, ["s"]])
+def test_a_node_that_is_not_a_name_is_65(files, name, capsys):
+    data = json.loads(files["c3"].read_text())
+    net = _network_file(files, "named.json", nodes=data["nodes"] + [name])
+    assert run("net", "validate", net) == DATA
+    assert run("solve", "scalar", net, "--ring", str(files["gf2"])) == DATA
+    err = _one_line_65(capsys, 2)
+    assert f"nodes[{len(data['nodes'])}] is a name" in err
+
+
+def test_an_integer_name_is_read_as_its_text(files, capsys):
+    net = files["dir"] / "numbered.json"
+    net.write_text(json.dumps({
+        "nodes": [1, 2], "edges": [[1, 2, 0]], "messages": [["m", 1]],
+        "demands": {"2": ["m"]}}))
+    assert run("net", "validate", str(net)) == OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.fixture
+def solved_code(files, tmp_path):
+    out = tmp_path / "solved.json"
+    assert run("solve", "scalar", str(files["c3"]), "--ring",
+               str(files["gf2"]), "-o", str(out)) == OK
+    return json.loads(out.read_text())["code"]
+
+
+@pytest.mark.parametrize("coefficient", ["1", 1.9, True, None])
+def test_a_coefficient_that_is_not_an_integer_is_65(files, solved_code,
+                                                     coefficient, capsys):
+    solved_code["edges"][0][3][0] = coefficient
+    path = files["dir"] / "coded.json"
+    path.write_text(json.dumps(solved_code))
+    assert run("code", "verify", str(files["c3"]), str(path)) == DATA
+    err = _one_line_65(capsys, 1)
+    assert "not a list of integers" in err
+
+
+def test_a_decoding_coefficient_that_is_not_an_integer_is_65(
+        files, solved_code, capsys):
+    solved_code["decodings"][0][2][0] = "1"
+    path = files["dir"] / "coded.json"
+    path.write_text(json.dumps(solved_code))
+    assert run("code", "verify", str(files["c3"]), str(path)) == DATA
+    _one_line_65(capsys, 1)
+
+
+def test_an_edge_or_a_decoding_listed_twice_is_65(files, solved_code,
+                                                  capsys):
+    twice = dict(solved_code, edges=solved_code["edges"]
+                 + [solved_code["edges"][0]])
+    path = files["dir"] / "twice.json"
+    path.write_text(json.dumps(twice))
+    assert run("code", "verify", str(files["c3"]), str(path)) == DATA
+    t, h, _, _ = solved_code["edges"][0]
+    assert f"edge {t}->{h} is listed twice" in _one_line_65(capsys, 1)
+    twice = dict(solved_code, decodings=solved_code["decodings"]
+                 + [solved_code["decodings"][-1]])
+    path.write_text(json.dumps(twice))
+    assert run("code", "verify", str(files["c3"]), str(path)) == DATA
+    r, m, _ = solved_code["decodings"][-1]
+    assert f"decoding ({r}, {m}) is listed twice" in _one_line_65(capsys, 1)
