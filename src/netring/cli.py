@@ -109,9 +109,9 @@ def _decode(path: str, what: str, decode):
     """decode(JSON of path).  A TypeError, KeyError or ValueError from
     decode is a data error (exit 65, one line), never a crash or a
     verdict: decoders raise one for a list where an object belongs or a
-    missing key, and the network and code readers for every value of the
-    wrong JSON type too (networks module notes, codes.code_from_json).
-    Ring and module descriptors still convert their numbers with int()."""
+    missing key, and the network, code, ring and module readers for every
+    value of the wrong JSON type too (networks module notes,
+    codes.code_from_json, rings.descriptor_from_json)."""
     data = _load(path)
     try:
         return decode(data)

@@ -381,7 +381,7 @@ def module_from_json(data) -> Module:
             _rings.descriptor_from_json(data["ring"])))
     if kind == "vector":
         return vector_module(_rings.construct_ring(
-            _rings.descriptor_from_json(data["ring"])), int(data["dim"]))
+            _rings.descriptor_from_json(data["ring"])), _rings._typed(data, "dim"))
     if kind == "table":
         ring = _rings.construct_ring(_rings.descriptor_from_json(data["ring"]))
         group = group_from_table(data["group"])

@@ -19,36 +19,39 @@ JSON (network_from_json) or from Python; nothing in it changes afterwards.
    Input in the plain form (names str, edges [tail, head, ordinal]) is
    checked a whole column at a time; other input is first put in that
    form entry by entry, or refused naming the entry.  A node's int is its
-   place in nodes (its last place, for a repeated name); a name that an
-   edge or a message refers to and that is no node gets an int after
-   them, so that validation can report it.
+   place in nodes.  A repeated node name, or an edge end or an owner that
+   is no node, stops the pass here.
 2. The edges sorted by (tail, ordinal, head), dealt out per node: its
    in-edges in inputs() order and its out-edges in topo_edges() order.
 3. The topological order: the ready node with the least name goes first,
    taken from a heap.  An edge's id is its place in topo_edges(), which
    lists the edges by the order of their tails, then ordinal, then head.
-4. Validation on the ints, once.  Screens over whole lists, with each
+   An order that leaves a node out (a cycle) stops the pass at step 4.
+4. Validation on the ints, once: screens over whole lists, with each
    owner's reach gathered as bit masks along the heap order, pass on a
-   network with no issue; only a network that fails one is walked issue
-   by issue (_issues).  validate_network lists the issues in this order:
-   a repeated node name; per edge, in declaration order, an unknown end
-   node, a duplicate and a self-loop; a repeated message name; per
-   message, an owner that is no node or has in-edges; per node, one that
-   sends on edges with no inputs; a cycle; per receiver, one that is no
-   node, then per demand an unknown message or, on an acyclic network,
-   an owner with no path to the receiver.
-5. The compiled form (Compiled), once the network is acyclic and every
-   name it refers to is known: an input is an int, the id of the in-edge
-   it is, or ~m for the m-th message of message_names.  Per node it lists
-   its inputs in that order and the ids of its in- and out-edges; per
-   receiver, its demands as message indices.
+   network with no issue and stop the pass on any other.  _issues, the
+   one reader of repeated and unknown names, then walks it by name, and
+   validate_network lists its issues in this order: a repeated node name;
+   per edge, in declaration order, an unknown end node, a duplicate and a
+   self-loop; a repeated message name; per message, an owner that is no
+   node or has in-edges; per node, one that sends on edges with no
+   inputs; a cycle; per receiver, one that is no node, then per demand
+   an unknown message or, on an acyclic network, an owner with no path
+   to the receiver.
+5. The compiled form (Compiled) of a network with no issue: an input is
+   an int, the id of the in-edge it is, or ~m for the m-th message of
+   message_names.  Per node it lists its inputs in that order and the ids
+   of its in- and out-edges; per receiver, its demands as message indices.
 
-The issues, both orders, message_names, receivers and the compiled form
-are made once; in_edges, out_edges and inputs are served from the int
-lists.  Edges and names stay at the boundary: an Edge is made once per
-edge, in declaration order, codes are keyed by Edge, and results name
-nodes and messages.  The searches, the witnesses, the verifiers and the
-cut bound read the compiled form.
+A network with an issue keeps what was given, message_names, receivers
+and its issues; its orders, edge lists, inputs and compiled form raise a
+ValueError, "network contains a cycle" if it has one, else "invalid
+network: " and its issues.  A valid one makes both orders and the
+compiled form once and serves in_edges, out_edges and inputs from it.
+Edges and names stay at the boundary: an Edge is made once per edge, in
+declaration order, codes are keyed by Edge, and results name nodes and
+messages.  The searches, the witnesses, the verifiers and the cut bound
+read the compiled form.
 
 cut_deficit checks the cut-set bound, which no code over any alphabet of
 two or more symbols can beat: a receiver decodes the messages owned in a
@@ -61,7 +64,7 @@ import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, product, repeat
-from operator import invert, itemgetter
+from operator import itemgetter
 
 
 _UNSET = object()
@@ -101,17 +104,6 @@ def _list(x, where: str):
     if isinstance(x, (list, tuple)):
         return x
     raise ValueError(f"{where} is a list, not {_show(x)}")
-
-
-def _read(nodes, edges, messages, demands) -> tuple:
-    """The fields as columns, their types checked (module notes, step 1):
-    node names; edge tails, heads and ordinals; message names and owners;
-    and demands.  Input that is not in the plain form _columns reads is
-    put in it first, or refused, by _canonical."""
-    columns = _columns(nodes, edges, messages, demands)
-    if columns is None:
-        columns = _columns(*_canonical(nodes, edges, messages, demands))
-    return columns
 
 
 def _columns(nodes, edges, messages, demands):
@@ -184,153 +176,108 @@ class Network:
 
     nodes, edges, messages and demands hold what was given, with names as
     strings and edges as Edge; message_names and receivers (sorted) are
-    derived once.  A network with issues is still built, so that
-    validate_network can list them."""
+    derived once.  A network with an issue keeps only these and its
+    issues, which validate_network lists; its orders, edge lists, inputs
+    and compiled form raise a ValueError (module notes)."""
 
     def __init__(self, nodes, edges, messages, demands):
-        # The pass, steps 1-5 of the module notes.
+        # The pass, steps 1-5 of the module notes; a network with an issue
+        # stops at the first step that finds one.
 
-        # 1. names to ints, types checked; unknown names, for validation to
-        # report, get ints after the nodes, in order of appearance
-        (names, tnames, hnames, ords, mnames, onames,
-         wants) = _read(nodes, edges, messages, demands)
+        # 1. names to ints, types checked: input not in the plain form that
+        # _columns reads is put in it first, or refused, by _canonical
+        names, tnames, hnames, ords, mnames, onames, wants = (
+            _columns(nodes, edges, messages, demands)
+            or _columns(*_canonical(nodes, edges, messages, demands)))
         objs = tuple(map(Edge, tnames, hnames, ords))
-        index = dict(zip(names, range(len(names))))
-        at = index
-        if not index.keys() >= {*tnames, *hnames, *onames}:
-            at = dict(index)
-            for v in (*tnames, *hnames, *onames):
-                at.setdefault(v, len(names) + len(at) - len(index))
-        tails = list(map(at.__getitem__, tnames))
-        heads = list(map(at.__getitem__, hnames))
-        owners = list(map(at.__getitem__, onames))
         self.nodes, self.edges, self.demands = names, objs, wants
         self.messages = tuple(zip(mnames, onames))
         self.message_names = mnames
         self.receivers = tuple(sorted(wants))
         n = len(names)
-        size = n + len(at) - len(index)
-        repeats = len(index) < n
+        index = dict(zip(names, range(n)))
+        if len(index) < n or not index.keys() >= {*tnames, *hnames, *onames}:
+            self._issues = _issues(self)
+            return
+        tails, heads, owners = (list(map(index.__getitem__, column))
+                                for column in (tnames, hnames, onames))
 
         # 2. per edge (tail, ordinal, head, number, tail int, head int), the
         # number being its place in edges, sorted: each node's out-edges
         # come in topo_edges() order and its in-edges in inputs() order
         rows = sorted(zip(tnames, ords, hnames, range(len(objs)), tails,
                           heads))
-        ahead = list(map(list, repeat((), size)))
-        into = list(map(list, repeat((), size)))
+        ahead = list(map(list, repeat((), n)))
+        into = list(map(list, repeat((), n)))
         for r in rows:
             ahead[r[4]].append(r)
             into[r[5]].append(r[3])
 
         # 3. the topological order: the ready node with the least name goes
         # first, from a heap, and its out-edges follow in topo; reach[v]
-        # gathers the bits 1 << o of the owners o with a path to v.  A
-        # repeated node name is taken once for each place it has while it
-        # is a source, and ready is made a set again each time a node
-        # becomes ready, as the sorted-ready rule did: the order then has
-        # as many nodes as nodes only if every repeat is a source.
+        # gathers the bits 1 << o of the owners o with a path to v
         indeg = list(map(len, into))
-        sources = []
-        for v in names:
-            if not indeg[index[v]]:
-                sources.append(v)
-        reach = [0] * size
+        sources = [v for v, d in zip(names, indeg) if not d]
+        reach = [0] * n
         for o in owners:
             reach[o] = 1 << o
         ready = sources[:]
         heapify(ready)
         order, topo = [], []
         while ready:
-            v = index[heappop(ready)]
-            order.append(v)
-            bumped = False
+            name = heappop(ready)
+            order.append(name)
+            v = index[name]
             for r in ahead[v]:
                 topo.append(r)
                 h = r[5]
                 reach[h] |= reach[v]
-                if h < n:       # an unknown head is left to validation
-                    indeg[h] -= 1
-                    if not indeg[h]:
-                        heappush(ready, r[2])
-                        bumped = True
-            if bumped and repeats:
-                ready = sorted(set(ready))
-        self._topo_nodes = self._topo_edges = self._compiled = None
-        if len(order) != n:
-            order = topo = None
-        else:
-            self._topo_nodes = tuple(map(names.__getitem__, order))
-            if repeats:
-                topo = _last_places(order, ahead)
-            if len(topo) < len(rows):
-                topo = None     # an edge out of an unknown node is not in it
-
-        # an edge's number from here on: its id (module notes) once the
-        # edges are in topological order, else its place in edges
-        if topo is None:
-            ids = range(len(rows))
-            self._by_id = self.edges
-        else:
-            ids = [0] * len(rows)
-            for i, r in enumerate(topo):
-                ids[r[3]] = i
-            for x in into:
-                x[:] = map(ids.__getitem__, x)
-            self._by_id = self._topo_edges = tuple(
-                map(objs.__getitem__, map(_NUM, topo)))
-        out = list(map(list, repeat((), size)))
-        for r in sorted(rows, key=_BY_HEAD):
-            out[r[4]].append(ids[r[3]])
-        # per owner int, its messages' indices (of a repeated name's last)
-        mpos = dict(zip(mnames, range(len(mnames))))
-        owned = {}
-        for m, o in zip(mnames, owners):
-            owned.setdefault(o, []).append(mpos[m])
-        self._at, self._into, self._out, self._owned = at, into, out, owned
+                indeg[h] -= 1
+                if not indeg[h]:
+                    heappush(ready, r[2])
 
         # 4. validation: screens that pass on a network with no issue, for
-        # which reach is exact; _issues walks any other.  Walking every
-        # network costs a rank request about 3 % of its median time
-        # (BENCH_24.json, "validation_screens").
-        clean = (order is not None and at is index and not repeats
-                 and len(mpos) == len(mnames)
+        # which reach is exact (a source's is 0 unless it owns a message).
+        # Walking every network instead costs a rank request 3 % of its
+        # median time (BENCH_24.json, "validation_screens").
+        mpos = dict(zip(mnames, range(len(mnames))))
+        clean = (len(order) == n and len(mpos) == len(mnames)
                  and len(set(zip(tails, heads, ords))) == len(rows)
-                 and not any(map(into.__getitem__, owners)))
+                 and not any(map(into.__getitem__, owners))
+                 and index.keys() >= wants.keys()
+                 and all(reach[index[v]] or not ahead[index[v]]
+                         for v in sources))
         if clean:
-            for v in sources:
-                if ahead[index[v]] and index[v] not in owned:
-                    clean = False
-            bits = dict(zip(mnames, map((1).__lshift__, owners)))
             for r, ms in wants.items():
-                t = index.get(r)
-                if t is None:
-                    clean = False
-                    continue
+                got = reach[index[r]]
                 for m in ms:
-                    if not reach[t] & bits.get(m, 0):
+                    k = mpos.get(m)
+                    if k is None or not got >> owners[k] & 1:
                         clean = False
-        self._issues = () if clean else tuple(_issues(
-            self, index, tails, heads, ords, owners, sources, rows,
-            order is not None, size))
+        if not clean:
+            self._issues = _issues(self)
+            return
 
-        # 5. the compiled form, once every name is known
-        if (topo is not None and max(heads, default=-1) < n
-                and index.keys() >= wants.keys()
-                and mpos.keys() >= set(chain.from_iterable(wants.values()))):
-            inputs = list(map(tuple, into))
-            for v, ms in owned.items():
-                inputs[v] += tuple(map(invert, ms))
-            if size > n or repeats:
-                into, out, inputs = _by_place(index, names, into, out,
-                                              inputs)
-            receivers = []
-            for r in self.receivers:
-                receivers.append(
-                    (r, index[r], tuple(map(mpos.__getitem__, wants[r]))))
-            self._compiled = Compiled(
-                self._by_id, ids, index, list(map(_TAIL, topo)),
-                list(map(_HEAD, topo)), into, out, inputs, receivers)
+        # 5. the compiled form; an edge's id is its place in topo
+        ids = [0] * len(rows)
+        for i, r in enumerate(topo):
+            ids[r[3]] = i
+        for x in into:
+            x[:] = map(ids.__getitem__, x)
+        out = list(map(list, repeat((), n)))
+        for r in sorted(rows, key=_BY_HEAD):
+            out[r[4]].append(ids[r[3]])
+        inputs = list(map(tuple, into))
+        for m, o in enumerate(owners):
+            inputs[o] += (~m,)
+        receivers = [(r, index[r], tuple(map(mpos.__getitem__, wants[r])))
+                     for r in self.receivers]
+        self._issues = ()
+        self._topo_nodes = tuple(order)
+        self._compiled = Compiled(
+            tuple(map(objs.__getitem__, map(_NUM, topo))), ids, index,
+            list(map(_TAIL, topo)), list(map(_HEAD, topo)), into, out,
+            inputs, receivers)
         self._inputs = {}
         self._deficit = _UNSET
         # the rank search's compiled shapes (solver._Shape), one per
@@ -342,47 +289,46 @@ class Network:
                 f"{len(self.messages)} messages, {len(self.demands)} receivers)")
 
     def in_edges(self, node: str):
-        return tuple([self._by_id[i] for i in self._into[self._at[node]]])
+        cn = self.compiled()
+        return tuple([cn.edges[i] for i in cn.into[cn.index[node]]])
 
     def out_edges(self, node: str):
-        return tuple([self._by_id[i] for i in self._out[self._at[node]]])
+        cn = self.compiled()
+        return tuple([cn.edges[i] for i in cn.out_of[cn.index[node]]])
 
     def inputs(self, node: str):
         """The node's inputs: ("edge", Edge) then ("message", name)
         entries; compiled() holds them as ints (module notes)."""
+        cn = self.compiled()
         out = self._inputs.get(node)
         if out is None:
-            v = self._at[node]
-            out = self._inputs[node] = (
-                tuple([("edge", self._by_id[i]) for i in self._into[v]])
-                + tuple([("message", self.message_names[m])
-                         for m in self._owned.get(v, ())]))
+            out = self._inputs[node] = tuple([
+                ("edge", cn.edges[i]) if i >= 0
+                else ("message", self.message_names[~i])
+                for i in cn.inputs[cn.index[node]]])
         return out
 
     def topo_nodes(self):
-        if self._topo_nodes is None:
-            raise ValueError("network contains a cycle")
+        self.compiled()
         return self._topo_nodes
 
     def topo_edges(self):
-        if self._topo_edges is None:
-            self._refuse()
-        return self._topo_edges
+        return self.compiled().edges
 
     def compiled(self) -> "Compiled":
-        """The network as ints (module notes)."""
-        if self._compiled is None:
-            self._refuse()
+        """The network as ints (module notes); on a network with an issue,
+        a ValueError: "network contains a cycle" if it has one, else
+        "invalid network: " and its issues."""
+        if self._issues:
+            raise ValueError(_CYCLE if _CYCLE in self._issues else
+                             "invalid network: " + "; ".join(self._issues))
         return self._compiled
-
-    def _refuse(self):
-        self.topo_nodes()
-        raise ValueError("invalid network: " + "; ".join(self._issues))
 
 
 # of a row: (head, ordinal, number), number, tail int and head int
 _BY_HEAD, _NUM = itemgetter(2, 1, 3), itemgetter(3)
 _TAIL, _HEAD = itemgetter(4), itemgetter(5)
+_CYCLE = "network contains a cycle"
 
 
 @dataclass
@@ -411,82 +357,82 @@ class Compiled:
     receivers: list
 
 
-def _last_places(order: list, ahead: list) -> list:
-    """The edge rows in topo_edges() order when a node name repeats: a
-    repeated tail ranks by its last place in order."""
-    return [r for v in list(dict.fromkeys(reversed(order)))[::-1]
-            for r in ahead[v]]
-
-
-def _by_place(index, names, *per_int):
-    """Lists by node int as lists by place in nodes: an unknown owner has
-    no place, and a repeated name's places all take its last place's."""
-    slots = [index[v] for v in names]
-    return [[x[v] for v in slots] for x in per_int]
-
-
-def _issues(net: Network, index, tails, heads, ords, owners, sources, rows,
-            acyclic, size):
-    """The issues validate_network lists, in the order of the module
-    notes, walked one by one for a network that fails a screen of the
-    pass, from its ints: per edge in declaration order its tail, head and
-    ordinal and its row, per message its owner, and the nodes with no
-    in-edges in nodes order."""
-    n = len(net.nodes)
-    into, owned, at = net._into, net._owned, net._at
+def _issues(net: Network) -> list:
+    """The issues of a network the pass stopped on, in the order of the
+    module notes, walked by name.  The cycle test is the sorted-ready rule
+    (ready nodes least name first, made a set again whenever one becomes
+    ready), which also reads a repeated name as a cycle unless it is a
+    source whose places are all taken before any node becomes ready."""
+    nodes, known = net.nodes, set(net.nodes)
     issues = []
-    if len(index) < n:
+    if len(known) < len(nodes):
         issues.append("duplicate node ids")
-    seen = set()
-    for e, key in zip(net.edges, zip(tails, heads, ords)):
-        t, h, _ = key
-        if t >= n or h >= n:
+    ahead, seen = {}, set()         # name -> the heads of its out-edges
+    indeg = dict.fromkeys(nodes, 0)
+    for e in net.edges:
+        if e.tail not in known or e.head not in known:
             issues.append(f"edge {e} touches an unknown node")
-        if key in seen:
+        if e in seen:
             issues.append(f"duplicate edge {e}")
-        seen.add(key)
-        if t == h:
+        seen.add(e)
+        if e.tail == e.head:
             issues.append(f"self-loop {e}")
-    names = net.message_names
-    if len(set(names)) != len(names):
+        ahead.setdefault(e.tail, []).append(e.head)
+        indeg[e.head] = indeg.get(e.head, 0) + 1
+    if len(set(net.message_names)) != len(net.message_names):
         issues.append("duplicate message names")
-    for (m, owner), o in zip(net.messages, owners):
-        if o >= n:
+    for m, owner in net.messages:
+        if owner not in known:
             issues.append(f"message {m} owned by unknown node {owner}")
-        elif into[o]:
+        elif indeg[owner]:
             issues.append(f"message {m} owned by non-source node {owner}")
-    for v in dict.fromkeys(sources):
-        i = index[v]
-        if net._out[i] and i not in owned:
+    owning = {o for _, o in net.messages}
+    for v in dict.fromkeys(nodes):
+        if v in ahead and not indeg[v] and v not in owning:
             issues.append(f"node {v} sends on edges but has no inputs")
+    ready = sorted(v for v in nodes if not indeg[v])
+    placed = 0
+    while ready:
+        v = ready.pop(0)
+        placed += 1
+        bump = set()
+        for h in ahead.get(v, ()):
+            if h in known:
+                indeg[h] -= 1
+                if not indeg[h]:
+                    bump.add(h)
+        if bump:
+            ready = sorted(bump.union(ready))
+    acyclic = placed == len(nodes)
     if not acyclic:
-        issues.append("network contains a cycle")
-    # reach[v]: the bits 1 << o of the owners o with a path to v, swept
-    # along every edge until nothing changes, through unknown nodes too
-    reach = [0] * size
-    for o in owners:
-        reach[o] = 1 << o
-    grew = acyclic
-    while grew:
-        grew = False
-        for r in rows:
-            got = reach[r[5]] | reach[r[4]]
-            if got != reach[r[5]]:
-                reach[r[5]] = got
-                grew = True
-    owner_of = dict(net.messages)
+        issues.append(_CYCLE)
+    owner_of, reached = dict(net.messages), {}
     for r, wanted in net.demands.items():
-        t = index.get(r)
-        if t is None:
+        if r not in known:
             issues.append(f"receiver {r} is not a node")
             continue
         for m in wanted:
             owner = owner_of.get(m)
             if owner is None:
                 issues.append(f"receiver {r} demands unknown message {m}")
-            elif acyclic and not reach[t] >> at[owner] & 1:
-                issues.append(f"no path from {owner} to {r} for message {m}")
+            elif acyclic:
+                if owner not in reached:
+                    reached[owner] = _downstream(owner, ahead)
+                if r not in reached[owner]:
+                    issues.append(
+                        f"no path from {owner} to {r} for message {m}")
     return issues
+
+
+def _downstream(v: str, ahead: dict) -> set:
+    """v and every name an edge path from v reaches."""
+    seen, stack = {v}, [v]
+    while stack:
+        for h in ahead.get(stack.pop(), ()):
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
 
 
 def validate_network(net: Network) -> list[str]:
@@ -511,6 +457,7 @@ def cut_deficit(net: Network):
     residual graph give the cut: owners outside them form O, S is t's
     demands they own, and the edges into them from outside are the cut,
     fewer than |S|."""
+    net.compiled()      # a ValueError on a network with an issue
     if net._deficit is _UNSET:
         net._deficit = _first_deficit(net)
     return net._deficit

@@ -63,6 +63,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .networks import _show
+
 TABLE_CAP = 4096      # largest size for which dense operation tables are built
 AXIOM_CAP = 4096      # largest size whose axioms are verified exhaustively
 IDEAL_CAP = 4096      # largest size for which ideal lattices are enumerated
@@ -1562,30 +1564,56 @@ def descriptor_to_json(desc: RingDescriptor):
 
 
 def descriptor_from_json(data) -> RingDescriptor:
+    """The descriptor a JSON object names; a number field of another JSON
+    type than _JSON_TYPES gives it (a bool is no integer) is a ValueError."""
     if not isinstance(data, dict):
         raise TypeError(f"a ring descriptor is a JSON object, "
                         f"not {type(data).__name__}")
     kind = data.get("kind")
     if kind == "prime-field":
-        return PrimeField(int(data["p"]))
+        return PrimeField(_typed(data, "p"))
     if kind == "galois-field":
-        poly = data.get("poly")
-        return GaloisField(int(data["p"]), int(data["k"]),
-                           tuple(int(c) for c in poly) if poly is not None else None)
+        p, k = _typed(data, "p"), _typed(data, "k")
+        poly = _typed(data, "poly", None)
+        return GaloisField(p, k, tuple(poly) if poly is not None else None)
     if kind == "integers-mod":
-        return IntegersMod(int(data["n"]))
+        return IntegersMod(_typed(data, "n"))
     if kind == "matrix":
-        return MatrixRing(descriptor_from_json(data["inner"]), int(data["k"]))
+        return MatrixRing(descriptor_from_json(data["inner"]), _typed(data, "k"))
     if kind == "upper-triangular":
-        return UpperTriangular(descriptor_from_json(data["field"]), int(data["k"]))
+        return UpperTriangular(descriptor_from_json(data["field"]), _typed(data, "k"))
     if kind == "product":
         return Product(tuple(descriptor_from_json(f) for f in data["factors"]))
     if kind == "table":
-        one = data.get("one")
-        return TableRing(data["add"], data["mul"],
-                         one=int(one) if one is not None else None,
-                         unital=bool(data.get("unital", True)))
+        return TableRing(_typed(data, "add"), _typed(data, "mul"),
+                         one=_typed(data, "one", None),
+                         unital=_typed(data, "unital", True))
     raise ValueError(f"unknown ring descriptor kind: {kind!r}")
+
+
+def _ints(x) -> bool:
+    return type(x) is list and {int}.issuperset(map(type, x))
+
+
+_INT = ("an integer", lambda x: type(x) is int)
+_TABLE = ("a list of lists of integers",
+          lambda x: type(x) is list and all(map(_ints, x)))
+# per number field of ring and module JSON: what it must be, and the test
+_JSON_TYPES = {
+    "p": _INT, "k": _INT, "n": _INT, "dim": _INT, "add": _TABLE, "mul": _TABLE,
+    "poly": ("null or a list of integers", lambda x: x is None or _ints(x)),
+    "one": ("null or an integer", lambda x: x is None or type(x) is int),
+    "unital": ("true or false", lambda x: type(x) is bool)}
+
+
+def _typed(data: dict, key: str, *default):
+    """data[key] (or the default, when given and key is missing), if it
+    has its type in _JSON_TYPES; else a one-line ValueError naming key."""
+    x = data.get(key, *default) if default else data[key]
+    what, ok = _JSON_TYPES[key]
+    if not ok(x):
+        raise ValueError(f'"{key}" must be {what}, not {_show(x)}')
+    return x
 
 
 def describe(desc: RingDescriptor) -> str:

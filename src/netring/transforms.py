@@ -18,10 +18,24 @@ from .modules import Module
 from .rings import Ring, RingHom
 
 
-def _map_code(code: LinearCode, module: Module, fn) -> LinearCode:
-    edges = {e: tuple(fn(c) for c in cs) for e, cs in code.edge_coeffs.items()}
-    decs = {key: tuple(fn(c) for c in cs) for key, cs in code.decodings.items()}
+def _merge(codes: list[LinearCode], build) -> LinearCode:
+    """The code over module whose coefficient in each place is fn of the
+    codes' coefficients there, where (module, fn) = build() is called only
+    once the codes are known to cover the same network."""
+    first, rest = codes[0], codes[1:]
+    if any(c.edge_coeffs.keys() != first.edge_coeffs.keys()
+           or c.decodings.keys() != first.decodings.keys() for c in rest):
+        raise ValueError("codes do not cover the same network")
+    module, fn = build()
+    edges = {e: tuple(map(fn, cs, *[c.edge_coeffs[e] for c in rest]))
+             for e, cs in first.edge_coeffs.items()}
+    decs = {k: tuple(map(fn, cs, *[c.decodings[k] for c in rest]))
+            for k, cs in first.decodings.items()}
     return LinearCode(module, edges, decs)
+
+
+def _map_code(code: LinearCode, module: Module, fn) -> LinearCode:
+    return _merge([code], lambda: (module, fn))
 
 
 def hom_lift(code: LinearCode, hom: RingHom, target_module: Module) -> LinearCode:
@@ -68,32 +82,17 @@ def dim_sum(code_a: LinearCode, code_b: LinearCode) -> LinearCode:
         raise ValueError("both inputs must be vector codes")
     if ma.base_ring.descriptor != mb.base_ring.descriptor:
         raise ValueError("vector codes live over different base rings")
-    if set(code_a.edge_coeffs) != set(code_b.edge_coeffs) \
-            or set(code_a.decodings) != set(code_b.decodings):
-        raise ValueError("codes do not cover the same network")
     ka, kb = ma.vector_dim, mb.vector_dim
-    k = ka + kb
-    out = _modules.vector_module(ma.base_ring, k)
 
-    def block(ca: int, cb: int) -> int:
-        ea = _codes._coeff_block(ma, ca)
-        eb = _codes._coeff_block(mb, cb)
-        rows = [[0] * k for _ in range(k)]
-        for r in range(ka):
-            for c in range(ka):
-                rows[r][c] = ea[r][c]
-        for r in range(kb):
-            for c in range(kb):
-                rows[ka + r][ka + c] = eb[r][c]
-        return out.ring.mat_from_entries(rows)
+    def build():
+        out = _modules.vector_module(ma.base_ring, ka + kb)
 
-    edges = {e: tuple(block(ca, cb) for ca, cb in
-                      zip(code_a.edge_coeffs[e], code_b.edge_coeffs[e]))
-             for e in code_a.edge_coeffs}
-    decs = {key: tuple(block(ca, cb) for ca, cb in
-                       zip(code_a.decodings[key], code_b.decodings[key]))
-            for key in code_a.decodings}
-    return LinearCode(out, edges, decs)
+        def block(ca: int, cb: int) -> int:
+            return out.ring.mat_from_entries(
+                [(*row, *[0] * kb) for row in _codes._coeff_block(ma, ca)]
+                + [(*[0] * ka, *row) for row in _codes._coeff_block(mb, cb)])
+        return out, block
+    return _merge([code_a, code_b], build)
 
 
 def product_code(codes: list[LinearCode]) -> LinearCode:
@@ -101,11 +100,12 @@ def product_code(codes: list[LinearCode]) -> LinearCode:
     of their rings acting componentwise on the product of their groups."""
     if not codes:
         raise ValueError("product of no codes")
-    keys = set(codes[0].edge_coeffs)
-    dkeys = set(codes[0].decodings)
-    for c in codes[1:]:
-        if set(c.edge_coeffs) != keys or set(c.decodings) != dkeys:
-            raise ValueError("codes do not cover the same network")
+    return _merge(codes, lambda: _product_module(codes))
+
+
+def _product_module(codes: list[LinearCode]):
+    """The product module of product_code, and the map from one
+    coefficient per code to their product coefficient."""
     ring = _rings.construct_ring(
         _rings.Product(tuple(c.module.ring.descriptor for c in codes)))
     group = _modules.direct_sum(*[c.module.group for c in codes])
@@ -122,17 +122,7 @@ def product_code(codes: list[LinearCode]) -> LinearCode:
     module._annihilator = tuple(sorted(
         ring.prod_from_parts(parts)
         for parts in itertools.product(*(m.annihilator() for m in mods))))
-
-    def merge(per_code):
-        return ring.prod_from_parts(per_code)
-
-    edges = {e: tuple(merge([c.edge_coeffs[e][i] for c in codes])
-                      for i in range(len(codes[0].edge_coeffs[e])))
-             for e in keys}
-    decs = {key: tuple(merge([c.decodings[key][i] for c in codes])
-                       for i in range(len(codes[0].decodings[key])))
-            for key in dkeys}
-    return LinearCode(module, edges, decs)
+    return module, lambda *cs: ring.prod_from_parts(cs)
 
 
 def quotient_by_annihilator(code: LinearCode) -> tuple[LinearCode, RingHom]:

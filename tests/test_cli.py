@@ -708,3 +708,35 @@ def test_an_edge_or_a_decoding_listed_twice_is_65(files, solved_code,
     assert run("code", "verify", str(files["c3"]), str(path)) == DATA
     r, m, _ = solved_code["decodings"][-1]
     assert f"decoding ({r}, {m}) is listed twice" in _one_line_65(capsys, 1)
+
+
+GF2 = {"kind": "prime-field", "p": 2}
+F2_TABLE = {"kind": "table", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("command, field, data", [
+    ("ring", "p", {"kind": "prime-field", "p": 2.5}),
+    ("ring", "p", {"kind": "prime-field", "p": "3"}),
+    ("ring", "k", {"kind": "galois-field", "p": 2, "k": 2.0}),
+    ("ring", "poly", {"kind": "galois-field", "p": 2, "k": 2,
+                      "poly": [1, 1, "1"]}),
+    ("ring", "n", {"kind": "integers-mod", "n": True}),
+    ("ring", "k", {"kind": "matrix", "inner": GF2, "k": "2"}),
+    ("ring", "k", {"kind": "upper-triangular", "field": GF2, "k": 2.5}),
+    ("ring", "add", dict(F2_TABLE, add=[[0, 1], [1, 0.0]])),
+    ("ring", "mul", dict(F2_TABLE, mul=[[0, 0], "01"])),
+    ("ring", "one", dict(F2_TABLE, one=1.0)),
+    ("ring", "unital", dict(F2_TABLE, unital="no")),
+    ("module", "dim", {"kind": "vector", "ring": GF2, "dim": 2.9}),
+    ("module", "p", {"kind": "scalar", "ring": {"kind": "prime-field",
+                                                "p": "2"}}),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_a_ring_or_module_number_of_the_wrong_type_is_65(
+        tmp_path, command, field, data, capsys):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(data))
+    argv = {"ring": ["ring", "verify", str(path)],
+            "module": ["module", str(path), "--check"]}[command]
+    assert run(*argv) == DATA
+    err = _one_line_65(capsys, 1)
+    assert f'"{field}" must be' in err

@@ -6,9 +6,11 @@ end, kept here unchanged apart from its names: a constructor that keeps
 Edge-keyed in- and out-lists, the validate_network walk over them, the
 sorted-ready topological order and the Compiled form re-derived from all
 of it.  On every network, valid or not, both must give the same issue
-list (text and order), the same topo_nodes and topo_edges, equal
-Compiled fields, the same in_edges, out_edges and inputs, and the same
-cut_deficit; where the reference raises, the pass must raise too.
+list (text and order), message_names and receivers.  On a valid network
+they must also give the same topo_nodes and topo_edges, equal Compiled
+fields, the same in_edges, out_edges and inputs, and the same
+cut_deficit; on a network with an issue, the pass must refuse all six
+accessors and cut_deficit.
 """
 import re
 
@@ -174,37 +176,43 @@ def _ref_reach_set(net, src):
 
 # ---------------------------------------------------------------------------
 
-def _outcome(fn):
-    """("ok", value), or ("raises",) for any exception: the reference
-    raises KeyError where the pass raises a ValueError naming the issues."""
-    try:
-        return ("ok", fn())
-    except (KeyError, ValueError):
-        return ("raises",)
-
-
 def _fields(cn):
     return {k: getattr(cn, k) for k in ("edges", "ids", "index", "tails",
                                         "heads", "into", "out_of", "inputs",
                                         "receivers")}
 
 
+def assert_refused(net, issues):
+    """Every accessor of a network with issues raises: the cycle text if
+    it has one, else every issue."""
+    text = ("network contains a cycle" if "network contains a cycle" in issues
+            else "invalid network: " + "; ".join(issues))
+    for call in (net.topo_nodes, net.topo_edges, net.compiled,
+                 lambda: net.in_edges("a"), lambda: net.out_edges("a"),
+                 lambda: net.inputs("a"), lambda: cut_deficit(net)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == text
+
+
 def assert_same_front_end(nodes, edges, messages, demands):
     net = Network(nodes, edges, messages, demands)
     ref = RefNetwork(nodes, edges, messages, demands)
-    assert validate_network(net) == ref_validate(ref)
+    issues = ref_validate(ref)
+    assert validate_network(net) == issues
     assert net.message_names == ref.message_names
     assert net.receivers == ref.receivers
+    if issues:
+        assert_refused(net, issues)
+        return net
     for name in ref.nodes:
         assert net.in_edges(name) == ref.in_edges(name)
         assert net.out_edges(name) == ref.out_edges(name)
         assert net.inputs(name) == ref.inputs(name)
-    assert _outcome(net.topo_nodes) == _outcome(ref.topo_nodes)
-    assert _outcome(net.topo_edges) == _outcome(ref.topo_edges)
-    got = _outcome(lambda: _fields(net.compiled()))
-    assert got == _outcome(lambda: _fields(ref.compiled()))
-    assert _outcome(lambda: cut_deficit(net)) == \
-        _outcome(lambda: networks._first_deficit(ref))
+    assert net.topo_nodes() == ref.topo_nodes()
+    assert net.topo_edges() == ref.topo_edges()
+    assert _fields(net.compiled()) == _fields(ref.compiled())
+    assert cut_deficit(net) == networks._first_deficit(ref)
     return net
 
 
@@ -335,22 +343,14 @@ def test_an_entry_of_the_wrong_shape_is_named(edges, messages, text):
 
 def test_a_cycle_or_an_unknown_name_refuses_the_compiled_form():
     cyclic = Network(*INVALID["cycle"])
-    for call in (cyclic.topo_nodes, cyclic.topo_edges, cyclic.compiled):
-        try:
-            call()
-        except ValueError as exc:
-            assert str(exc) == "network contains a cycle"
-        else:
-            raise AssertionError("a cyclic network was ordered")
+    assert_refused(cyclic, validate_network(cyclic))
+    with pytest.raises(ValueError, match="^network contains a cycle$"):
+        cyclic.inputs("a")
     dangling = Network(*INVALID["unknown head"])
-    assert dangling.topo_edges() == (Edge("a", "x"),)
-    try:
-        dangling.compiled()
-    except ValueError as exc:
-        assert str(exc) == ("invalid network: edge a->x touches an unknown "
-                            "node; no path from a to b for message m")
-    else:
-        raise AssertionError("a network with an unknown node compiled")
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid network: edge a->x touches an unknown node; "
+            "no path from a to b for message m")):
+        dangling.topo_edges()
 
 
 NAMES = ["a", "b", "c", "d", "x"]      # x is never listed as a node

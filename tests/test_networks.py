@@ -88,14 +88,17 @@ def test_topo_orders_tails_before_heads():
 
 
 def test_inputs_order_edges_then_messages():
+    # a relay's in-edges by (tail, ordinal); a source's messages in the
+    # order they are declared
     net = Network(
-        ["a", "b", "c"],
-        [("b", "c", 0), ("a", "c", 1), ("a", "c", 0)],
-        [("m", "a"), ("w", "c")],
-        {"c": ("m",)})
+        ["a", "b", "c", "d"],
+        [("b", "c", 0), ("a", "c", 1), ("a", "c", 0), ("c", "d", 0)],
+        [("z", "a"), ("y", "b"), ("m", "a")],
+        {"d": ("z", "m")})
+    assert validate_network(net) == []
     kinds = [(kind, str(ref)) for kind, ref in net.inputs("c")]
-    assert kinds == [("edge", "a->c"), ("edge", "a->c#1"),
-                     ("edge", "b->c"), ("message", "w")]
+    assert kinds == [("edge", "a->c"), ("edge", "a->c#1"), ("edge", "b->c")]
+    assert net.inputs("a") == (("message", "z"), ("message", "m"))
 
 
 def test_validate_flags_problems():
