@@ -10,9 +10,6 @@ Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
 first operand's basis, which is already reduced, and eliminate only the
 second operand's rows against it; ``canon_space``/``rref2`` are the same
 routine started from the zero space, and ``rank`` is the length of its basis.
-``rref`` also tracks the combination of input rows behind each basis row;
-nothing in the package pays for that, and the tests keep it as their
-transform-tracking reference.
 """
 from __future__ import annotations
 
@@ -66,42 +63,6 @@ def row_sub_scaled(ops: FieldOps, row, other, c):
     return tuple(add[a][mc[b]] for a, b in zip(row, other))
 
 
-def rref(ops: FieldOps, rows):
-    """Reduced echelon form with the reducing transform.
-
-    Returns (basis, transform, pivots): basis[i] has leading 1 in column
-    pivots[i] and zeros in every other pivot column, and transform[i] holds
-    the combination of the input rows that produces basis[i].
-    """
-    n = len(rows)
-    basis = []
-    transform = []
-    pivots = []
-    for i, row in enumerate(rows):
-        combo = tuple(1 if j == i else 0 for j in range(n))
-        row, combo = reduce_row(ops, basis, pivots, row, transform, combo)
-        piv = _leading(row)
-        if piv is None:
-            continue
-        c = ops.inv[row[piv]]
-        row = row_scale(ops, row, c)
-        combo = row_scale(ops, combo, c)
-        # clear this pivot from earlier basis rows
-        for t in range(len(basis)):
-            coef = basis[t][piv]
-            if coef:
-                basis[t] = row_sub_scaled(ops, basis[t], row, coef)
-                transform[t] = row_sub_scaled(ops, transform[t], combo, coef)
-        basis.append(row)
-        transform.append(combo)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda t: pivots[t])
-    basis = [basis[t] for t in order]
-    transform = [transform[t] for t in order]
-    pivots = [pivots[t] for t in order]
-    return basis, transform, pivots
-
-
 def _leading(row):
     for j, x in enumerate(row):
         if x:
@@ -109,17 +70,13 @@ def _leading(row):
     return None
 
 
-def reduce_row(ops: FieldOps, basis, pivots, row, transform=None, combo=None):
-    """Residual of row after eliminating against an echelon basis.  Given
-    the basis rows' transform, combo takes the same steps and the pair
-    (residual, combo) is returned."""
-    for t, (b, p) in enumerate(zip(basis, pivots)):
+def reduce_row(ops: FieldOps, basis, pivots, row):
+    """Residual of row after eliminating against an echelon basis."""
+    for b, p in zip(basis, pivots):
         c = row[p]
         if c:
             row = row_sub_scaled(ops, row, b, c)
-            if transform is not None:
-                combo = row_sub_scaled(ops, combo, transform[t], c)
-    return row if transform is None else (row, combo)
+    return row
 
 
 def rank(ops: FieldOps, rows) -> int:

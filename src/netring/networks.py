@@ -359,10 +359,9 @@ class Compiled:
 
 def _issues(net: Network) -> list:
     """The issues of a network the pass stopped on, in the order of the
-    module notes, walked by name.  The cycle test is the sorted-ready rule
-    (ready nodes least name first, made a set again whenever one becomes
-    ready), which also reads a repeated name as a cycle unless it is a
-    source whose places are all taken before any node becomes ready."""
+    module notes, walked by name.  The network is acyclic when every
+    distinct name is placed by peeling off the nodes with no in-edges
+    left, so a repeated name is only a duplicate."""
     nodes, known = net.nodes, set(net.nodes)
     issues = []
     if len(known) < len(nodes):
@@ -390,20 +389,17 @@ def _issues(net: Network) -> list:
     for v in dict.fromkeys(nodes):
         if v in ahead and not indeg[v] and v not in owning:
             issues.append(f"node {v} sends on edges but has no inputs")
-    ready = sorted(v for v in nodes if not indeg[v])
+    ready = [v for v in known if not indeg[v]]
     placed = 0
     while ready:
-        v = ready.pop(0)
+        v = ready.pop()
         placed += 1
-        bump = set()
         for h in ahead.get(v, ()):
             if h in known:
                 indeg[h] -= 1
                 if not indeg[h]:
-                    bump.add(h)
-        if bump:
-            ready = sorted(bump.union(ready))
-    acyclic = placed == len(nodes)
+                    ready.append(h)
+    acyclic = placed == len(known)
     if not acyclic:
         issues.append(_CYCLE)
     owner_of, reached = dict(net.messages), {}

@@ -98,9 +98,9 @@ the deadline.
     an element of H_B lowered the claimed value of the lex-least solution
     of the walk restricted by G_B alone, it and then sorting the twins
     (below) would give a smaller solution of that walk.  Over GF(2) with
-    k = 1, G_B is trivial: a position is claimed there only when it has
-    swaps and belongs to no class of the twin map built with nothing
-    claimed, since claiming a twin gives up more pruning than its orbits
+    k = 1, G_B is trivial: there no claimable position leaves its twin
+    class, and one is claimed only when it has swaps and belongs to no
+    class, since claiming a twin gives up more pruning than its orbits
     bring (choose-two over GF(2): 14 nodes against 19).  stats["swaps"]
     counts the swaps among the generators, stats["orbit_skips"] the
     candidates that lead no orbit.
@@ -118,8 +118,12 @@ the deadline.
     change.  Claimed positions are left out: then sorting moves no
     claimed value, so a solution moved by G onto orbit leaders stays on
     them, whereas a swap through a claimed position could put a value
-    that leads no orbit there.  stats["twins"] counts the positions with
-    an earlier twin.
+    that leads no orbit there.  No earlier position's tail equals a
+    claimable position's tail, so a claimable position leads its class,
+    and twinship is an equivalence, so the class without it stays one:
+    the claimed positions leave the twin map by dropping the entries
+    whose earlier twin is claimable.  stats["twins"] counts the positions
+    with an earlier twin.
   A receiver with no out-edges and one unforwarded in-edge takes that
   edge as free, chosen while the receiver is checked, and is checked
   exactly: with w0 the span of its fixed inputs, u that of its demands
@@ -155,21 +159,22 @@ the deadline.
   tail and receiver check as (message set, positions) with message sets
   as bitmasks, the demands, the schedule of checks and the masks they
   read, the claimable positions with their messages and swaps, and the
-  twin maps.  Each search over M_k(GF(q)) then only maps every message
+  twin map.  Each search over M_k(GF(q)) then only maps every message
   set to the id of its span, sets the caps (c k) and the generators of
   each claimed position's orbit group, and walks.  The span of a message
   set is a coordinate subspace, so equal ids are equal sets, and the
   walk, its counts and its witness are those of a search that compiled
   the network afresh.  The field enters the claims only through whether
   G_B is trivial (GF(2) with k = 1, where only positions with swaps and
-  no twin are claimed), so the shape keeps two twin maps, the one with
-  nothing claimed and the one with every claimable position claimed,
-  each built by _twins on first use, and the swaps of each claimable
-  position, found once by _swaps.
+  no twin are claimed), so the shape keeps one twin map, built by _twins
+  with nothing claimed, which a search with G_B nontrivial uses without
+  the claimable positions (above), and the swaps of each claimable
+  position, found once by _swaps.  Both ask one exchange test, _fixes:
+  whether exchanging two positions or two messages maps the receiver
+  checks onto themselves as a multiset.
   stats["shape"] says whether the search "built" its shape or "reused"
-  it, and stats["phase_seconds"] times the compile (the shape and a twin
-  map not built before; 0.0 when nothing was built), the search, the
-  witness and its verification.
+  it, and stats["phase_seconds"] times the compile (the shape; 0.0 when
+  it was reused), the search, the witness and its verification.
   The witness turns the subspace assignment into coefficients.  It reads
   each node's inputs as the plan's stacks give them, followed through
   forwarding to the searched or free edge or the message they carry.  Per
@@ -177,17 +182,18 @@ the deadline.
   form, every basis row carrying the combination of input rows behind it
   (on the search's packed ints over GF(2), whatever k), and a target's
   combination is read off them: a unit target's (every decoding and every
-  lift) is the one of the basis row at its pivot, and a node whose inputs
-  are all messages has the target's own entries.  A free edge lifts the
+  lift) is the one of the basis row at its pivot.  A source is no special
+  case: its inputs are distinct unit rows, so each target's combination
+  is unique and holds the target's own entries.  A free edge lifts the
   demanded unit rows outside the span of its receiver's fixed inputs and
   of the rows lifted before, tested against one growing echelon basis;
   each is written over the fixed rows and then its tail's, and the tail
   rows' part is its lift.  None of this can move a coefficient: the rows
   are taken in order and each one in the span of those before is dropped,
   so a combination is the unique one over the independent rows with zero
-  on the dependent ones, which is what the earlier construction by
-  fl.rref and a solve per target gave too (tests/test_rank_witness.py
-  keeps it).
+  on the dependent ones, which is what the earlier construction by an
+  rref with its transform and a solve per target gave too
+  (tests/test_rank_witness.py keeps it).
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
   symbolic transfer rows for whole blocks of assignments at once through
@@ -582,15 +588,6 @@ class _Gf2Alg:
             row ^= got
         return row >> self.width
 
-    def pick(self, row, cols):
-        """The entries of row at cols, None when it has others."""
-        mask = 0
-        for c in cols:
-            mask |= 1 << c
-        if row & ~mask:
-            return None
-        return tuple(row >> c & 1 for c in cols)
-
     def entries(self, tag, n: int):
         return tuple(tag >> i & 1 for i in range(n))
 
@@ -716,13 +713,6 @@ class _GenAlg:
             return None
         return [neg[x] for x in rest[self.width:]]
 
-    def pick(self, row, cols):
-        """The entries of row at cols, None when it has others."""
-        got = tuple(row[c] for c in cols)
-        if len(row) - row.count(0) != len(got) - got.count(0):
-            return None
-        return got
-
     def entries(self, tag, n: int):
         return tuple(tag)
 
@@ -731,21 +721,20 @@ class _GenAlg:
 _rank_parts = _rings.field_view
 
 
-def _twins(tails, caps, checks, claimed):
+def _twins(tails, caps, checks):
     """Each searched position with an earlier twin, mapped to the one
     before it in its class (module notes).  Positions a and b are twins
-    when neither is claimed, tails[a] == tails[b], caps[a] == caps[b],
-    every other position's tail reads both or neither, and swapping them
-    maps the multiset of receiver checks (fixed sources, free sources,
-    demand) onto itself.  A position joins the first class whose first
-    member it twins; swaps with one member generate every permutation of
-    the class.  Only positions that agree on the tail, its readers and
-    the checks they take part in, each seen from the position, are ever
-    tested, and a test compares only the checks the swap moves."""
-    shared = {}        # (tail, cap) -> unclaimed positions
+    when tails[a] == tails[b], caps[a] == caps[b], every other position's
+    tail reads both or neither, and swapping them maps the multiset of
+    receiver checks (fixed sources, free sources, demand) onto itself.  A
+    position joins the first class whose first member it twins; swaps
+    with one member generate every permutation of the class.  Only
+    positions that agree on the tail, its readers and the checks they
+    take part in, each seen from the position, are ever tested, and a
+    test reads only the checks that touch them."""
+    shared = {}        # (tail, cap) -> positions
     for i, tail in enumerate(tails):
-        if i not in claimed:
-            shared.setdefault((tail, caps[i]), []).append(i)
+        shared.setdefault((tail, caps[i]), []).append(i)
     shared = [group for group in shared.values() if len(group) > 1]
     if not shared:
         return {}
@@ -769,28 +758,15 @@ def _twins(tails, caps, checks, claimed):
             seen.append((c, len(at), p in at, f, len(f_at), p in f_at, u))
         return tuple(readers.get(p, ())), tuple(sorted(seen))
 
-    def interchangeable(a, b):
-        """Whether swapping a and b maps the checks it moves onto
-        themselves; a check that reads both or neither of them, among its
-        fixed and among its free sources alike, stays as it is."""
-        ab = 1 << a | 1 << b
-        moved, image = [], []
-        for j in touching.get(a, set()) | touching.get(b, set()):
-            c, at, f, f_at, u = key = keys[j]
-            flip, f_flip = (at & ab) not in (0, ab), (f_at & ab) not in (0, ab)
-            if flip or f_flip:
-                moved.append(key)
-                image.append((c, at ^ ab if flip else at, f,
-                              f_at ^ ab if f_flip else f_at, u))
-        return sorted(moved) == sorted(image)
-
     earlier = {}
     for group in shared:
         classes = {}   # role -> classes, lists of positions
         for i in group:
             same = classes.setdefault(role(i), [])
             for members in same:
-                if interchangeable(members[0], i):
+                a = members[0]
+                js = touching.get(a, set()) | touching.get(i, set())
+                if _fixes(keys, js, pos=1 << a | 1 << i):
                     earlier[i] = members[-1]
                     members.append(i)
                     break
@@ -816,6 +792,20 @@ def _check_key(check):
     return c, _mask(at), f, _mask(f_at), u
 
 
+def _fixes(keys, js, pos=0, msg=0) -> bool:
+    """Whether exchanging the two positions of the mask pos and the two
+    messages of the mask msg maps the checks keys[j], j in js, onto
+    themselves as a multiset.  A set that holds both of them or neither
+    stays as it is."""
+    def image(bits, ab):
+        return bits ^ ab if (bits & ab) not in (0, ab) else bits
+
+    moved = [keys[j] for j in js]
+    return sorted(moved) == sorted(
+        (image(c, msg), image(at, pos), image(f, msg), image(f_at, pos),
+         image(u, msg)) for c, at, f, f_at, u in moved)
+
+
 def _swaps(tails, checks, claimable):
     """Each claimable position with swaps, mapped to them: the
     transpositions (a, b) of two of its messages that map the problem onto
@@ -823,14 +813,10 @@ def _swaps(tails, checks, claimable):
     position's tail carries a or b, every tail's message set holds both or
     neither, and swapping a and b in every message set maps the multiset
     of receiver checks (fixed messages and positions, free messages and
-    positions, demand) onto itself."""
+    positions, demand) onto itself (_fixes)."""
     if all(len(own) < 2 for _, own in claimable):
         return {}
-    keys = sorted(_check_key(check) for check in checks)
-
-    def swapped(bits, ab):
-        return bits ^ ab if (bits & ab) not in (0, ab) else bits
-
+    keys = [_check_key(check) for check in checks]
     carried = [0]      # position i -> the messages the tails before it carry
     for c, _ in tails:
         carried.append(carried[-1] | c)
@@ -839,12 +825,10 @@ def _swaps(tails, checks, claimable):
         for x, a in enumerate(own):
             for b in own[x + 1:]:
                 ab = 1 << a | 1 << b
-                if carried[i] & ab or any(swapped(c, ab) != c
+                if carried[i] & ab or any((c & ab) not in (0, ab)
                                           for c, _ in tails):
                     continue
-                if keys == sorted((swapped(c, ab), at, swapped(f, ab), f_at,
-                                   swapped(u, ab))
-                                  for c, at, f, f_at, u in keys):
+                if _fixes(keys, range(len(keys)), msg=ab):
                     found.setdefault(i, []).append((a, b))
     return found
 
@@ -872,8 +856,9 @@ class _Shape:
     swaps:          claimable position -> the transpositions of two of its
                     messages that map the problem onto itself with every
                     position fixed, as pairs of message indices (_swaps).
-    twin_maps:      claimed -> the twin map with every claimable position
-                    claimed (True) or none (False), built by twin_map.
+    twins:          each position with an earlier twin -> the one before
+                    it in its class (_twins); a claimable position leads
+                    its class, since no earlier tail equals its tail.
     message_sets:   every nonzero message set above, for a search to map
                     to the ids of their spans.
     """
@@ -945,17 +930,7 @@ class _Shape:
             self.claimable.append((i, [m for m in range(len(self.msgs))
                                        if const >> m & 1]))
         self.swaps = _swaps(tails, checks, self.claimable)
-        self.twin_maps = {}
-
-    def twin_map(self, claimed: bool) -> dict:
-        """The twin map with every claimable position claimed, or none,
-        built on first use."""
-        got = self.twin_maps.get(claimed)
-        if got is None:
-            got = self.twin_maps[claimed] = _twins(
-                self.tails, self.sizes, self.checks,
-                {i for i, _ in self.claimable} if claimed else ())
-        return got
+        self.twins = _twins(tails, self.sizes, checks)
 
 
 def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
@@ -970,12 +945,13 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     if built:
         shape = net._shapes[opts.normalize_forwarding] = _Shape(net, opts)
     # interchangeable positions: each twin starts at its class's previous
-    # member's value, so a class is walked in non-decreasing order; the
-    # twin map leaves every claimable position out unless G_B is trivial
-    # (GF(2), k = 1)
-    claimed = bool(shape.claimable) and (field.size != 2 or k != 1)
-    compiled = built or claimed not in shape.twin_maps
-    twin_of = shape.twin_map(claimed)
+    # member's value, so a class is walked in non-decreasing order.  Unless
+    # G_B is trivial (GF(2), k = 1) the claimable positions leave their
+    # classes; each leads its class, so the rest of the class stays one
+    twin_of = shape.twins
+    if field.size != 2 or k != 1:
+        claimable = {i for i, _ in shape.claimable}
+        twin_of = {i: p for i, p in twin_of.items() if p not in claimable}
     t1 = time.perf_counter()
     ops = fl.FieldOps(field)
     q = field.size
@@ -1062,8 +1038,8 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
     # claimed positions and the generators of their orbit groups: G_B's
     # and the position's swaps.  G_B has none exactly when it is trivial
     # (GF(2), k = 1); then a claimable position is claimed only when it
-    # has swaps and is in no class of the twin map, which claims nothing
-    # (with G_B nontrivial, that map's classes hold no claimable position)
+    # has swaps and is in no class of the shape's twin map (with G_B
+    # nontrivial, every claimable position has left its class above)
     alpha = fl.primitive_element(ops)
     paired = set(twin_of) | set(twin_of.values())
     claims = {}        # position -> generators of its orbit group
@@ -1231,7 +1207,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             return [spaces[s] for s in cur]
         return None
 
-    return _run(net, opts, stats, t0, t1 - t0 if compiled else 0.0, walk,
+    return _run(net, opts, stats, t0, t1 - t0 if built else 0.0, walk,
                 lambda bases: _rank_witness(net, ring, k, alg, shape, bases))
 
 
@@ -1284,8 +1260,7 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         rows[e] = padded(alg.canon(parts))
 
     # each node's input rows are eliminated once, for its out-edges and its
-    # demands alike, and a target's combination of them read off the tags;
-    # a node whose inputs are all messages has the target's entries
+    # demands alike, and a target's combination of them read off the tags
     solved = {}
 
     def combos(node, targets, units):
@@ -1294,24 +1269,13 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         got = solved.get(node)
         if got is None:
             refs = plan.stack(node)
-            n = k * len(refs)
-            if not cn.into[node]:       # messages only
-                got = n, None, [~x * k + b for x in refs for b in range(k)]
-            else:
-                got = n, alg.eliminate(rows_of(refs)), None
-            solved[node] = got
-        n, piv, cols = got
-        if piv is None:
-            out = [alg.pick(alg.unit(t) if units else t, cols)
-                   for t in targets]
-        else:
-            out = [alg.unit_tag(piv, t) if units else alg.express(piv, t, n)
-                   for t in targets]
-            if None not in out:
-                out = [alg.entries(c, n) for c in out]
+            got = solved[node] = k * len(refs), alg.eliminate(rows_of(refs))
+        n, piv = got
+        out = [alg.unit_tag(piv, t) if units else alg.express(piv, t, n)
+               for t in targets]
         if None in out:
             raise RuntimeError("witness row left its input span")
-        return out
+        return [alg.entries(c, n) for c in out]
 
     def coefficients(got):
         """One ring element per input for each k consecutive combinations:

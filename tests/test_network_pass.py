@@ -2,7 +2,9 @@
 
 Network.__init__ reads, validates and compiles a network in one pass over
 ints (networks module notes).  The reference below is the earlier front
-end, kept here unchanged apart from its names: a constructor that keeps
+end, kept here unchanged apart from its names and one rule (a network is
+acyclic when the sorted-ready order places every distinct name, so a
+repeated name is a duplicate and no cycle): a constructor that keeps
 Edge-keyed in- and out-lists, the validate_network walk over them, the
 sorted-ready topological order and the Compiled form re-derived from all
 of it.  On every network, valid or not, both must give the same issue
@@ -68,7 +70,7 @@ class RefNetwork:
 
     def topo_nodes(self):
         indeg = {v: len(self._in[v]) for v in self.nodes}
-        ready = sorted(v for v in self.nodes if indeg[v] == 0)
+        ready = sorted(v for v in indeg if indeg[v] == 0)
         order = []
         while ready:
             v = ready.pop(0)
@@ -82,7 +84,7 @@ class RefNetwork:
                     bump.add(e.head)
             if bump:
                 ready = sorted(set(ready) | bump)
-        if len(order) != len(self.nodes):
+        if len(order) != len(set(self.nodes)):
             raise ValueError("network contains a cycle")
         return tuple(order)
 

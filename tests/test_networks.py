@@ -149,6 +149,16 @@ def test_validate_lists_each_unreachable_demand_in_order():
     assert validate_network(own) == []
 
 
+def test_validate_reads_a_repeated_relay_as_a_duplicate_only():
+    # a -> b -> c has no cycle; b listed twice is one node listed twice
+    net = Network(["a", "b", "b", "c"], [("a", "b"), ("b", "c")],
+                  [("m", "a")], {"c": ("m",)})
+    assert validate_network(net) == ["duplicate node ids"]
+    with pytest.raises(ValueError, match="^invalid network: duplicate "
+                                         "node ids$"):
+        net.topo_nodes()
+
+
 def test_validate_reports_an_unknown_owner_without_crashing():
     net = Network(["a", "b"], [("a", "b")], [("x", "ghost")], {"b": ("x",)})
     assert validate_network(net) == [

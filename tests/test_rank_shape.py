@@ -9,7 +9,8 @@ ring after ring must therefore walk the very tree that a fresh Network
 per ring walks: same verdict, same witness, same counts.
 """
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 import test_generated as gen
@@ -51,11 +52,10 @@ def _over_every_ring(net: Network, opts=RANK):
     for i, ring in enumerate(RINGS):
         res = solve_scalar(net, ring, opts)
         assert res.stats["shape"] == ("built" if i == 0 else "reused")
-        # GF(2) builds the shape and its twin map with nothing claimed,
-        # GF(3) the twin map with the claimable positions claimed (if
-        # any); the rings after them build nothing
+        # GF(2) builds the shape with its one twin map; the rings after
+        # it build nothing
         compile_s = res.stats["phase_seconds"]["compile"]
-        assert compile_s > 0.0 if i == 0 else i == 1 or compile_s == 0.0
+        assert compile_s > 0.0 if i == 0 else compile_s == 0.0
         _same_search(res, solve_scalar(_fresh(net), ring, opts))
 
 
@@ -70,6 +70,37 @@ def test_one_network_searched_over_every_ring(name):
 @given(gen.bundled_networks().filter(lambda net: net.demands))
 def test_one_drawn_network_searched_over_every_ring(net):
     _over_every_ring(net, SearchOptions(strategy="rank", node_budget=20_000))
+
+
+def _unique_claimable_twins(shape):
+    """The twin map with the claimable positions claimed, as _twins once
+    built it: on tails where each claimable position's tail is unique, so
+    that no position twins it."""
+    tails = list(shape.tails)
+    for i, _ in shape.claimable:
+        tails[i] = (-1 - i, ())
+    return solver._twins(tails, shape.sizes, shape.checks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(gen.bundled_networks(), gen.networks(shared_source=True),
+                 gen.mirrored_networks()),
+       st.booleans())
+@example(choose_two_network(4), True)
+def test_claimable_positions_leave_the_twin_map_whole_classes(net, normalize):
+    # a claimable position leads its class, so dropping the entries that
+    # point at it leaves the rest of the class as one class (choose-two's
+    # source edge leads the class of its relay edges)
+    shape = solver._Shape(_fresh(net), SearchOptions(
+        strategy="rank", normalize_forwarding=normalize))
+    claimable = {i for i, _ in shape.claimable}
+    assert not claimable & set(shape.twins)
+    dropped = {i: p for i, p in shape.twins.items() if p not in claimable}
+    event("a claimable position has twins" if dropped != shape.twins
+          else "no claimable position has twins")
+    assert dropped == _unique_claimable_twins(shape)
 
 
 def test_phases_are_timed():
@@ -105,9 +136,9 @@ def test_the_shape_is_kept_per_forwarding_setting():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts of shapes built and of _twins calls: one twin map with
-    nothing claimed, for GF(2), and one with the claimable positions
-    claimed, for every other field and dimension."""
+    """Counts of shapes built and of _twins calls: one twin map per
+    shape, which every field and dimension reads (without the claimable
+    positions where G_B is nontrivial)."""
     counts = {"shapes": 0, "twins": 0}
     shape, twins = solver._Shape, solver._twins
 
@@ -130,7 +161,7 @@ def test_a_sweep_builds_one_shape(built):
     assert [v.name for v in report.verdicts] == ["GF(2)", "GF(3)",
                                                  "GF(2^2)", "GF(5)"]
     assert [v.name for v in report.winners] == ["GF(5)"]
-    assert built == {"shapes": 1, "twins": 2}
+    assert built == {"shapes": 1, "twins": 1}
 
 
 def test_a_vector_search_builds_one_shape(built):
@@ -140,7 +171,7 @@ def test_a_vector_search_builds_one_shape(built):
     res = solve_vector(choose_two_network(4), RINGS[0], 3)
     assert res.solved and res.stats["method"] == \
         "direct search as M_3(GF(2))"
-    assert built == {"shapes": 1, "twins": 2}
+    assert built == {"shapes": 1, "twins": 1}
 
 
 def test_shards_build_one_shape(built):
@@ -227,3 +258,22 @@ def test_crossed_twins_against_the_walk_of_every_order(monkeypatch, ring,
     assert res.stats["twins"] == twins
     assert res.solved and bruteforce.check_code(net, res.code)
     _prunes(res, _without_twins(monkeypatch, net, ring))
+
+
+@pytest.mark.parametrize("ring", RINGS[:3],
+                         ids=lambda ring: describe(ring.descriptor))
+def test_an_exchange_that_moves_a_check_makes_no_twins(monkeypatch, ring):
+    # unnormalized, u0's edges to t0 and t1 share their tail and each is
+    # one of two searched inputs of a receiver demanding m0 and m1, but t0
+    # also reads s1 -> t0 and t1 reads s0 -> t1, so exchanging u0's two
+    # edges alone maps neither check onto a check; as twins they would
+    # move the witness over GF(3) and GF(4)
+    net = Network(["s0", "s1", "u0", "t0", "t1"],
+                  [("s1", "u0"), ("s0", "u0"), ("s1", "t0"), ("u0", "t0"),
+                   ("u0", "t1"), ("s0", "t1")],
+                  [("m0", "s0"), ("m1", "s1")],
+                  {"t0": ("m0", "m1"), "t1": ("m0", "m1")})
+    opts = SearchOptions(strategy="rank", normalize_forwarding=False)
+    res = solve_scalar(net, ring, opts)
+    assert res.solved and res.stats["twins"] == 0
+    _prunes(res, _without_twins(monkeypatch, net, ring, opts))

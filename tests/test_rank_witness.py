@@ -5,11 +5,11 @@ into coefficients: one elimination per node, on the search's packed rows
 over GF(2), unit targets read off the transform, free edges lifted against
 one growing echelon basis.  reference_witness below is the construction
 it replaced, kept the way tests/bruteforce.py is kept for the searches: it
-re-eliminates every node's input rows with fl.rref over coordinate tuples,
+re-eliminates every node's input rows with rref (tests/test_fieldlinalg.py),
 solves each target with solve_row and tests each demanded unit row with a
 fresh elimination.
 
-Both must give byte-identical codes.  fl.rref takes the rows in order and
+Both must give byte-identical codes.  rref takes the rows in order and
 drops the dependent ones, so each combination is the unique one over the
 independent rows in stack order, with zero on the dependent rows; any
 correct elimination that keeps that rule gives the same coefficients.  The
@@ -32,6 +32,7 @@ from netring.networks import (Network, choose_two_network, dim_n_network,
                               m_network)
 from netring.rings import GaloisField, MatrixRing, PrimeField, construct_ring
 from netring.solver import SearchOptions, solve_scalar
+from test_fieldlinalg import rref
 from test_generated import networks
 
 RINGS = [construct_ring(d) for d in (
@@ -42,9 +43,9 @@ BUDGET = 3000      # nodes a drawn search may take; a stopped one has no code
 
 def solve_row(ops, rows, target, reduced=None):
     """Coefficients expressing target as a combination of rows, or None.
-    reduced is fl.rref(ops, rows) when the caller has it, so that several
+    reduced is rref(ops, rows) when the caller has it, so that several
     targets over one stack share one elimination."""
-    basis, transform, pivots = reduced or fl.rref(ops, rows)
+    basis, transform, pivots = reduced or rref(ops, rows)
     combo = tuple(0 for _ in rows)
     for b, t, p in zip(basis, transform, pivots):
         c = target[p]
@@ -60,7 +61,7 @@ def solve_row(ops, rows, target, reduced=None):
 def reference_witness(net, ring, k, ops, alg, normalized, local_one, assign,
                       unit_spaces, mpos):
     """The witness construction before the rank engine compiled one: rows as
-    coordinate tuples keyed by edge, fl.rref per node and per free edge,
+    coordinate tuples keyed by edge, rref per node and per free edge,
     solve_row per target.  normalized maps each forwarding edge to the
     input it forwards and local_one each receiver to its free edge, both
     as Network.inputs and Edge give them."""
@@ -112,7 +113,7 @@ def reference_witness(net, ring, k, ops, alg, normalized, local_one, assign,
         parts = []
         base = len(fixed_rows)
         stack = fixed_rows + tail_rows
-        reduced = fl.rref(ops, stack)
+        reduced = rref(ops, stack)
         for u in reps:
             combo = solve_row(ops, stack, u, reduced)
             assert combo is not None, "free-edge lift failed"
@@ -131,7 +132,7 @@ def reference_witness(net, ring, k, ops, alg, normalized, local_one, assign,
         got = stacks.get(node)
         if got is None:
             stack = [row for inp in ins for row in input_rows(inp)]
-            got = stacks[node] = (stack, fl.rref(ops, stack))
+            got = stacks[node] = (stack, rref(ops, stack))
         stack, reduced = got
         per_input = [[[0] * k for _ in range(k)] for _ in range(len(ins))]
         for a, target in enumerate(targets):
