@@ -35,7 +35,8 @@ JSON (network_from_json) or from Python; nothing in it changes afterwards.
    per edge, in declaration order, an unknown end node, a duplicate and a
    self-loop; a repeated message name; per message, an owner that is no
    node or has in-edges; per node, one that sends on edges with no
-   inputs; a cycle; per receiver, one that is no node, then per demand
+   inputs; a cycle among the listed nodes (an edge with an unknown end
+   is no part of one); per receiver, one that is no node, then per demand
    an unknown message or, on an acyclic network, an owner with no path
    to the receiver.
 5. The compiled form (Compiled) of a network with no issue: an input is
@@ -361,16 +362,20 @@ def _issues(net: Network) -> list:
     """The issues of a network the pass stopped on, in the order of the
     module notes, walked by name.  The network is acyclic when every
     distinct name is placed by peeling off the nodes with no in-edges
-    left, so a repeated name is only a duplicate."""
+    from listed nodes left, so a repeated name is only a duplicate and an
+    edge from an unknown tail is only that."""
     nodes, known = net.nodes, set(net.nodes)
     issues = []
     if len(known) < len(nodes):
         issues.append("duplicate node ids")
     ahead, seen = {}, set()         # name -> the heads of its out-edges
     indeg = dict.fromkeys(nodes, 0)
+    wait = dict.fromkeys(nodes, 0)  # in-edges from listed nodes, to peel
     for e in net.edges:
         if e.tail not in known or e.head not in known:
             issues.append(f"edge {e} touches an unknown node")
+        else:
+            wait[e.head] += 1
         if e in seen:
             issues.append(f"duplicate edge {e}")
         seen.add(e)
@@ -389,15 +394,15 @@ def _issues(net: Network) -> list:
     for v in dict.fromkeys(nodes):
         if v in ahead and not indeg[v] and v not in owning:
             issues.append(f"node {v} sends on edges but has no inputs")
-    ready = [v for v in known if not indeg[v]]
+    ready = [v for v in known if not wait[v]]
     placed = 0
     while ready:
         v = ready.pop()
         placed += 1
         for h in ahead.get(v, ()):
             if h in known:
-                indeg[h] -= 1
-                if not indeg[h]:
+                wait[h] -= 1
+                if not wait[h]:
                     ready.append(h)
     acyclic = placed == len(known)
     if not acyclic:

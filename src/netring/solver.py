@@ -196,15 +196,31 @@ the deadline.
   (tests/test_rank_witness.py keeps it).
 * the exhaustive engine covers every ring with dense tables.  It
   enumerates coefficient tuples in lexicographic order, propagating
-  symbolic transfer rows for whole blocks of assignments at once through
+  symbolic transfer rows for whole chunks of assignments at once through
   numpy table gathers.  A receiver then decides each distinct input once
-  per block: the t input rows of every (assignment, local choice) pack
+  per chunk: the t input rows of every (assignment, local choice) pack
   into one exact integer key, np.unique leaves the distinct tuples, all
   |R|^t decode combinations of each are built at once, and the verdicts
-  scatter back to the rows.  stats["receiver_checks"] counts the distinct
-  tuples decided, stats["memo_hits"] the rows that reused a verdict, and
-  stats["phase_seconds"] has the rank engine's keys, compile always 0.0
-  (the engine keeps nothing between searches).
+  scatter back to the rows.  A receiver's rows depend only on the
+  coefficients upstream of it (Koetter and Medard 2003): its read set is
+  the outer slots that its stack and its local edges' tails reach through
+  forwarding.  So in a search of more than one chunk, a receiver whose
+  read set has fewer values than the range searched, and at most
+  VERDICT_ENTRIES, keeps an array of verdicts indexed by that value (the
+  slots' digits as one base-|R| number): undecided, fails, or the least
+  decodable local choice.  Each chunk reads its rows' values off their
+  indices, decides the values it meets for the first time, lazily, from
+  their digits alone, and keeps the rows whose value decodes; the
+  witness rebuilds the winner's input tuple from its value the same way.
+  A receiver that reads every slot, a search of one chunk and auto's
+  choice between reducing and searching (|R|^slots > CHUNK) are as
+  before, and the order, the assignments counted, the budgets, the
+  verdict and the lex-least witness do not change.
+  stats["receiver_checks"] counts the distinct tuples decided, per chunk
+  or, with verdicts, per value over the whole search; stats["memo_hits"]
+  every other row looked at, so their sum does not depend on the
+  verdicts.  stats["phase_seconds"] has the rank engine's keys, compile
+  always 0.0 (the engine keeps nothing between searches).
 
 The exhaustive engine reports "exhausted-unsolvable" only after a
 complete enumeration, the rank engine only after a walk that is complete
@@ -243,6 +259,7 @@ DEFAULT_NODE_BUDGET = 20_000_000
 CHUNK = 1 << 12
 LOCAL_BUDGET = 1 << 12     # joint coefficient space of one receiver's free edges
 DECODE_BUDGET = 1 << 15    # decode tuples per demand
+VERDICT_ENTRIES = 1 << 20  # read-set values one receiver keeps verdicts for
 
 
 def _env_budget() -> int:
@@ -1313,6 +1330,56 @@ def _table_slots(net: Network, size: int, opts: SearchOptions):
     return plan, plan.arity(plan.outer)
 
 
+def _read_sets(plan: _Plan) -> dict:
+    """Each receiver's read set, node -> (slots, edges): the outer
+    coefficient slots, in _table_slots' order, that its input rows depend
+    on through forwarding, its local edges' tails included, and the outer
+    edges that own them, in topological order, so that slots are their
+    slot ranges one after another."""
+    cn = plan.compiled
+    # outer edge -> the bits of its own slots; of those and all upstream
+    own, reads, at = {}, {}, 0
+    for e in plan.outer:
+        n = len(cn.inputs[cn.tails[e]])
+        own[e] = bits = ((1 << n) - 1) << at
+        for x in plan.stack(cn.tails[e]):
+            bits |= reads.get(x, 0)         # a message reads no slot
+        reads[e], at = bits, at + n
+    out = {}
+    for _, v, _ in cn.receivers:
+        bits = 0
+        for x in plan.stack(v):
+            local = x >= 0 and x not in reads   # reads its tail's inputs
+            for y in plan.stack(cn.tails[x]) if local else (x,):
+                bits |= reads.get(y, 0)
+        out[v] = (tuple(i for i in range(at) if bits >> i & 1),
+                  tuple(e for e in plan.outer if bits & own[e]))
+    return out
+
+
+class _Verdicts:
+    """One receiver's verdicts by the value of its read set: the slots'
+    digits read as one base-|R| number, first slot most significant.  A
+    verdict is -2 (undecided), -1 (fails) or the least decodable local
+    choice.  runs reads the value off an assignment's index: each run of
+    consecutive slots is one (index // weight) % size**len, at its last
+    slot's place."""
+
+    def __init__(self, slots, edges, weights, size: int):
+        self.edges = edges
+        self.place = [size ** (len(slots) - 1 - j) for j in range(len(slots))]
+        self.runs, j = [], 0
+        while j < len(slots):
+            k = j
+            while k + 1 < len(slots) and slots[k + 1] == slots[k] + 1:
+                k += 1
+            self.runs.append((weights[slots[k]], size ** (k - j + 1),
+                              self.place[k]))
+            j = k + 1
+        self.left = size ** len(slots)      # values not yet decided
+        self.verdict = np.full(self.left, -2, dtype=np.int32)
+
+
 @lru_cache(maxsize=None)
 def _key_layout(size: int, t: int, m: int):
     """How t rows of m base-size digits pack into exact int64 key words.
@@ -1404,8 +1471,21 @@ def _decodable(tuples, mulT, addT, one: int, targets,
 def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                  deadline: Optional[float], planned=None) -> SolveResult:
     """Enumerate at most budget assignments of the coefficient space,
-    stopping at the deadline; planned is _table_slots' result when the
-    caller has already built it."""
+    CHUNK at a time, stopping at the deadline; planned is _table_slots'
+    result when the caller has already built it.
+
+    Each chunk propagates the searched edges' rows for all its
+    assignments, and each receiver with demands decides the distinct
+    input tuples among the rows still alive and drops the rows that fail.
+    In a search of more than one chunk, a receiver whose read set
+    (_read_sets) has fewer values than the range searched, and at most
+    VERDICT_ENTRIES, keeps _Verdicts instead: each chunk reads its rows'
+    values off their indices, decides the values it has not met before
+    from their digits alone, and filters its rows by lookup.  A
+    receiver's pick for the witness is its rows kept, each one's least
+    decodable local choice, and the input tuples with each row's index
+    among them; with verdicts, no tuples and each row's value, from
+    which the winner's tuple is rebuilt."""
     t0 = time.perf_counter()
     if not ring.unital:
         raise ValueError("the coefficient search requires a unital ring")
@@ -1430,10 +1510,96 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
              "slots": nslots, "space": total, "assignments": 0,
              "receiver_checks": 0, "memo_hits": 0}
 
-    # each receiver with demands, its local edges and their slot count
-    receivers = [(r, v, demand, plan.local_of.get(v, []),
-                  plan.arity(plan.local_of.get(v, ())))
-                 for r, v, demand in cn.receivers if demand]
+    # each receiver with demands, its local edges, the number of their
+    # joint choices and each of their slots' digit over those choices
+    receivers = []
+    for r, v, demand in cn.receivers:
+        if demand:
+            local = plan.local_of.get(v, [])
+            nlocal = plan.arity(local)
+            lcount = size ** nlocal
+            receivers.append((r, v, demand, local, lcount, [
+                ((np.arange(lcount) // size ** (nlocal - 1 - i))
+                 % size).astype(np.int32) for i in range(nlocal)]))
+
+    def propagate(edges, digits, rows):
+        """Fill rows[e] for the outer edges, in topological order, their
+        slots taking the digit arrays in turn; a forwarding edge's rows
+        are those of what it forwards."""
+        digits = iter(digits)
+        for e in edges:
+            acc = None
+            for x in plan.stack(cn.tails[e]):
+                term = mulT[next(digits)[:, None],
+                            rows[x] if x >= 0 else unit_rows[~x]]
+                acc = term if acc is None else addT[acc, term]
+            rows[e] = acc
+
+    def inputs(v, local, lcols, row_of):
+        """Receiver v's input rows under each local choice of lcols, one
+        (assignments, choices, m) array per input, row_of(x) giving the
+        rows of each input x on the assignments (or one row for all)."""
+        local_rows = {}
+        col = 0
+        for e in local:
+            acc = None
+            for x in plan.stack(cn.tails[e]):
+                c = lcols[col][None, :, None]
+                col += 1
+                term = mulT[c, row_of(x)[:, None, :]]
+                acc = term if acc is None else addT[acc, term]
+            local_rows[e] = acc
+        return [local_rows[x] if x in local_rows
+                else row_of(x)[:, None, :] for x in plan.stack(v)]
+
+    def of_values(memo, values):
+        """row_of for the read-set values of memo's receiver, from their
+        digits, through the outer edges that own those slots."""
+        rows = {}
+        propagate(memo.edges, ((values // p % size).astype(np.int32)
+                               for p in memo.place), rows)
+        return lambda x: rows[x] if x >= 0 else unit_rows[~x]
+
+    def check(v, demand, local, lcount, lcols, count, row_of):
+        """Receiver v's verdicts on count assignments, row_of(x) giving
+        the rows of each input x on them (or one row for all): whether
+        each decodes under some local choice, the least such choice, the
+        distinct input tuples and the index of that choice's tuple."""
+        tuples, inv = _distinct_inputs(inputs(v, local, lcols, row_of),
+                                       (count, lcount), size, m)
+        ok = _decodable(tuples, mulT, addT, ring.one, demand, deadline)
+        stats["receiver_checks"] += len(tuples)
+        stats["memo_hits"] += len(inv) - len(tuples)
+        inv = inv.reshape(count, lcount)
+        first = ok[inv].argmax(axis=1)
+        at = inv[np.arange(count), first]
+        return ok[at], first, tuples, at
+
+    def recall(memo, c0, alive, v, demand, local, lcount, lcols):
+        """The rows of alive, a chunk's from c0 on, that receiver v keeps,
+        by memo, and its pick for the witness; values met for the first
+        time are decided from their digits."""
+        index = alive + c0
+        key = np.zeros(alive.size, dtype=np.int64)
+        for w, mod, p in memo.runs:
+            key += index // w % mod * p
+        got = memo.verdict[key]
+        fresh = 0
+        if memo.left:
+            new = np.sort(key[got == -2])
+            if new.size:
+                # distinct values, without np.unique's import of numpy.ma
+                new = new[np.diff(new, prepend=-1) != 0]
+                fresh = new.size
+                memo.left -= fresh
+                keep, first, _, _ = check(v, demand, local, lcount, lcols,
+                                          fresh, of_values(memo, new))
+                memo.verdict[new] = np.where(keep, first, -1)
+                got = memo.verdict[key]
+        stats["memo_hits"] += (alive.size - fresh) * lcount
+        keep = got >= 0
+        alive = alive[keep]
+        return alive, (alive, got[keep], None, key[keep])
 
     def walk():
         for r, v, _ in cn.receivers:
@@ -1442,6 +1608,14 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 raise _Budget(f"receiver {r} has {t} inputs; decode "
                               f"enumeration exceeds DECODE_BUDGET "
                               f"({DECODE_BUDGET})")
+        memos = {}
+        if hi - lo > CHUNK:
+            reads = _read_sets(plan)
+            for r, v, *_ in receivers:
+                slots, edges = reads[v]
+                values = size ** len(slots)
+                if values < hi - lo and values <= VERDICT_ENTRIES:
+                    memos[r] = _Verdicts(slots, edges, weights, size)
         for c0 in range(lo, hi, CHUNK):
             n = min(CHUNK, hi - c0)
             if stats["assignments"] + n > budget:
@@ -1449,73 +1623,49 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             _check_clock(deadline)
             stats["assignments"] += n
             idx = np.arange(c0, c0 + n, dtype=np.int64)
-            cols = [((idx // w) % size).astype(np.int32) for w in weights]
-
             rows = [None] * len(cn.edges)
 
-            def input_rows(x):
-                return rows[x] if x >= 0 else unit_rows[~x]
+            def row_of(x):
+                return unit_rows[~x] if x < 0 else rows[x][alive]
 
-            # the searched edges' slots come edge by edge, in topological
-            # order; a forwarding edge's rows are those of what it forwards
-            col = 0
-            for e in plan.outer:
-                acc = None
-                for x in plan.stack(cn.tails[e]):
-                    term = mulT[cols[col][:, None], input_rows(x)]
-                    col += 1
-                    acc = term if acc is None else addT[acc, term]
-                rows[e] = acc
+            # receivers with verdicts read none of these rows
+            if len(memos) < len(receivers):
+                propagate(plan.outer, (((idx // w) % size).astype(np.int32)
+                                       for w in weights), rows)
 
             alive = np.arange(n)
             picks = {}
-            for r, v, demand, local, nlocal in receivers:
+            for r, v, demand, local, lcount, lcols in receivers:
                 if alive.size == 0:
                     break
-                lcount = size ** nlocal
-                lcols = [((np.arange(lcount) // size ** (nlocal - 1 - i))
-                          % size).astype(np.int32) for i in range(nlocal)]
-
-                def take(arr):
-                    return arr if arr.shape[0] == 1 else arr[alive]
-
-                local_rows = {}
-                col = 0
-                for e in local:
-                    acc = None
-                    for x in plan.stack(cn.tails[e]):
-                        c = lcols[col][None, :, None]
-                        col += 1
-                        term = mulT[c, take(input_rows(x))[:, None, :]]
-                        acc = term if acc is None else addT[acc, term]
-                    local_rows[e] = acc
-
-                arr_list = [local_rows[x] if x in local_rows
-                            else take(input_rows(x))[:, None, :]
-                            for x in plan.stack(v)]
-                # each distinct input tuple is decided once per chunk
-                tuples, inv = _distinct_inputs(arr_list,
-                                               (alive.size, lcount), size, m)
-                ok = _decodable(tuples, mulT, addT, ring.one, demand,
-                                deadline)
-                stats["receiver_checks"] += len(tuples)
-                stats["memo_hits"] += len(inv) - len(tuples)
+                memo = memos.get(r)
+                if memo is not None:
+                    alive, picks[r] = recall(memo, c0, alive, v, demand,
+                                             local, lcount, lcols)
+                    continue
+                # each distinct input tuple is decided once per chunk;
                 # each row's least decodable local choice and the input
-                # tuple it gives, kept for the witness
-                inv = inv.reshape(alive.size, lcount)
-                okmat = ok[inv]
-                first = okmat.argmax(axis=1)
-                keep = okmat[np.arange(alive.size), first]
+                # tuple it gives are kept for the witness
+                keep, first, tuples, at = check(v, demand, local, lcount,
+                                                lcols, alive.size, row_of)
                 alive = alive[keep]
-                picks[r] = (alive, first[keep],
-                            tuples[inv[keep, first[keep]]])
+                picks[r] = (alive, first[keep], tuples, at[keep])
 
             if alive.size:
                 pos = int(alive[0])
                 chosen = {}
-                for r, (rows_r, first, inputs) in picks.items():
-                    at = int(np.searchsorted(rows_r, pos))
-                    chosen[r] = (int(first[at]), inputs[at])
+                for r, v, _, local, _, lcols in receivers:
+                    rows_r, first, tuples, at = picks[r]
+                    i = int(np.searchsorted(rows_r, pos))
+                    choice = int(first[i])
+                    if tuples is None:
+                        # a value's input tuple is rebuilt, not kept
+                        got = inputs(v, local,
+                                     [c[choice:choice + 1] for c in lcols],
+                                     of_values(memos[r], at[i:i + 1]))
+                        chosen[r] = (choice, np.concatenate(got, axis=1)[0])
+                    else:
+                        chosen[r] = (choice, tuples[at[i]])
                 return int(idx[pos]), chosen
         return None
 

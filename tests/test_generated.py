@@ -39,6 +39,14 @@ at the same owner, and next to each receiver that demands the first a
 copy of it that demands the second) and checks the rank search against
 enumeration, and its witness against the search without swaps.
 
+The exhaustive search keeps, when it spans more than one chunk, one
+verdict per value of the slots a receiver reads.  A test shrinks the chunk
+to four assignments, so that every drawn network with three or more
+slots spans many, over the fields and the rings that are not, and
+checks the status and witness against the one-chunk search and the
+verdict against enumeration; another checks each receiver's read set
+against the slots whose change moves one of its input rows.
+
 The default smallest-ring sweep looks only at simple rings; a test
 checks it against a sweep of the whole structured catalogue, which
 decides every other ring by its quotients.
@@ -64,6 +72,7 @@ from netring.rings import (GaloisField, IntegersMod, MatrixRing, PrimeField,
                            Product, UpperTriangular, construct_ring, describe)
 from netring.solver import (CHUNK, SearchOptions, smallest_ring_search,
                             solve_scalar, structured_catalog)
+from test_solver import assert_read_sets_are_exact
 
 MAX_SLOTS = 6      # 3**6 or 4**6 coefficient assignments for the oracle
 RINGS = [construct_ring(PrimeField(2)), construct_ring(PrimeField(3))]
@@ -338,6 +347,55 @@ def test_rank_agrees_with_exhaustive_under_symmetry(net):
                 assert bruteforce.check_code(net, res.code), (name, where)
             else:
                 assert res.code is None, (name, where)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands
+                         and 3 <= _slots(net) <= MAX_SLOTS))
+@example(_decoy_network("m1", True))
+@example(Network(["s", "u", "t0", "t1"],
+                 [("s", "u"), ("s", "t0"), ("u", "t0"), ("u", "t1")],
+                 [("m0", "s"), ("m1", "s")],
+                 {"t0": ("m0", "m1"), "t1": ("m1",)}))
+def test_verdicts_across_chunks_agree_with_one_chunk(net):
+    for ring in RINGS + REDUCIBLE:
+        # the oracle only where it stays small
+        want = (bruteforce.solve(net, ring)[0] if ring.size ** (
+            _slots(net) + len(net.message_names)) <= ORACLE_WORK // 4
+            else None)
+        event(f"{describe(ring.descriptor)} oracle: {want is not None}")
+        for normalize in (True, False):
+            opts = SearchOptions(strategy="exhaustive",
+                                 normalize_forwarding=normalize)
+            whole = solve_scalar(net, ring, opts)
+            with mock.patch.object(solver, "CHUNK", 4):
+                chunked = solve_scalar(net, ring, opts)
+            plan, nslots = solver._table_slots(net, ring.size, opts)
+            kept = sum(ring.size ** len(slots) < ring.size ** nslots
+                       for slots, _ in solver._read_sets(plan).values())
+            event(f"receivers with verdicts: {kept > 0}")
+            where = (describe(ring.descriptor), normalize)
+            assert chunked.status == whole.status, where
+            assert want in (None, whole.status), where
+            assert (chunked.code and codes.code_to_json(chunked.code)) == \
+                (whole.code and codes.code_to_json(whole.code)), where
+            # a solved search stops with the chunk that holds its witness
+            assert chunked.stats["assignments"] <= \
+                whole.stats["assignments"], where
+            assert chunked.solved or chunked.stats["assignments"] == \
+                whole.stats["assignments"], where
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(networks().filter(lambda net: net.demands
+                         and _slots(net) <= MAX_SLOTS))
+def test_read_sets_are_the_slots_that_move_a_receivers_rows(net):
+    for normalize in (True, False):
+        assert_read_sets_are_exact(net, RINGS[0], normalize)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,

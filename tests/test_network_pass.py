@@ -2,9 +2,11 @@
 
 Network.__init__ reads, validates and compiles a network in one pass over
 ints (networks module notes).  The reference below is the earlier front
-end, kept here unchanged apart from its names and one rule (a network is
-acyclic when the sorted-ready order places every distinct name, so a
-repeated name is a duplicate and no cycle): a constructor that keeps
+end, kept here unchanged apart from its names and two rules (a network
+is acyclic when the sorted-ready order places every distinct name, so a
+repeated name is a duplicate and no cycle, and a node's in-degree counts
+only its in-edges from listed nodes, so an edge from an unknown tail is
+no cycle either): a constructor that keeps
 Edge-keyed in- and out-lists, the validate_network walk over them, the
 sorted-ready topological order and the Compiled form re-derived from all
 of it.  On every network, valid or not, both must give the same issue
@@ -69,7 +71,9 @@ class RefNetwork:
                 + tuple(("message", m) for m in self._owned[node]))
 
     def topo_nodes(self):
-        indeg = {v: len(self._in[v]) for v in self.nodes}
+        known = set(self.nodes)
+        indeg = {v: sum(e.tail in known for e in self._in[v])
+                 for v in self.nodes}
         ready = sorted(v for v in indeg if indeg[v] == 0)
         order = []
         while ready:
@@ -321,6 +325,19 @@ def test_hand_built_invalid_networks_read_as_before():
     for args in INVALID.values():
         net = assert_same_front_end(*args)
         assert validate_network(net)
+
+
+def test_an_edge_from_an_unknown_tail_is_no_cycle():
+    # the edge counts toward no in-degree, so the no-path checks run
+    assert validate_network(Network(*INVALID["unknown tail"])) == [
+        "edge x->b touches an unknown node"]
+    assert validate_network(Network(
+        *INVALID["repeated source with an unknown tail"])) == [
+        "duplicate node ids", "edge x->b touches an unknown node"]
+    assert validate_network(Network(
+        ["a", "b", "c"], [("x", "b"), ("a", "c")], [("m", "a")],
+        {"b": ("m",)})) == ["edge x->b touches an unknown node",
+                            "no path from a to b for message m"]
 
 
 def test_edges_of_mixed_forms_read_as_before():

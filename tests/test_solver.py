@@ -676,14 +676,197 @@ def test_exhaustive_phase_seconds_have_the_rank_keys(gf3):
 
 
 def test_exhaustive_decides_each_distinct_input_once(gf3):
-    # choose-two(5) over GF(3): 59,049 assignments in 15 chunks; rows
-    # whose receiver inputs repeat within a chunk reuse the first verdict
+    # choose-two(5) over GF(3): 59,049 assignments in 15 chunks.  Each of
+    # the 10 receivers reads the 4 slots of its two relays' edges, so it
+    # keeps a verdict for each of their 3^4 = 81 values and decides a
+    # value once per search, the first time a row still alive reaches it:
+    # receiver_checks counts the values (here each gives its own input
+    # tuple) and memo_hits every other row looked at.  Together they are
+    # the rows the receivers look at, as when each chunk decided its own
+    # distinct tuples (2,556 of them, reused 157,629 times)
     res = solve_scalar(choose_two_network(5), gf3,
                        SearchOptions(strategy="exhaustive"))
     assert res.status == "exhausted-unsolvable"
     assert res.stats["assignments"] == 59049
-    assert res.stats["receiver_checks"] == 2556
-    assert res.stats["memo_hits"] == 157629
+    assert res.stats["receiver_checks"] == 633
+    assert res.stats["memo_hits"] == 159552
+    assert res.stats["receiver_checks"] + res.stats["memo_hits"] == \
+        2556 + 157629
+    reads = solver._read_sets(solver._table_slots(
+        choose_two_network(5), 3, SearchOptions())[0])
+    assert sorted(len(slots) for slots, _ in reads.values()) == [4] * 10
+
+
+def _without_verdicts(monkeypatch, net, ring, **kw):
+    """The exhaustive search with and without verdict arrays (every
+    receiver deciding chunk by chunk): the same status, witness,
+    assignments and rows looked at.  Returns the first."""
+    opts = SearchOptions(strategy="exhaustive", **kw)
+    res = solve_scalar(net, ring, opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "VERDICT_ENTRIES", 0)
+        raw = solve_scalar(net, ring, opts)
+    assert res.status == raw.status
+    assert res.code is None or bruteforce.check_code(net, res.code)
+    assert (res.code and codes.code_to_json(res.code)) == \
+        (raw.code and codes.code_to_json(raw.code))
+    for key in ("assignments", "space"):
+        assert res.stats[key] == raw.stats[key]
+    assert res.stats["receiver_checks"] + res.stats["memo_hits"] == \
+        raw.stats["receiver_checks"] + raw.stats["memo_hits"]
+    return res
+
+
+# s owns m0 and m1 and feeds relays u0..u3, one edge each (two slots);
+# t0 reads u0 and u1, t2 reads u2 and u3, and t1 reads s2's message alone
+NO_SLOT = networks.Network(
+    ["s", "s2", "u0", "u1", "u2", "u3", "t0", "t1", "t2"],
+    [("s", "u0"), ("s", "u1"), ("s", "u2"), ("s", "u3"), ("u0", "t0"),
+     ("u1", "t0"), ("s2", "t1"), ("u2", "t2"), ("u3", "t2")],
+    [("m0", "s"), ("m1", "s"), ("m2", "s2")],
+    {"t0": ("m0", "m1"), "t1": ("m2",), "t2": ("m1", "m0")})
+# s feeds u0..u4 likewise; t0 reads u0, u1 and the local edge out of w,
+# which merges u2 and u3, and t1 reads u4
+LOCAL = networks.Network(
+    ["s", "u0", "u1", "u2", "u3", "u4", "w", "t0", "t1"],
+    [("s", "u0"), ("s", "u1"), ("s", "u2"), ("s", "u3"), ("s", "u4"),
+     ("u0", "t0"), ("u1", "t0"), ("u2", "w"), ("u3", "w"), ("w", "t0"),
+     ("u4", "t1")],
+    [("m0", "s"), ("m1", "s")], {"t0": ("m0", "m1"), "t1": ("m0",)})
+
+
+@pytest.mark.parametrize("net, desc, reads", [
+    # t1 reads no slot: its one value is decided in the first chunk
+    (NO_SLOT, PrimeField(3), {"t0": 4, "t1": 0, "t2": 4}),
+    # t0's local edge out of w reads the slots of u2 and u3
+    (LOCAL, PrimeField(3), {"t0": 8, "t1": 2}),
+    (choose_two_network(4), IntegersMod(4), None),
+])
+def test_verdict_arrays_change_no_result(monkeypatch, net, desc, reads):
+    ring = construct_ring(desc)
+    plan, nslots = solver._table_slots(net, ring.size, SearchOptions())
+    assert ring.size ** nslots > solver.CHUNK
+    if reads is not None:
+        got = solver._read_sets(plan)
+        assert {r: len(got[v][0]) for r, v, _ in plan.compiled.receivers} \
+            == reads
+    res = _without_verdicts(monkeypatch, net, ring)
+    assert res.status == ("exhausted-unsolvable" if desc == IntegersMod(4)
+                          else "solved")
+    for shards in (2, 3):
+        for k in range(shards):
+            _without_verdicts(monkeypatch, net, ring, shards=shards,
+                              shard_index=k)
+
+
+def _coefficients(plan, ring, outer, local):
+    """Edge -> coefficients: the outer and local edges take the digits
+    outer and local, in slot order, and the forwarding edges forward."""
+    cn = plan.compiled
+    coeffs = plan.forwarding(ring.one)
+    digits = iter(outer)
+    for e in plan.outer:
+        coeffs[e] = tuple(next(digits) for _ in cn.inputs[cn.tails[e]])
+    digits = iter(local)
+    for edges in plan.local_of.values():
+        for e in edges:
+            coeffs[e] = tuple(next(digits) for _ in cn.inputs[cn.tails[e]])
+    return dict(zip(cn.edges, coeffs))
+
+
+def assert_read_sets_are_exact(net, ring, normalize):
+    """A slot is in a receiver's read set iff changing that slot changes
+    one of the receiver's input rows under some assignment of every outer
+    and local slot."""
+    opts = SearchOptions(normalize_forwarding=normalize)
+    plan, nslots = solver._table_slots(net, ring.size, opts)
+    cn = plan.compiled
+    nlocal = plan.arity([e for es in plan.local_of.values() for e in es])
+    units = [{m: ring.one if m == n else 0 for m in net.message_names}
+             for n in net.message_names]
+    wires = bruteforce.wiring(net)
+    rows = {}
+    for digits in product(range(ring.size), repeat=nslots + nlocal):
+        coeffs = _coefficients(plan, ring, digits[:nslots], digits[nslots:])
+        # an edge's row: its values when one message is one, the rest zero
+        values = [bruteforce.edge_values(net, ring, coeffs, a, wires)
+                  for a in units]
+        rows[digits] = {v: [[value[cn.edges[x]] for value in values]
+                            for x in cn.into[v]]
+                        for _, v, _ in cn.receivers}
+    owns, at = {}, 0        # each outer edge's slots
+    for e in plan.outer:
+        owns[e] = range(at, at + len(cn.inputs[cn.tails[e]]))
+        at = owns[e].stop
+    reads = solver._read_sets(plan)
+    for _, v, _ in cn.receivers:
+        moves = {s for digits in rows for s in range(nslots)
+                 for c in range(ring.size)
+                 if rows[digits][v] != rows[digits[:s] + (c,)
+                                            + digits[s + 1:]][v]}
+        assert reads[v][0] == tuple(sorted(moves)), (v, normalize)
+        # the edges that own those slots, in topological order
+        assert [s for e in reads[v][1] for s in owns[e]] == \
+            list(reads[v][0])
+
+
+@pytest.mark.parametrize("net", [
+    choose_two_network(3), chain2_network(), NO_SLOT, LOCAL,
+])
+def test_read_sets_are_the_slots_that_move_a_receivers_rows(gf2, net):
+    checked = 0
+    for normalize in (True, False):
+        plan, nslots = solver._table_slots(
+            net, 2, SearchOptions(normalize_forwarding=normalize))
+        if nslots + plan.arity([e for es in plan.local_of.values()
+                                for e in es]) <= 12:
+            assert_read_sets_are_exact(net, gf2, normalize)
+            checked += 1
+    assert checked
+
+
+def test_filling_the_verdicts_stops_at_the_deadline(monkeypatch, gf3):
+    # choose-two(6) over GF(3): 531,441 assignments in 130 chunks, and each
+    # of the 15 receivers reads 4 of the 12 slots, so every decision fills
+    # a verdict array.  A clock that ticks 1e-5 s per block of decode
+    # combinations makes the whole search 230 blocks; a budget that runs
+    # out while the arrays fill stops within one block of the deadline
+    clock = [0.0]
+    combinations = solver._combinations
+
+    def ticking(*args):
+        clock[0] += 1e-5
+        return combinations(*args)
+    monkeypatch.setattr(solver, "_combinations", ticking)
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    net = choose_two_network(6)
+    opts = SearchOptions(strategy="exhaustive")
+    full = solve_scalar(net, gf3, opts)
+    assert full.status == "exhausted-unsolvable"
+    assert full.stats["receiver_checks"] == 833
+    assert clock[0] == pytest.approx(230e-5)
+    for share in (0.1, 0.5, 0.9):
+        budget = share * clock[0]
+        clock[0] = 0.0
+        res = solve_scalar(net, gf3, SearchOptions(strategy="exhaustive",
+                                                   time_budget=budget))
+        assert res.status == "budget-exceeded"
+        assert res.stats["reason"] == "time budget exhausted"
+        assert res.stats["assignments"] < full.stats["assignments"]
+        assert budget < clock[0] <= budget + 1e-5 + 1e-12
+
+
+def test_a_node_budget_stops_the_verdict_search_on_a_chunk(gf3):
+    # choose-two(5) over GF(3) keeps verdicts for every receiver; 20,000
+    # assignments allow four chunks of 4,096, and the fifth is refused
+    res = solve_scalar(choose_two_network(5), gf3,
+                       SearchOptions(strategy="exhaustive",
+                                     node_budget=20000))
+    assert res.status == "budget-exceeded"
+    assert res.stats["reason"] == "node budget exhausted"
+    assert res.stats["assignments"] == 4 * solver.CHUNK <= 20000
+    assert 0 < res.stats["receiver_checks"] <= 10 * 81
 
 
 def _five_sources(edges, demand):
