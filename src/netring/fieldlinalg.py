@@ -10,6 +10,10 @@ Span sums are transform-free: ``space_sum``/``space_sum2`` start from the
 first operand's basis, which is already reduced, and eliminate only the
 second operand's rows against it; ``canon_space``/``rref2`` are the same
 routine started from the zero space, and ``rank`` is the length of its basis.
+
+The rank witness's elimination keeps a transform: ``eliminate`` carries a
+tag with every row, on coordinate rows over every field, and
+``unit_tag``/``express`` read a target's combination of tags off the basis.
 """
 from __future__ import annotations
 
@@ -115,7 +119,70 @@ def space_sum(ops: FieldOps, a, b):
     return tuple(basis)
 
 
+# ---- tagged elimination: the rank witness's rows with their combinations ----
+
+def eliminate(ops: FieldOps, width: int, rows, tags=None, piv=None):
+    """The reduced echelon form of rows of width entries, each basis row
+    with the same combination of tags (by default the transform: row i's
+    tag is unit row i), as pivot column -> row + tag, a list; piv, when
+    given, is continued in place.  Rows that reduce to zero are dropped."""
+    add, mul, neg, inv = ops.add, ops.mul, ops.neg, ops.inv
+    if tags is None:
+        n = len(rows)
+        tags = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    if piv is None:
+        piv = {}
+    for row, tag in zip(rows, tags):
+        row = [*row, *tag]
+        for p, b in piv.items():
+            c = row[p]
+            if c:
+                mc = mul[neg[c]]
+                row = [add[x][mc[y]] for x, y in zip(row, b)]
+        for p in range(width):
+            if row[p]:
+                break
+        else:
+            continue
+        c = row[p]
+        if c != 1:
+            mc = mul[inv[c]]
+            row = [mc[x] for x in row]
+        for other, b in list(piv.items()):
+            c = b[p]
+            if c:
+                mc = mul[neg[c]]
+                piv[other] = [add[x][mc[y]] for x, y in zip(b, row)]
+        piv[p] = row
+    return piv
+
+
+def unit_tag(piv, width: int, j: int):
+    """The tag of unit row j, None when it is outside the span: in a
+    reduced echelon basis that row is the basis row at pivot j."""
+    got = piv.get(j)
+    if got is not None and got[:width].count(0) == width - 1:
+        return tuple(got[width:])
+
+
+def express(ops: FieldOps, piv, row, n: int):
+    """The tag, of n entries, of row, None when it is outside the span: in
+    a reduced echelon basis, row's coefficient on the basis row at pivot p
+    is row[p], so subtracting them leaves zero and minus the tag."""
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    rest = [*row, *[0] * n]
+    for p, b in piv.items():
+        c = row[p]
+        if c:
+            mc = mul[neg[c]]
+            rest = [add[x][mc[y]] for x, y in zip(rest, b)]
+    if any(rest[:len(row)]):
+        return None
+    return tuple(neg[x] for x in rest[len(row):])
+
+
 # ---- packed GF(2) rows: ints, one bit per column, bit 0 = column 0 ----
+
 
 def rref2(rows):
     """Echelon basis of packed rows, sorted by pivot (low bit first)."""

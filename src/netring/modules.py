@@ -16,9 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rings as _rings
-from .rings import Ring, RingHom, MatrixRing
+from .rings import TABLE_CAP, Ring, RingHom, MatrixRing
 
-GROUP_TABLE_CAP = 4096
 CHECK_WORK_CAP = 200_000_000   # elementwise operations allowed per axiom sweep
 EXHAUSTIVE_PAIR_CAP = 1 << 20  # |R| * |G| bound for exhaustive verification
 
@@ -57,7 +56,7 @@ class AbelianGroup:
 
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
-            if self.size > GROUP_TABLE_CAP:
+            if self.size > TABLE_CAP:
                 raise ValueError(
                     f"group of size {self.size} exceeds the dense-table cap")
             if self._tables is not None:
@@ -346,8 +345,8 @@ def annihilator_quotient(mod: Module) -> tuple[Ring, RingHom, Module]:
 def submodules(mod: Module) -> list[tuple[int, ...]]:
     """All submodules (as sorted index tuples), smallest first."""
     nG = mod.group.size
-    if nG > GROUP_TABLE_CAP:
-        raise ValueError(f"submodule enumeration capped at |G| = {GROUP_TABLE_CAP}")
+    if nG > TABLE_CAP:
+        raise ValueError(f"submodule enumeration capped at |G| = {TABLE_CAP}")
     return _rings._lattice(mod.group.add_table(), (mod.act_table(),))
 
 
@@ -363,7 +362,7 @@ def module_to_json(mod: Module):
                 "ring": _rings.descriptor_to_json(mod.base_ring.descriptor),
                 "dim": mod.vector_dim}
     if mod.ring.size * mod.group.size <= EXHAUSTIVE_PAIR_CAP \
-            and mod.group.size <= GROUP_TABLE_CAP:
+            and mod.group.size <= TABLE_CAP:
         return {"kind": "table",
                 "ring": _rings.descriptor_to_json(mod.ring.descriptor),
                 "group": mod.group.add_table().tolist(),

@@ -65,9 +65,7 @@ import numpy as np
 
 from .networks import _show
 
-TABLE_CAP = 4096      # largest size for which dense operation tables are built
-AXIOM_CAP = 4096      # largest size whose axioms are verified exhaustively
-IDEAL_CAP = 4096      # largest size for which ideal lattices are enumerated
+TABLE_CAP = 4096      # largest size whose dense n x n tables are built or read
 HOM_CAP = 256         # largest size of either ring in a homomorphism search
 
 
@@ -924,7 +922,7 @@ def _additive_generators(add: np.ndarray) -> list[int]:
 
 def verify_ring_axioms(ring: Ring) -> AxiomReport:
     """Check the ring axioms in n^2 times a few generators, not n^3 (n the
-    size); ValueError past AXIOM_CAP elements.
+    size); ValueError past TABLE_CAP elements.
 
     Commutativity, the zero, negatives and the identity are checked on
     every element or pair.  The other laws are checked against S, a set of
@@ -947,9 +945,9 @@ def verify_ring_axioms(ring: Ring) -> AxiomReport:
     as not established (False, without a witness) and named in
     unchecked."""
     n = ring.size
-    if n > AXIOM_CAP:
+    if n > TABLE_CAP:
         raise ValueError(f"ring size {n} exceeds the verification bound "
-                         f"{AXIOM_CAP}")
+                         f"{TABLE_CAP}")
     add = ring.add_table()
     mul = ring.mul_table()
     idx = np.arange(n)
@@ -1106,8 +1104,8 @@ def _ideal_actions(ring: Ring, two_sided: bool):
 
 
 def _ideals(ring: Ring, sided: str) -> list[Ideal]:
-    if ring.size > IDEAL_CAP:
-        raise ValueError(f"ideal enumeration capped at size {IDEAL_CAP}")
+    if ring.size > TABLE_CAP:
+        raise ValueError(f"ideal enumeration capped at size {TABLE_CAP}")
     actions = _ideal_actions(ring, sided == "two-sided")
     return [Ideal(ring, t, sided) for t in _lattice(ring.add_table(), actions)]
 

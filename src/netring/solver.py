@@ -177,18 +177,19 @@ the deadline.
   it was reused), the search, the witness and its verification.
   The witness turns the subspace assignment into coefficients.  It reads
   each node's inputs as the plan's stacks give them, followed through
-  forwarding to the searched or free edge or the message they carry.  Per
+  forwarding to the searched or free edge or the message they carry.  It
+  works on coordinate rows over every field (the search's packed GF(2)
+  rows are unpacked first), with fieldlinalg's tagged elimination.  Per
   field, each node's input rows are eliminated once into reduced echelon
-  form, every basis row carrying the combination of input rows behind it
-  (on the search's packed ints over GF(2), whatever k), and a target's
-  combination is read off them: a unit target's (every decoding and every
-  lift) is the one of the basis row at its pivot.  A source is no special
-  case: its inputs are distinct unit rows, so each target's combination
-  is unique and holds the target's own entries.  A free edge lifts the
-  demanded unit rows outside the span of its receiver's fixed inputs and
-  of the rows lifted before, tested against one growing echelon basis;
-  each is written over the fixed rows and then its tail's, and the tail
-  rows' part is its lift.  None of this can move a coefficient: the rows
+  form, every basis row carrying the combination of input rows behind it,
+  and a target's combination is read off them: a unit target's (every
+  decoding and every lift) is the one of the basis row at its pivot.  A
+  source is no special case: its inputs are distinct unit rows, so each
+  target's combination is unique and holds the target's own entries.  A
+  free edge lifts the demanded unit rows outside the span of its
+  receiver's fixed inputs and of the rows lifted before, tested against
+  one growing echelon basis; each is written over the fixed rows and then
+  its tail's, and the tail rows' part is its lift.  None of this can move a coefficient: the rows
   are taken in order and each one in the span of those before is dropped,
   so a combination is the unique one over the independent rows with zero
   on the dependent ones, which is what the earlier construction by an
@@ -522,9 +523,9 @@ class _Plan:
 # rank strategy: subspace assignments over a field
 
 class _Gf2Alg:
-    """Subspaces as tuples of packed-int echelon rows."""
-
-    zero = 0
+    """The search's subspaces over GF(2), tuples of packed-int echelon rows
+    (bit j is column j), behind the interface only the search reads: unit,
+    canon, add_spaces, mix, transvection, swap.  The witness unpacks them."""
 
     def __init__(self, width: int):
         self.width = width
@@ -559,63 +560,14 @@ class _Gf2Alg:
             return row ^ (moved << i | moved << j)
         return image
 
-    # -- the witness's elimination, on rows augmented by their tags: a
-    # tag is packed above the row's width bits
-
-    def eliminate(self, rows, tags=None, piv=None):
-        """The reduced echelon form of rows, each basis row with the same
-        combination of tags (by default the transform: row i's tag is bit
-        i), as pivot bit -> row | tag << width; piv, when given, is
-        continued in place.  Rows that reduce to zero are dropped."""
-        width, mask = self.width, (1 << self.width) - 1
-        if tags is None:
-            tags = [1 << i for i in range(len(rows))]
-        if piv is None:
-            piv = {}
-        for row, tag in zip(rows, tags):
-            row |= tag << width
-            for bit, b in piv.items():
-                if row & bit:
-                    row ^= b
-            if row & mask:
-                bit = row & -row
-                for other, b in list(piv.items()):
-                    if b & bit:
-                        piv[other] = b ^ row
-                piv[bit] = row
-        return piv
-
-    def unit_tag(self, piv, j: int):
-        """The tag of unit row j, None when it is outside the span: in a
-        reduced echelon basis that row is the basis row at pivot j."""
-        bit = 1 << j
-        got = piv.get(bit)
-        if got is None or got & ((1 << self.width) - 1) != bit:
-            return None
-        return got >> self.width
-
-    def express(self, piv, row, n: int):
-        """The tag of row, None when it is outside the span: the basis row
-        at each pivot bit of what is left, lowest first."""
-        mask = (1 << self.width) - 1
-        while row & mask:
-            got = piv.get(row & -row)
-            if got is None:
-                return None
-            row ^= got
-        return row >> self.width
-
-    def entries(self, tag, n: int):
-        return tuple(tag >> i & 1 for i in range(n))
-
 
 class _GenAlg:
-    """Subspaces as tuples of coordinate-tuple echelon rows."""
+    """The same over any other field, on coordinate-tuple echelon rows,
+    with one more orbit generator: scaling."""
 
     def __init__(self, ops: fl.FieldOps, width: int):
         self.ops = ops
         self.width = width
-        self.zero = (0,) * width
 
     def unit(self, j: int):
         return tuple(1 if i == j else 0 for i in range(self.width))
@@ -664,74 +616,6 @@ class _GenAlg:
             out[i:i + k], out[j:j + k] = row[j:j + k], row[i:i + k]
             return tuple(out)
         return image
-
-    # -- the witness's elimination, on rows augmented by their tags: a
-    # list, the row's width entries and then the tag's
-
-    def eliminate(self, rows, tags=None, piv=None):
-        """The reduced echelon form of rows, each basis row with the same
-        combination of tags (by default the transform: row i's tag is unit
-        row i), as pivot column -> row + tag; piv, when given, is continued
-        in place.  Rows that reduce to zero are dropped."""
-        add, mul, neg, inv = self.ops.add, self.ops.mul, self.ops.neg, \
-            self.ops.inv
-        width, n = self.width, len(rows)
-        if piv is None:
-            piv = {}
-        for i, row in enumerate(rows):
-            if tags is None:
-                row = [*row, *[0] * n]
-                row[width + i] = 1
-            else:
-                row = [*row, *tags[i]]
-            for p, b in piv.items():
-                c = row[p]
-                if c:
-                    mc = mul[neg[c]]
-                    row = [add[x][mc[y]] for x, y in zip(row, b)]
-            for p in range(width):
-                if row[p]:
-                    break
-            else:
-                continue
-            c = row[p]
-            if c != 1:
-                mc = mul[inv[c]]
-                row = [mc[x] for x in row]
-            for other, b in list(piv.items()):
-                c = b[p]
-                if c:
-                    mc = mul[neg[c]]
-                    piv[other] = [add[x][mc[y]] for x, y in zip(b, row)]
-            piv[p] = row
-        return piv
-
-    def unit_tag(self, piv, j: int):
-        """The tag of unit row j, None when it is outside the span: in a
-        reduced echelon basis that row is the basis row at pivot j."""
-        got = piv.get(j)
-        width = self.width
-        if got is None or got[:width].count(0) != width - 1:
-            return None
-        return tuple(got[width:])
-
-    def express(self, piv, row, n: int):
-        """The tag of row, None when it is outside the span: in a reduced
-        echelon basis, row's coefficient on the basis row at pivot p is
-        row[p], so subtracting them leaves zero and minus the tag."""
-        add, mul, neg = self.ops.add, self.ops.mul, self.ops.neg
-        rest = [*row, *[0] * n]
-        for p, b in piv.items():
-            c = row[p]
-            if c:
-                mc = mul[neg[c]]
-                rest = [add[x][mc[y]] for x, y in zip(rest, b)]
-        if any(rest[:self.width]):
-            return None
-        return [neg[x] for x in rest[self.width:]]
-
-    def entries(self, tag, n: int):
-        return tuple(tag)
 
 
 # the rings the rank strategy accepts, as (field, k)
@@ -1232,8 +1116,16 @@ def _rank_witness(net, ring, k, alg, shape, bases):
     """Turn a passing subspace assignment, bases[i] the echelon basis of
     position i, into explicit coefficients (module notes)."""
     plan, cn = shape.plan, net.compiled()
-    zero = alg.zero
-    msg_rows = [[alg.unit(m * k + a) for a in range(k)]
+    width, ops = alg.width, fl.FieldOps(_rank_parts(ring)[0])
+    if isinstance(alg, _Gf2Alg):     # packed rows: bit j is column j
+        bases = [[tuple(row >> j & 1 for j in range(width)) for row in basis]
+                 for basis in bases]
+    zero = (0,) * width
+
+    def unit(j):
+        return tuple(1 if i == j else 0 for i in range(width))
+
+    msg_rows = [[unit(m * k + a) for a in range(k)]
                 for m in range(len(shape.msgs))]
     rows = [None] * len(cn.edges)   # searched or free edge -> its k rows
 
@@ -1262,19 +1154,19 @@ def _rank_witness(net, ring, k, alg, shape, bases):
             continue
         fixed_rows = rows_of(x for x in plan.stack(r) if x != e)
         tail_rows = rows_of(plan.stack(cn.tails[e]))
-        base = alg.eliminate(fixed_rows, [zero] * len(fixed_rows))
+        base = fl.eliminate(ops, width, fixed_rows, [zero] * len(fixed_rows))
         span = dict(base)
         reps = []
         for m in demand:
             for j in range(m * k, m * k + k):
-                if alg.unit_tag(span, j) is None:
+                if fl.unit_tag(span, width, j) is None:
                     reps.append(j)
-                    alg.eliminate([alg.unit(j)], [zero], span)
-        both = alg.eliminate(tail_rows, tail_rows, base)
-        parts = [alg.unit_tag(both, j) for j in reps]
+                    fl.eliminate(ops, width, [unit(j)], [zero], span)
+        both = fl.eliminate(ops, width, tail_rows, tail_rows, base)
+        parts = [fl.unit_tag(both, width, j) for j in reps]
         if None in parts:
             raise RuntimeError("free-edge lift failed for a checked receiver")
-        rows[e] = padded(alg.canon(parts))
+        rows[e] = padded(fl.canon_space(ops, parts))
 
     # each node's input rows are eliminated once, for its out-edges and its
     # demands alike, and a target's combination of them read off the tags
@@ -1286,13 +1178,14 @@ def _rank_witness(net, ring, k, alg, shape, bases):
         got = solved.get(node)
         if got is None:
             refs = plan.stack(node)
-            got = solved[node] = k * len(refs), alg.eliminate(rows_of(refs))
+            got = solved[node] = k * len(refs), fl.eliminate(
+                ops, width, rows_of(refs))
         n, piv = got
-        out = [alg.unit_tag(piv, t) if units else alg.express(piv, t, n)
-               for t in targets]
+        out = [fl.unit_tag(piv, width, t) if units else
+               fl.express(ops, piv, t, n) for t in targets]
         if None in out:
             raise RuntimeError("witness row left its input span")
-        return [alg.entries(c, n) for c in out]
+        return out
 
     def coefficients(got):
         """One ring element per input for each k consecutive combinations:
@@ -1602,7 +1495,7 @@ def _solve_table(net: Network, ring: Ring, opts: SearchOptions, budget: int,
         return alive, (alive, got[keep], None, key[keep])
 
     def walk():
-        for r, v, _ in cn.receivers:
+        for r, v, *_ in receivers:
             t = len(cn.inputs[v])
             if size ** t > DECODE_BUDGET:
                 raise _Budget(f"receiver {r} has {t} inputs; decode "

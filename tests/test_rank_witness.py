@@ -1,13 +1,13 @@
 """The rank witness against the reference construction it replaced.
 
 solver._rank_witness turns the subspace assignment the rank search found
-into coefficients: one elimination per node, on the search's packed rows
-over GF(2), unit targets read off the transform, free edges lifted against
-one growing echelon basis.  reference_witness below is the construction
-it replaced, kept the way tests/bruteforce.py is kept for the searches: it
-re-eliminates every node's input rows with rref (tests/test_fieldlinalg.py),
-solves each target with solve_row and tests each demanded unit row with a
-fresh elimination.
+into coefficients: one elimination per node, on coordinate rows over
+every field, unit targets read off the transform, free edges lifted
+against one growing echelon basis.  reference_witness below is the
+construction it replaced, kept the way tests/bruteforce.py is kept for the
+searches: it re-eliminates every node's input rows with rref
+(tests/test_fieldlinalg.py), solves each target with solve_row and tests
+each demanded unit row with a fresh elimination.
 
 Both must give byte-identical codes.  rref takes the rows in order and
 drops the dependent ones, so each combination is the unique one over the

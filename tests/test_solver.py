@@ -2,6 +2,7 @@
 import time
 import types
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +352,32 @@ def test_witness_depth_is_not_bounded_by_recursion(desc):
     assert codes.verify_solution(net, res.code).solved
 
 
+@pytest.mark.parametrize("desc", [PrimeField(2), MatrixRing(PrimeField(2), 2)],
+                         ids=describe)
+def test_the_witness_reads_no_packed_rows(desc):
+    # the search's packed GF(2) rows are unpacked at the witness, whose one
+    # elimination runs on coordinate rows: no packed span sum in it, even
+    # where a free edge's lift is canonicalized.  Imported here: that module
+    # imports this one (through test_generated)
+    from test_rank_witness import LIFTED
+    net, normalize = LIFTED[0]
+    real, calls = solver._rank_witness, []
+
+    def unpacked(*args):
+        calls.append(args)
+        with mock.patch.object(solver.fl, "space_sum2",
+                               side_effect=AssertionError("packed sum")), \
+                mock.patch.object(solver.fl, "rref2",
+                                  side_effect=AssertionError("packed rref")):
+            return real(*args)
+    with mock.patch.object(solver, "_rank_witness", unpacked):
+        res = solve_scalar(net, construct_ring(desc), SearchOptions(
+            strategy="rank", normalize_forwarding=normalize))
+    assert res.solved and len(calls) == 1
+    assert codes.verify_solution(net, res.code).solved
+    assert codes.semantic_verify(net, res.code).solved
+
+
 def test_solve_vector_boundaries(gf2):
     net = choose_two_network(4)  # needs q >= 3, so dim 1 over GF(2) fails
     assert solve_vector(net, gf2, 1).status == "exhausted-unsolvable"
@@ -467,8 +494,9 @@ def test_the_orbit_search_stops_at_the_deadline(monkeypatch):
 def test_the_node_loop_stops_at_the_deadline(monkeypatch, share):
     # the M-network over M_2(GF(2)) spends its time in the node loop, on
     # packed span sums; a clock that ticks 1e-5 s per sum makes the whole
-    # search 6,284 nodes and 0.06224 s.  Reading the clock only every 1,024
-    # nodes stopped a 10 % budget at node 1,024, 130 % late
+    # search 6,284 nodes and 0.06220 s (the witness, which works on
+    # unpacked rows, adds no packed sums).  Reading the clock only every
+    # 1,024 nodes stopped a 10 % budget at node 1,024, 130 % late
     clock = [0.0]
     space_sum2 = solver.fl.space_sum2
 
@@ -482,7 +510,7 @@ def test_the_node_loop_stops_at_the_deadline(monkeypatch, share):
     full = solve_scalar(m_network(), m2, SearchOptions(strategy="rank"))
     assert full.status == "solved"
     assert full.stats["nodes"] == 6284
-    assert clock[0] == pytest.approx(0.06224)
+    assert clock[0] == pytest.approx(0.06220)
     budget = share * clock[0]
     clock[0] = 0.0
     res = solve_scalar(m_network(), m2,
@@ -1211,6 +1239,18 @@ def test_a_receiver_past_the_decode_budget_is_refused(z4):
     res = solve_scalar(net, z4, SearchOptions(strategy="exhaustive"))
     assert res.status == "budget-exceeded" and res.code is None
     assert "exceeds DECODE_BUDGET" in res.stats["reason"]
+
+
+@pytest.mark.parametrize("strategy", solver.STRATEGIES)
+def test_the_decode_budget_skips_receivers_without_demands(gf2, strategy):
+    # t has 2^16 decode tuples but demands nothing, so no search decides it
+    net = networks.Network(["s", "t", "u"],
+                           [("s", "t", i) for i in range(16)] + [("s", "u")],
+                           [("m", "s")], {"t": (), "u": ("m",)})
+    res = solve_scalar(net, gf2, SearchOptions(strategy=strategy))
+    assert res.status == "solved"
+    assert codes.verify_solution(net, res.code).solved
+    assert codes.semantic_verify(net, res.code).solved
 
 
 @pytest.mark.parametrize("strategy", solver.STRATEGIES)
