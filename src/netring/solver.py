@@ -130,9 +130,19 @@ the deadline.
   and f that of the free edge's tail, some subspace of f of dimension at
   most k completes w0 to u exactly when dim((w0 + u)/w0) <= k (the
   dimension test, which reads the fixed inputs only) and u lies in
-  w0 + f (the reach test).  The full check runs after the last position
-  it reads; the dimension test also runs after the last fixed one when
-  that comes earlier.
+  w0 + f (the reach test).  A receiver without a free edge has only the
+  dimension test, with no room to spare: u must lie in w0.  A dimension
+  test runs right after the last position its fixed inputs read, a reach
+  test right after the last position at all, and at each position every
+  dimension test runs before any reach test.  Each test is kept in a memo
+  under exactly the spans it reads: a dimension test under (receiver, w0,
+  -1) without a free edge or (receiver, w0, -2) with one, a reach test
+  under (receiver, w0, f), so a dimension test is decided once per fixed
+  span whatever the free edge's tail holds.  stats["receiver_checks"]
+  counts the tests decided, stats["memo_hits"] those answered from the
+  memo.  Every test is a necessary condition of the receiver's check, so
+  their order changes neither which candidates pass nor the order of the
+  walk, only which failure a dead end records (below).
   The walk learns from failure by conflict-directed backjumping (Prosser
   1993).  Each depth keeps the set of earlier positions its dead ends
   depend on: those its tail reads (they fix its candidate list), its
@@ -140,7 +150,13 @@ the deadline.
   that fails a test, the positions that test reads (the fixed ones for
   the dimension test, fixed and free for the reach test).  Each is a
   nogood: while those positions keep their values, no candidate here
-  leads to a solution.  So when a depth runs out, the walk jumps to the
+  leads to a solution.  Since a position runs its dimension tests first,
+  a candidate that fails one of them adds only fixed positions, even when
+  some receiver's reach test would fail too, so a dead end of dimension
+  failures jumps past the positions that only free edges' tails read (the
+  M-network over M_2(GF(2)): 1,246 nodes with one such jump, against 6,284
+  when each receiver ran its reach test straight after its dimension
+  test).  So when a depth runs out, the walk jumps to the
   deepest position in its set, merges the set into that position's, and
   drops everything in between; an empty set ends the search.  Orbit
   leaders and shards restrict a position's list whatever the other
@@ -150,14 +166,15 @@ the deadline.
   its own smaller values failed.  A jump skips only subtrees that hold
   no solution of the restricted walk, so the lex-least solution is still
   the first one found and the witness does not change.
-  stats["backjumps"] counts the jumps that skip at least one position.
+  stats["backjumps"] counts the jumps that skip at least one position,
+  and stats["nodes_by_depth"] the nodes tried at each position.
   Half of this depends on the network alone, and a sweep, a vector search
   or a quotient route searches one network over field after field.  So
   that half is compiled once per network and forwarding setting, from
   the network's compiled form (networks module notes), into a _Shape
   kept on the Network: the plan, the bundles and their edge counts, each
   tail and receiver check as (message set, positions) with message sets
-  as bitmasks, the demands, the schedule of checks and the masks they
+  as bitmasks, the demands, the schedule of tests and the masks they
   read, the claimable positions with their messages and swaps, and the
   twin map.  Each search over M_k(GF(q)) then only maps every message
   set to the id of its span, sets the caps (c k) and the generators of
@@ -749,9 +766,9 @@ class _Shape:
     tail_reads:     per position, the positions its tail reads, as a mask.
     checks:         per receiver, its fixed sources, its free edge's tail
                     sources (None without one) and its demanded messages.
-    reads:          per check, the positions its fixed inputs read and
-                    those its fixed and free inputs read, as masks.
-    ready:          depth -> (check, whether the dimension test only).
+    ready:          depth -> the tests that run there, every dimension
+                    test before any reach test: (check, whether its reach
+                    test, the positions that test reads as a mask).
     claimable:      (position, message indices) of each position whose
                     tail carries messages only, none of an earlier one's.
     swaps:          claimable position -> the transpositions of two of its
@@ -799,27 +816,29 @@ class _Shape:
                               for bundle in bundles]
         self.tail_reads = [_mask(at) for _, at in tails]
 
-        # a receiver is checked right after the last position it reads,
-        # and with a free edge its dimension test also right after the
-        # last fixed one
-        checks, reads, ready = self.checks, self.reads, self.ready = [], [], {}
+        # a receiver's dimension test runs right after the last fixed
+        # position it reads, and with a free edge its reach test right
+        # after the last position at all; at each depth the dimension
+        # tests come first (module notes)
+        checks, ready = self.checks, self.ready = [], {}
         for _, r, demanded in cn.receivers:
             free_edge = self.local_one.get(r)
             fixed = sources(r, free_edge)
             free = (None if free_edge is None
                     else sources(cn.tails[free_edge]))
             fixed_reads = _mask(fixed[1])
-            all_reads = fixed_reads | (_mask(free[1]) if free else 0)
             demand = _mask(demanded)
             sets.add(demand)
             # the deepest position read, -1 for none
-            depth, first = (all_reads.bit_length() - 1,
-                            fixed_reads.bit_length() - 1)
-            ready.setdefault(depth, []).append((len(checks), False))
-            if first < depth:
-                ready.setdefault(first, []).append((len(checks), True))
+            ready.setdefault(fixed_reads.bit_length() - 1, []).append(
+                (len(checks), False, fixed_reads))
+            if free is not None:
+                all_reads = fixed_reads | _mask(free[1])
+                ready.setdefault(all_reads.bit_length() - 1, []).append(
+                    (len(checks), True, all_reads))
             checks.append((fixed, free, demand))
-            reads.append((fixed_reads, all_reads))
+        for tests in ready.values():
+            tests.sort(key=lambda test: test[1])
         sets.discard(0)
 
         self.claimable = []
@@ -901,7 +920,7 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
             if bits >> m & 1:
                 got = plus(got, unit)
         span_of[bits] = got
-    bundles, ready, reads = shape.bundles, shape.ready, shape.reads
+    bundles, ready = shape.bundles, shape.ready
     tail_reads = shape.tail_reads
     caps = [c * k for c in shape.sizes]
     tails = [(span_of[const], at) for const, at in shape.tails]
@@ -990,34 +1009,38 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 stats["orbit_skips"] += 1
 
     recv_memo = {}
+    by_depth = [0] * len(bundles)
     stats = {"strategy": "rank", "field": q, "dim": k, "nodes": 0,
+             "nodes_by_depth": by_depth,
              "receiver_checks": 0, "memo_hits": 0, "orbit_skips": 0,
              "swaps": swaps, "backjumps": 0,
              "searched_edges": len(shape.plan.outer),
              "positions": len(bundles), "twins": len(twin_of),
              "shape": "built" if built else "reused"}
 
-    def failed(key):
-        """Which test of receiver j fails, for key (j, w0, f) with w0 the
-        span of its fixed inputs and f that of its free edge's tail (-1
-        without a free edge, -2 for the dimension test alone): 0 for none,
-        1 for the dimension test, which reads the fixed inputs only, 2 for
-        the reach test, which also reads the free edge's tail.  Kept in
-        recv_memo, which the search reads first."""
+    # one function per test, each keeping its verdicts in recv_memo (which
+    # the search reads first) under exactly the spans it reads: the
+    # demand u must fit in w0, the span of the fixed inputs, plus what a
+    # free edge adds, at most k dimensions, all from its tail.  u lies in w
+    # exactly when w + u == w, so containment is cached on ids by the sum
+    # cache
+    def dim_failed(key):
+        """Whether receiver j's dimension test fails, for key (j, w0, f):
+        more than 0 (f == -1, no free edge) or k (f == -2) of its demand's
+        dimensions lie outside w0."""
         stats["receiver_checks"] += 1
         j, w0, f = key
-        # the demand u must fit in w0 plus what a free edge adds: at most k
-        # dimensions, all from its tail.  u lies in w exactly when
-        # w + u == w, so containment is cached on ids by the sum cache
-        u = checks[j][2]
-        got = 0
-        if dims[plus(w0, u)] - dims[w0] > (0 if f == -1 else k):
-            got = 1
-        elif f >= 0:
-            reach = plus(w0, f)
-            if plus(reach, u) != reach:
-                got = 2
-        recv_memo[key] = got
+        u, slack = checks[j][2], 0 if f == -1 else k
+        got = recv_memo[key] = dims[plus(w0, u)] - dims[w0] > slack
+        return got
+
+    def reach_failed(key):
+        """Whether receiver j's reach test fails, for key (j, w0, f) with f
+        the span of its free edge's tail: its demand is not in w0 + f."""
+        stats["receiver_checks"] += 1
+        j, w0, f = key
+        reach = plus(w0, f)
+        got = recv_memo[key] = plus(reach, checks[j][2]) != reach
         return got
 
     def without(src, i):
@@ -1053,31 +1076,34 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 gens = claims.get(i)
                 todo.append(iter(cands) if gens is None
                             else orbit_leaders(cands, gens))
+                # every dimension test here before any reach test, so a
+                # dimension dead end reads the fixed positions only
                 here = []
-                for j, dim_only in ready.get(i, ()):
+                for j, reach, mask in ready.get(i, ()):
                     fixed, free, _ = checks[j]
                     here.append((j, *without(fixed, i),
-                                 *((-1, False) if free is None else
-                                   (-2, False) if dim_only else
-                                   without(free, i)), reads[j]))
+                                 *(without(free, i) if reach else
+                                   (-1 if free is None else -2, False)),
+                                 mask, reach_failed if reach else dim_failed))
                 bases.append(here)
             here = bases[i]
             for s in todo[i]:
                 nodes = stats["nodes"] = stats["nodes"] + 1
+                by_depth[i] += 1
                 if nodes > budget:
                     raise _Budget("node budget exhausted")
                 _check_clock(deadline)
                 cur[i] = s
-                for j, w, w_reads, f, f_reads, masks in here:
+                for j, w, w_reads, f, f_reads, mask, test in here:
                     key = (j, plus(w, s) if w_reads else w,
                            plus(f, s) if f_reads else f)
-                    why = recv_memo.get(key)
-                    if why is None:
-                        why = failed(key)
+                    fails = recv_memo.get(key)
+                    if fails is None:
+                        fails = test(key)
                     else:
                         stats["memo_hits"] += 1
-                    if why:
-                        conflict[i] |= masks[why - 1]
+                    if fails:
+                        conflict[i] |= mask
                         break
                 else:
                     i += 1
@@ -1098,13 +1124,14 @@ def _solve_rank(net: Network, ring: Ring, opts: SearchOptions, budget: int,
                 i = back
         return True
 
-    def settled(j, dim_only):
+    def settled(j, reach):
         fixed, free, _ = checks[j]
-        return not failed((j, span(fixed), -1 if free is None else
-                           -2 if dim_only else span(free)))
+        return not (reach_failed((j, span(fixed), span(free))) if reach else
+                    dim_failed((j, span(fixed), -1 if free is None else -2)))
 
     def walk():
-        if all(settled(*c) for c in ready.get(-1, ())) and dfs():
+        if (all(settled(j, reach) for j, reach, _ in ready.get(-1, ()))
+                and dfs()):
             return [spaces[s] for s in cur]
         return None
 

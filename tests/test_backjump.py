@@ -7,11 +7,14 @@ search that runs out of candidates at a position jumps back to the
 deepest position its failures read.  dim-n(3), which no field search
 could settle before, is settled over the small fields and M_2(GF(2)).
 """
+import sys
+
 import pytest
 
 from conftest import chain2_network
-from netring import codes
-from netring.networks import Network, dim_n_network, m_network
+from netring import codes, solver
+from netring.networks import (Network, choose_two_network, dim_n_network,
+                              m_network)
 from netring.rings import (GaloisField, MatrixRing, PrimeField,
                            UpperTriangular, construct_ring, describe)
 from netring.solver import SearchOptions, _Plan, solve_scalar
@@ -41,6 +44,44 @@ def test_m_network_jumps_over_the_mixing_edges(desc):
     res = solve_scalar(m_network(), construct_ring(desc))
     assert res.status == "exhausted-unsolvable"
     assert res.stats["positions"] == 4 and res.stats["backjumps"] > 0
+
+
+def _decided(search):
+    """The search's result and the receiver tests it decided, in order, as
+    (test, receiver, fixed span, free span or -1 | -2): the rank engine's
+    calls of dim_failed and reach_failed, seen through a profile hook."""
+    tests = []
+
+    def hook(frame, event, _):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == solver.__file__
+                and code.co_name in ("dim_failed", "reach_failed")):
+            tests.append((code.co_name, *frame.f_locals["key"]))
+    sys.setprofile(hook)
+    try:
+        res = search()
+    finally:
+        sys.setprofile(None)
+    return res, tests
+
+
+@pytest.mark.parametrize("net,desc", [
+    (m_network, MatrixRing(GF2, 2)), (m_network, MatrixRing(GF3, 2)),
+    (m_network, GF4), (lambda: dim_n_network(2), GF3),
+    (lambda: choose_two_network(5), GF4)],
+    ids=["m/M_2(GF(2))", "m/M_2(GF(3))", "m/GF(4)", "dim-n(2)/GF(3)",
+         "choose-two(5)/GF(4)"])
+def test_each_dimension_test_is_decided_once(net, desc):
+    # a dimension test reads the receiver's fixed span alone and is kept
+    # under it, whatever the free edge's tail holds: it is decided once per
+    # (receiver, fixed span) in a search, a reach test once per (receiver,
+    # fixed span, free span), and receiver_checks counts them all
+    res, tests = _decided(lambda: solve_scalar(
+        net(), construct_ring(desc), SearchOptions(strategy="rank")))
+    assert len(tests) == res.stats["receiver_checks"] > 0
+    dims = [(j, w0) for name, j, w0, _ in tests if name == "dim_failed"]
+    assert dims and len(set(dims)) == len(dims)
+    assert len(set(tests)) == len(tests)
 
 
 def test_plan_forwards_bundles_as_wide_as_their_tails_inputs():

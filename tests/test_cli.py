@@ -464,9 +464,9 @@ def test_console_script_installed():
 def test_sweep_stopped_by_its_budget_exits_2(files, tmp_path):
     # every ring is stopped, so no size is settled: not "unsolvable"
     out = tmp_path / "s.json"
-    # (GF(2), the first ring, takes 34 nodes)
+    # (GF(2), the first ring, takes 12 nodes)
     assert run("solve", "smallest", str(files["m"]), "--max-size", "16",
-               "--budget", "30", "-o", str(out)) == BUDGET
+               "--budget", "10", "-o", str(out)) == BUDGET
     rep = json.loads(out.read_text())
     assert rep["minimal_size"] is None and len(rep["verdicts"]) == 11
     assert {v["status"] for v in rep["verdicts"]} == {"budget-exceeded"}

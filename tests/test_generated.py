@@ -39,6 +39,17 @@ at the same owner, and next to each receiver that demands the first a
 copy of it that demands the second) and checks the rank search against
 enumeration, and its witness against the search without swaps.
 
+The rank search takes a receiver's one unforwarded in-edge as free and
+tests the receiver in two parts: whether the free edge has room for what
+its fixed inputs miss (the dimension test) and whether the free edge's
+tail supplies it (the reach test).  At each position every dimension test
+runs before any reach test, and a dead end jumps back to the deepest
+position its failures read.  Drawn networks seldom have a free edge whose
+tail reads a searched position, so a test builds networks around a coding
+node heard by every receiver on its free edge, as in the M-network, and
+checks the rank search against enumeration, and its witness and node
+count against the same walk stepping back one position at a time.
+
 The exhaustive search keeps, when it spans more than one chunk, one
 verdict per value of the slots a receiver reads.  A test shrinks the chunk
 to four assignments, so that every drawn network with three or more
@@ -267,6 +278,78 @@ def test_rank_with_swaps_agrees_with_enumeration(net):
             assert bruteforce.check_code(net, res.code)
             assert codes.code_to_json(res.code) == \
                 codes.code_to_json(full.code)
+
+
+@st.composite
+def free_edge_networks(draw):
+    """Sources s0 (messages m0 and m1) and s1 (m2, and mostly m3), a
+    coding node c with two in-edges from them, one to three relays u of
+    one in-edge each, and one to three receivers, each hearing c on one
+    edge (its free edge, since c mixes two inputs) and one or two relays.
+    So a receiver's dimension test reads the positions into its relays, and
+    its reach test those into c as well, as in the M-network."""
+    sources = ["s0", "s1"]
+    messages = [("m0", "s0"), ("m1", "s0"), ("m2", "s1")]
+    if draw(st.integers(0, 3)):
+        messages.append(("m3", "s1"))
+    relays = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    receivers = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    second = draw(st.sampled_from(sources))
+    edges = [("s0", "c", 0), (second, "c", 1 if second == "s0" else 0)]
+    edges += [(draw(st.sampled_from(sources)), u, 0) for u in relays]
+    owner = dict(messages)
+    demands = {}
+    for t in receivers:
+        heard = draw(st.lists(st.sampled_from(relays), min_size=1,
+                              max_size=2, unique=True))
+        edges += [("c", t, 0)] + [(u, t, 0) for u in heard]
+        fed = {tail for tail, head, _ in edges if head in ["c", *heard]}
+        seen = sorted(m for m, src in owner.items() if src in fed)
+        demands[t] = tuple(draw(st.lists(st.sampled_from(seen), min_size=1,
+                                         unique=True)))
+    net = Network(sources + ["c"] + relays + receivers, edges, messages,
+                  demands)
+    assert not validate_network(net)
+    return net
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(free_edge_networks())
+@example(m_network())
+def test_rank_with_free_edges_agrees_with_enumeration(net):
+    # the strategy draws what it promises: every receiver takes a free edge
+    shape = solver._Shape(net, SearchOptions(strategy="rank"))
+    assert len(shape.local_one) == len(net.demands)
+    for ring in RINGS + [ring for ring, _ in SYMMETRIC]:
+        res = solve_scalar(net, ring, SearchOptions(strategy="rank"))
+        want = res.status
+        if ring.size ** _slots(net) <= 1 << 16:
+            raw = solve_scalar(net, ring, SearchOptions(
+                strategy="exhaustive", normalize_forwarding=False))
+            assert raw.status == want, ring.size
+        if ring.size ** _slots(net) <= 3 ** MAX_SLOTS:
+            assert bruteforce.solve(net, ring)[0] == want, ring.size
+        # the walk that steps back one position at a time from every dead
+        # end: a fresh copy whose shape says that each test and each tail
+        # reads every earlier position
+        copy = Network(net.nodes, net.edges, net.messages, net.demands)
+        shape = solver._Shape(copy, SearchOptions(strategy="rank"))
+        shape.ready = {d: [(j, reach, (1 << d + 1) - 1)
+                           for j, reach, _ in tests]
+                       for d, tests in shape.ready.items()}
+        shape.tail_reads = [(1 << i) - 1 for i in range(len(shape.bundles))]
+        copy._shapes[True] = shape
+        step = solve_scalar(copy, ring, SearchOptions(strategy="rank"))
+        event(f"{describe(ring.descriptor)} {want}, jumped: "
+              f"{res.stats['nodes'] < step.stats['nodes']}")
+        assert step.stats["backjumps"] == 0
+        assert step.status == want and \
+            res.stats["nodes"] <= step.stats["nodes"]
+        if res.solved:
+            assert bruteforce.check_code(net, res.code)
+            assert codes.code_to_json(res.code) == \
+                codes.code_to_json(step.code)
 
 
 def _decoy_network(wanted: str, full_receiver: bool) -> Network:

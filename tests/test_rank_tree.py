@@ -9,6 +9,8 @@ walk that tree in the same order and pick the same first solution; a
 change that prunes the tree further re-pins the counts.
 """
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -101,6 +103,29 @@ VECTOR_CHOOSE_TWO_3_GF2 = {'decodings': [['t1_2', 'm1', [1, 0]],
                                       'kind': 'vector',
                                       'ring': {'kind': 'prime-field', 'p': 2}}}
 
+# the M-network's witness over M_2(GF(2)), recorded when each receiver was
+# still tested whole, its reach test straight after its dimension test;
+# the module part is the ring's scalar module, pinned by the digest below
+M_NETWORK_M2_GF2 = {'edges': [['1', '3', 0, [9, 3]], ['1', '4', 0, [5, 2]],
+                              ['2', '4', 0, [9, 3]], ['2', '5', 0, [5, 2]],
+                              ['3', '6', 0, [1]], ['3', '7', 0, [1]],
+                              ['3', '8', 0, [1]], ['3', '9', 0, [1]],
+                              ['4', '6', 0, [9, 3]], ['4', '7', 0, [9, 2]],
+                              ['4', '8', 0, [5, 3]], ['4', '9', 0, [5, 2]],
+                              ['5', '6', 0, [1]], ['5', '7', 0, [1]],
+                              ['5', '8', 0, [1]], ['5', '9', 0, [1]]],
+                    'decodings': [['6', 'W', [9, 3, 0]],
+                                  ['6', 'Y', [0, 5, 3]],
+                                  ['7', 'W', [9, 3, 0]],
+                                  ['7', 'Z', [0, 5, 2]],
+                                  ['8', 'X', [5, 3, 0]],
+                                  ['8', 'Y', [0, 5, 3]],
+                                  ['9', 'X', [5, 3, 0]],
+                                  ['9', 'Z', [0, 5, 2]]]}
+M_NETWORK_M2_GF2_SHA256 = ("b0fa2d8a99eb69e7de5aaec7c73d31b7"
+                           "2c3e051339095423d5a2677a33377087")
+
+
 def _as_vector(res):
     """The result with its M_k(F) witness read back as a vector code."""
     return dataclasses.replace(
@@ -110,11 +135,11 @@ def _as_vector(res):
 # (id, search, status, nodes, receiver_checks, memo_hits, witness)
 CASES = [
     ("m/GF(3)", lambda: solve_scalar(m_network(), construct_ring(GF3)),
-     "exhausted-unsolvable", 25, 18, 0, None),
+     "exhausted-unsolvable", 14, 10, 0, None),
     ("m/GF(4)", lambda: solve_scalar(m_network(), construct_ring(GF4)),
-     "exhausted-unsolvable", 29, 22, 0, None),
+     "exhausted-unsolvable", 16, 12, 0, None),
     ("m/GF(5)", lambda: solve_scalar(m_network(), construct_ring(GF5)),
-     "exhausted-unsolvable", 33, 26, 0, None),
+     "exhausted-unsolvable", 18, 14, 0, None),
     ("choose-two(4)/GF(3)",
      lambda: solve_scalar(choose_two_network(4), construct_ring(GF3)),
      "solved", 7, 9, 3, CHOOSE_TWO_4_GF3),
@@ -154,5 +179,24 @@ def test_m_network_over_m2_gf3_is_solved():
     assert res.stats["strategy"] == "rank"
     assert (res.stats["nodes"], res.stats["receiver_checks"],
             res.stats["memo_hits"], res.stats["orbit_skips"]) == \
-        (16557, 16601, 0, 3906)
+        (7632, 1327, 11849, 1764)
     assert codes.verify_solution(net, res.code).solved
+
+
+def test_m_network_over_m2_gf2_jumps_past_the_free_edges():
+    # the abstract's 16-element non-commutative ring.  Every receiver's
+    # dimension test reads 1 -> 3 and 2 -> 5 only (positions 0 and 3), and
+    # at 2 -> 5 every receiver's dimension test runs before any reach test,
+    # so a dead end there jumps back over 2 -> 4 and 1 -> 4 to 1 -> 3.
+    # Tested one receiver at a time, the search took 6,284 nodes, 6,064 of
+    # them at 2 -> 5, and no jump
+    res = solve_scalar(m_network(), construct_ring(MatrixRing(GF2, 2)))
+    assert res.status == "solved"
+    assert (res.stats["nodes"], res.stats["receiver_checks"],
+            res.stats["memo_hits"], res.stats["backjumps"]) == \
+        (1246, 619, 2332, 1)
+    assert res.stats["nodes_by_depth"] == [2, 10, 35, 1199]
+    got = codes.code_to_json(res.code)
+    assert {k: got[k] for k in ("edges", "decodings")} == M_NETWORK_M2_GF2
+    assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()) \
+        .hexdigest() == M_NETWORK_M2_GF2_SHA256

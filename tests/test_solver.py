@@ -492,25 +492,27 @@ def test_the_orbit_search_stops_at_the_deadline(monkeypatch):
 
 @pytest.mark.parametrize("share", [0.1, 0.3])
 def test_the_node_loop_stops_at_the_deadline(monkeypatch, share):
-    # the M-network over M_2(GF(2)) spends its time in the node loop, on
-    # packed span sums; a clock that ticks 1e-5 s per sum makes the whole
-    # search 6,284 nodes and 0.06220 s (the witness, which works on
-    # unpacked rows, adds no packed sums).  Reading the clock only every
-    # 1,024 nodes stopped a 10 % budget at node 1,024, 130 % late
+    # the M-network over M_2(GF(3)) walks 7,632 nodes, and every span sum
+    # the search takes is taken in the node loop; a clock that ticks 1e-5 s
+    # per sum makes the whole search 0.01612 s (the witness and the orbit
+    # search take none), so budgets of 10 % and 30 % of that run out in
+    # the node loop.  Reading the clock only every 1,024 nodes stopped a
+    # 10 % budget of the M_2(GF(2)) search, then 6,284 nodes, at node
+    # 1,024, 130 % late
     clock = [0.0]
-    space_sum2 = solver.fl.space_sum2
+    add_spaces = solver._GenAlg.add_spaces
 
-    def ticking(a, b):
+    def ticking(alg, a, b):
         clock[0] += 1e-5
-        return space_sum2(a, b)
-    monkeypatch.setattr(solver.fl, "space_sum2", ticking)
+        return add_spaces(alg, a, b)
+    monkeypatch.setattr(solver._GenAlg, "add_spaces", ticking)
     monkeypatch.setattr(solver, "time",
                         types.SimpleNamespace(perf_counter=lambda: clock[0]))
-    m2 = construct_ring(MatrixRing(PrimeField(2), 2))
+    m2 = construct_ring(MatrixRing(PrimeField(3), 2))
     full = solve_scalar(m_network(), m2, SearchOptions(strategy="rank"))
     assert full.status == "solved"
-    assert full.stats["nodes"] == 6284
-    assert clock[0] == pytest.approx(0.06220)
+    assert full.stats["nodes"] == 7632
+    assert clock[0] == pytest.approx(0.01612)
     budget = share * clock[0]
     clock[0] = 0.0
     res = solve_scalar(m_network(), m2,
